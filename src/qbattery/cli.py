@@ -13,22 +13,23 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .dynamics import (DEFAULT_N_POINTS, ENGINE_CLOSED, ENGINE_PSEUDOMODE,
-                       IntegrationError, TimeGrid, equal_frequency_trajectory,
-                       general_trajectory, trajectory)
+                       IntegrationError, TimeGrid, default_grid,
+                       equal_frequency_trajectory, general_trajectory, trajectory)
 from .metrics import MetricsSeries, compute_metrics
 from .model import INV_SQRT2, SystemParams, dressed_frame, validate
 from .oracle import DEFAULT_N_MODES, DEFAULT_SPAN, build_bath, propagate
 from .sweep import (MAXIMA_FIELDS, SweepPointError, SweepSpec, figure_pipeline,
-                    run_sweep, write_sweep_csv)
+                    format_float, run_sweep, write_sweep_csv)
 
 ORACLE_TOLERANCE = 5e-3
 OUT_ROOT_ENV = "QBATTERY_OUT"
@@ -67,17 +68,13 @@ class RunConfig:
     span: float = DEFAULT_SPAN
 
     def params(self) -> SystemParams:
-        return validate(SystemParams(
-            delta_A=self.delta_A, delta_B=self.delta_B, delta_L=self.delta_L,
-            omega_drive=self.omega_drive, lambda_=self.lambda_,
-            alpha_T=self.alpha_T, r1=self.r1, R=self.R,
-            c01=self.c01, c02=self.c02))
+        return validate(SystemParams(**{f.name: getattr(self, f.name)
+                                        for f in fields(SystemParams)}))
 
     def grid(self) -> TimeGrid:
-        t_max = self.t_max
-        if t_max is None:
-            t_max = (10.0 if self.R <= 1.0 else 5.0) / self.lambda_
-        return TimeGrid.uniform(t_max, self.n_points)
+        if self.t_max is None:
+            return default_grid(self.params(), self.n_points)
+        return TimeGrid.uniform(self.t_max, self.n_points)
 
 
 _KEY_MAP = {"lambda": "lambda_"}
@@ -85,30 +82,55 @@ _KEY_UNMAP = {"lambda_": "lambda"}
 _COMPLEX_KEYS = ("c01", "c02")
 
 
-def _parse_complex(value) -> complex:
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    if isinstance(value, (int, float)):
-        return complex(value)
-    raise ConfigError(f"expected a number or [re, im] pair, got {value!r}")
+def _number(value):
+    """A finite int or float, returned unchanged."""
+    if isinstance(value, bool) or not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
+def _integer(value) -> int:
+    if _number(value) != int(value):
+        raise ValueError("not an integer")
+    return int(value)
+
+
+def _complex(value) -> complex:
+    re, im = value if isinstance(value, (list, tuple)) else (value, 0.0)
+    return complex(float(_number(re)), float(_number(im)))
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("not a string")
+    return value
+
+
+def _axes(value) -> tuple:
+    return tuple((str(axis), tuple(float(v) for v in values)) for axis, values in value)
+
+
+# Parser of each key's value; every other key holds a finite number.
+_PARSERS = {"c01": _complex, "c02": _complex, "axes": _axes,
+            "n_points": _integer, "threads": _integer, "n_modes": _integer,
+            "engine": _string, "out_dir": _string, "figure": _string}
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    known = {f.name for f in fields(RunConfig)}
+    defaults = {f.name: f.default for f in fields(RunConfig)}
     updates = {}
     for key, value in data.items():
         name = _KEY_MAP.get(key, key)
-        if name not in known:
+        if name not in defaults:
             raise ConfigError(f"unknown config key: {key!r}")
-        if name in _COMPLEX_KEYS:
-            value = _parse_complex(value)
-        elif name == "axes":
-            value = tuple((str(a), tuple(float(v) for v in vs)) for a, vs in value)
+        if value is not None or defaults[name] is not None:
+            try:
+                value = _PARSERS.get(name, _number)(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(
+                    f"invalid value for {key!r}: {value!r} ({exc})") from exc
         updates[name] = value
-    try:
-        return RunConfig(**updates)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return RunConfig(**updates)
 
 
 def config_to_dict(config: RunConfig) -> dict:
@@ -137,25 +159,6 @@ def load_config(path) -> RunConfig:
     return config_from_dict(data)
 
 
-def _apply_set_overrides(config: RunConfig, pairs: list[str]) -> RunConfig:
-    data = {}
-    for pair in pairs:
-        key, sep, raw = pair.partition("=")
-        if not sep:
-            raise ConfigError(f"--set expects key=value, got {pair!r}")
-        try:
-            data[key] = json.loads(raw)
-        except json.JSONDecodeError:
-            data[key] = raw
-    merged = config_to_dict(config)
-    merged.update(data)
-    return config_from_dict(merged)
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _write_run_json(out: Path, command: str, config: RunConfig,
                     outputs: list[str]) -> Path:
     payload = {
@@ -177,7 +180,7 @@ def _run_metrics(config: RunConfig):
     params = config.params()
     frame = dressed_frame(params)
     grid = config.grid()
-    traj = trajectory(params, frame, grid, engine=config.engine, tol=config.tol)
+    traj = trajectory(params, frame, grid, engine=config.engine)
     return traj, compute_metrics(traj, frame.chi_B)
 
 
@@ -185,7 +188,7 @@ def cmd_timeseries(config: RunConfig, out: Path) -> list[Path]:
     traj, series = _run_metrics(config)
     lines = ["t,re_C1,im_C1,re_C2,im_C2,E_B,P_B,W_B"]
     for i, t in enumerate(traj.grid.samples):
-        lines.append(",".join(_fmt(v) for v in (
+        lines.append(",".join(format_float(v) for v in (
             t, traj.c1[i].real, traj.c1[i].imag, traj.c2[i].real,
             traj.c2[i].imag, series.energy[i], series.power[i],
             series.ergotropy[i])))
@@ -199,7 +202,7 @@ def maxima_csv_text(series: MetricsSeries) -> str:
               series.max_power.value, series.max_power.time,
               series.max_ergotropy.value, series.max_ergotropy.time)
     return (",".join(MAXIMA_FIELDS) + "\n"
-            + ",".join(_fmt(v) for v in values) + "\n")
+            + ",".join(format_float(v) for v in values) + "\n")
 
 
 def cmd_maxima(config: RunConfig, out: Path) -> list[Path]:
@@ -211,7 +214,7 @@ def cmd_maxima(config: RunConfig, out: Path) -> list[Path]:
 
 def cmd_sweep(config: RunConfig, out: Path) -> list[Path]:
     spec = SweepSpec(base=config.params(), axes=config.axes,
-                     grid=config.grid(), engine=config.engine, tol=config.tol)
+                     grid=config.grid(), engine=config.engine)
     result = run_sweep(spec, threads=config.threads)
     return [write_sweep_csv(result, out / "sweep.csv")]
 
@@ -230,16 +233,12 @@ def cmd_oracle_check(config: RunConfig, out: Path) -> tuple[list[Path], bool]:
     bath = build_bath(frame, n_modes=config.n_modes, span=config.span)
     reference = propagate(params, frame, bath, grid, tol=config.tol)
 
-    gaps = {}
-    pseudo = general_trajectory(params, frame, grid, tol=config.tol)
-    gaps[ENGINE_PSEUDOMODE] = float(max(
-        np.max(np.abs(pseudo.c1 - reference.c1)),
-        np.max(np.abs(pseudo.c2 - reference.c2))))
+    engines = {ENGINE_PSEUDOMODE: general_trajectory(params, frame, grid)}
     if params.equal_detunings():
-        closed = equal_frequency_trajectory(params, frame, grid)
-        gaps[ENGINE_CLOSED] = float(max(
-            np.max(np.abs(closed.c1 - reference.c1)),
-            np.max(np.abs(closed.c2 - reference.c2))))
+        engines[ENGINE_CLOSED] = equal_frequency_trajectory(params, frame, grid)
+    gaps = {name: float(max(np.max(np.abs(traj.c1 - reference.c1)),
+                            np.max(np.abs(traj.c2 - reference.c2))))
+            for name, traj in engines.items()}
 
     report = {
         "tolerance": ORACLE_TOLERANCE,
@@ -290,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
                                      "or the current directory)")
         p.add_argument("--engine", choices=sorted(ENGINE_ALIASES),
                        help="trajectory engine for single runs and sweeps")
-        p.add_argument("--tol", type=float, help="integrator relative tolerance")
+        p.add_argument("--tol", type=float,
+                       help="relative tolerance of the oracle's integrator")
         p.add_argument("--threads", type=int, help="worker threads for sweeps")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override any config key (JSON-parsed value); "
@@ -302,9 +302,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_config(args) -> RunConfig:
     config = load_config(args.config) if args.config else RunConfig()
-    if args.set:
-        config = _apply_set_overrides(config, args.set)
     updates = {}
+    for pair in args.set:
+        key, sep, raw = pair.partition("=")
+        if not sep:
+            raise ConfigError(f"--set expects key=value, got {pair!r}")
+        try:
+            updates[key] = json.loads(raw)
+        except json.JSONDecodeError:
+            updates[key] = raw
     if args.engine:
         updates["engine"] = ENGINE_ALIASES[args.engine]
     if args.tol is not None:
@@ -314,7 +320,7 @@ def _resolve_config(args) -> RunConfig:
     if getattr(args, "figure", None):
         updates["figure"] = args.figure
     if updates:
-        config = replace(config, **updates)
+        config = config_from_dict({**config_to_dict(config), **updates})
     if config.engine not in (ENGINE_CLOSED, ENGINE_PSEUDOMODE):
         raise ConfigError(f"unknown engine: {config.engine!r}")
     return config
@@ -343,17 +349,12 @@ def main(argv=None) -> int:
             return 0
         _write_run_json(out, args.command, config, [p.name for p in outputs])
         return 0
-    except SweepPointError as exc:
-        numerical = isinstance(exc.cause, IntegrationError)
+    except (SweepPointError, IntegrationError, ValueError, OSError) as exc:
+        cause = exc.cause if isinstance(exc, SweepPointError) else exc
+        numerical = isinstance(cause, IntegrationError)
         kind = "numerical failure" if numerical else "config error"
         print(f"qbattery: {kind}: {exc}", file=sys.stderr)
         return 3 if numerical else 2
-    except IntegrationError as exc:
-        print(f"qbattery: numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"qbattery: config error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

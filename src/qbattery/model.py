@@ -8,6 +8,7 @@ all times in its inverse.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -87,6 +88,9 @@ def validate(params: SystemParams) -> SystemParams:
 
     Raises ValueError naming the first violated invariant.
     """
+    for name, value in vars(params).items():
+        if not cmath.isfinite(value):
+            raise ValueError(f"non-finite {name}: {value}")
     if not (params.lambda_ > 0.0):
         raise ValueError(f"non-positive lambda_: {params.lambda_}")
     if not (params.alpha_T > 0.0):
@@ -97,9 +101,6 @@ def validate(params: SystemParams) -> SystemParams:
         raise ValueError(f"negative omega_drive: {params.omega_drive}")
     if not (params.R >= 0.0):
         raise ValueError(f"negative R: {params.R}")
-    for name in ("delta_A", "delta_B", "delta_L"):
-        if not math.isfinite(getattr(params, name)):
-            raise ValueError(f"non-finite {name}")
     norm = abs(params.c01) ** 2 + abs(params.c02) ** 2
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"initial state not normalized: |c01|^2+|c02|^2 = {norm}")
@@ -113,12 +114,12 @@ def dressed_frame(params: SystemParams) -> DressedFrame:
     delta), so eta lies in [0, pi] for omega_drive >= 0 and negative
     detunings are handled unambiguously.  The fully degenerate point
     omega_drive = delta = 0 resolves to eta = 0 (bare basis) with a
-    vanishing splitting chi = 0.
+    vanishing splitting chi = 0.  An overflowing chi or W raises ValueError.
     """
     two_omega = 2.0 * params.omega_drive
     eta_A = math.atan2(two_omega, params.delta_A)
     eta_B = math.atan2(two_omega, params.delta_B)
-    return DressedFrame(
+    frame = DressedFrame(
         eta_A=eta_A,
         eta_B=eta_B,
         chi_A=math.hypot(params.delta_A, two_omega),
@@ -129,3 +130,7 @@ def dressed_frame(params: SystemParams) -> DressedFrame:
         lambda_=params.lambda_,
         delta_L=params.delta_L,
     )
+    for name in ("chi_A", "chi_B", "W"):
+        if not math.isfinite(getattr(frame, name)):
+            raise ValueError(f"non-finite {name}: {getattr(frame, name)}")
+    return frame

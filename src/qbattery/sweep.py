@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import TimeGrid, trajectory
+from .dynamics import TimeGrid, default_grid, trajectory
 from .metrics import MetricsSeries, compute_metrics
 from .model import SystemParams, dressed_frame, validate
 
@@ -41,7 +41,6 @@ class SweepSpec:
     axes: tuple[tuple[str, tuple[float, ...]], ...]
     grid: TimeGrid
     engine: str = "closed_form"
-    tol: float = 1e-9
 
     def __post_init__(self):
         axes = tuple((str(name), tuple(float(v) for v in values))
@@ -91,7 +90,7 @@ def _evaluate(spec: SweepSpec, point: dict[str, float],
     try:
         params = validate(apply_point(spec.base, point))
         frame = dressed_frame(params)
-        traj = trajectory(params, frame, spec.grid, engine=spec.engine, tol=spec.tol)
+        traj = trajectory(params, frame, spec.grid, engine=spec.engine)
         series = compute_metrics(traj, frame.chi_B)
     except Exception as exc:
         raise SweepPointError(point, exc) from exc
@@ -121,7 +120,8 @@ def run_sweep(spec: SweepSpec, threads: int = 1,
     return SweepResult(spec=spec, rows=rows, series=series)
 
 
-def _fmt(x: float) -> str:
+def format_float(x: float) -> str:
+    """The CSV float format: 17 significant digits, so values round-trip."""
     return f"{x:.17g}"
 
 
@@ -130,8 +130,8 @@ def sweep_csv_text(result: SweepResult) -> str:
     header = [f"param_{n}" for n in names] + list(MAXIMA_FIELDS)
     lines = [",".join(header)]
     for row in result.rows:
-        cells = [_fmt(row.point[n]) for n in names]
-        cells += [_fmt(getattr(row, f)) for f in MAXIMA_FIELDS]
+        cells = [format_float(row.point[n]) for n in names]
+        cells += [format_float(getattr(row, f)) for f in MAXIMA_FIELDS]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -189,16 +189,13 @@ _PANELS_TIMESERIES = (("a", "power"), ("b", "energy"), ("c", "ergotropy"))
 _PANELS_MAXIMA = (("a", "power_max"), ("b", "energy_max"), ("c", "ergotropy_max"))
 
 
-def figure_grid(fig: FigureSpec, n_points: int) -> TimeGrid:
-    return TimeGrid.uniform(10.0 if fig.R <= 1.0 else 5.0, n_points)
-
-
 def _table_csv(first_header: str, first_column: np.ndarray,
                columns: list[tuple[str, np.ndarray]]) -> str:
     header = [first_header] + [name for name, _ in columns]
     lines = [",".join(header)]
     for i in range(first_column.size):
-        cells = [_fmt(first_column[i])] + [_fmt(col[i]) for _, col in columns]
+        cells = [format_float(first_column[i])]
+        cells += [format_float(col[i]) for _, col in columns]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -212,7 +209,7 @@ def figure_pipeline(figure_id: str, out_dir, n_points: int = 2000) -> list[Path]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     base = SystemParams(R=fig.R)
-    grid = figure_grid(fig, n_points)
+    grid = default_grid(base, n_points)
     family_name, family_values = fig.family
 
     if fig.kind == "timeseries":

@@ -283,3 +283,33 @@ def test_set_flag_rejects_malformed_pairs(tmp_path, capsys):
     assert main(["maxima", "--out", str(tmp_path / "o"),
                  "--set", "omega_drive"]) == 2
     assert "key=value" in capsys.readouterr().err
+
+
+# No input may end in a traceback, a hang or a file of nan.  Non-finite or
+# mistyped values are config errors (2); finite values whose arithmetic
+# overflows in an engine are numerical failures (3).
+@pytest.mark.parametrize("argv, code, fragment", [
+    (["maxima", "--set", "c01=[NaN,0]"], 2, "'c01'"),
+    (["maxima", "--set", "R=Infinity"], 2, "'R'"),
+    (["maxima", "--set", "omega_drive=1e308"], 2, "non-finite chi_A"),
+    (["maxima", "--engine", "pseudomode", "--set", "omega_drive=1e308"], 2,
+     "non-finite chi_A"),
+    (["maxima", "--set", "omega_drive=1e300"], 3, "closed_form engine"),
+    (["maxima", "--set", "R=1e200"], 3, "closed_form engine"),
+    (["maxima", "--engine", "pseudomode", "--set", "R=1e200"], 3,
+     "pseudomode engine"),
+    (["sweep", "--set", 'axes=[["omega_drive", [1.0, 1e300]]]'], 3,
+     "closed_form engine"),
+    (["maxima", "--set", 'tol="abc"'], 2, "'tol'"),
+    (["maxima", "--set", "n_points=2.5"], 2, "'n_points'"),
+    (["sweep", "--set", 'axes=[["R"]]'], 2, "'axes'"),
+    (["maxima", "--set", "out_dir=5"], 2, "'out_dir'"),
+])
+def test_bad_input_exits_with_code_and_writes_no_csv(tmp_path, capsys, argv, code,
+                                                      fragment):
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert fragment in err
+    assert ("numerical failure" if code == 3 else "config error") in err
+    assert not list(tmp_path.rglob("*.csv"))

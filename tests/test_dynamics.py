@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbattery import (KernelParams, SystemParams, TimeGrid,
+from qbattery import (IntegrationError, KernelParams, SystemParams, TimeGrid,
                       dressed_frame, equal_frequency_trajectory,
                       general_trajectory, kernel_params, survival_amplitude,
                       trajectory)
+from qbattery.dynamics import AmplitudeTrajectory
 
 # Oracle-certified survival amplitude at t = 2/lambda for
 # (R=0.5, Omega=0.5, Delta=Delta_L=0, r1=1/sqrt2, alpha_T=1), obtained by
@@ -36,16 +37,13 @@ def test_uniform_grid():
     assert np.allclose(np.diff(g.samples), 0.5)
 
 
+# (t_max, n_points); the last one is too short for distinct samples
 @pytest.mark.parametrize("samples", [
-    [0.0], [0.0, 1.0, 1.0], [0.1, 0.2, 0.3], [0.0, 2.0, 1.0]])
+    (5.0, 1), (5.0, 0), (0.0, 10), (-1.0, 10), (math.inf, 10), (math.nan, 10),
+    (5e-324, 3)])
 def test_grid_rejects_bad_samples(samples):
     with pytest.raises(ValueError):
-        TimeGrid.from_samples(samples)
-
-
-def test_grid_rejects_inconsistent_t_max():
-    with pytest.raises(ValueError):
-        TimeGrid(t_max=2.0, n_points=3, samples=np.array([0.0, 0.5, 1.0]))
+        TimeGrid.uniform(*samples)
 
 
 # --- survival amplitude ------------------------------------------------------
@@ -147,7 +145,7 @@ def test_super_radiant_state_decays_at_critical_damping():
     # completes well inside t = 50/lambda
     p = SystemParams(omega_drive=0.0, R=0.5, r1=0.6, c01=0.6, c02=0.8)
     f = dressed_frame(p)
-    g = TimeGrid.from_samples(np.linspace(0.0, 50.0, 501))
+    g = TimeGrid.uniform(50.0, 501)
     traj = equal_frequency_trajectory(p, f, g)
     Z = survival_amplitude(kernel_params(p, f), g.samples)
     np.testing.assert_allclose(traj.c2, 0.8 * Z, atol=1e-14)
@@ -190,7 +188,9 @@ def test_qubit_norm_never_exceeds_one(omega, delta, delta_L, R, r1, amp):
 def test_pseudomode_matches_closed_form():
     for kwargs in (dict(omega_drive=1.0, R=0.5),
                    dict(omega_drive=0.5, delta_A=2.0, delta_B=2.0,
-                        delta_L=1.0, R=10.0, r1=0.3)):
+                        delta_L=1.0, R=10.0, r1=0.3),
+                   dict(omega_drive=0.0, R=0.5),  # critically damped, F = 0
+                   dict(omega_drive=0.5, R=100.0)):
         p = SystemParams(**kwargs)
         f = dressed_frame(p)
         g = TimeGrid.uniform(10.0 if p.R <= 1 else 5.0, 800)
@@ -221,10 +221,12 @@ def test_trajectory_dispatch():
         trajectory(p, f, g, engine="magic")
 
 
-def test_general_trajectory_rejects_bad_tol():
-    p = SystemParams()
-    with pytest.raises(ValueError, match="tol"):
-        general_trajectory(p, dressed_frame(p), TimeGrid.uniform(1.0, 10), tol=0.0)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_trajectory_rejects_non_finite_amplitudes(bad):
+    g = TimeGrid.uniform(1.0, 3)
+    with pytest.raises(IntegrationError, match="non-finite"):
+        AmplitudeTrajectory(grid=g, c1=np.array([1.0, bad, 0.0]),
+                            c2=np.zeros(3, complex), engine_tag="oracle")
 
 
 # --- memory-kernel reference (naive O(n^2), test-only) -----------------------

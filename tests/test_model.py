@@ -30,11 +30,27 @@ def test_validate_returns_default_params_unchanged():
     (dict(omega_drive=-0.5), "omega_drive"),
     (dict(R=-1.0), "R"),
     (dict(delta_A=math.inf), "delta_A"),
+    (dict(R=math.inf), "non-finite R"),
+    (dict(lambda_=math.nan), "non-finite lambda_"),
+    (dict(omega_drive=math.inf), "non-finite omega_drive"),
+    (dict(r1=math.nan), "non-finite r1"),
+    (dict(c01=complex(math.nan, 0.0)), "non-finite c01"),
+    (dict(c01=0.0, c02=complex(0.0, math.inf)), "non-finite c02"),
 ])
 def test_validate_names_first_violated_invariant(kwargs, fragment):
     with pytest.raises(ValueError, match=None) as err:
         validate(SystemParams(**kwargs))
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(omega_drive=1e308), "chi_A"),
+    (dict(delta_B=1.5e308, omega_drive=5e307), "chi_B"),
+    (dict(R=1e300, alpha_T=1e-10), "W"),
+])
+def test_dressed_frame_rejects_overflowing_scales(kwargs, name):
+    with pytest.raises(ValueError, match=f"non-finite {name}"):
+        dressed_frame(validate(SystemParams(**kwargs)))
 
 
 def test_relative_couplings_stay_normalized():
