@@ -28,10 +28,11 @@ from .dynamics import (DEFAULT_N_POINTS, ENGINE_CLOSED, ENGINE_PSEUDOMODE,
 from .metrics import MetricsSeries, compute_metrics
 from .model import INV_SQRT2, SystemParams, dressed_frame, validate
 from .oracle import DEFAULT_N_MODES, DEFAULT_SPAN, build_bath, propagate
-from .sweep import (MAXIMA_FIELDS, SweepPointError, SweepSpec, figure_pipeline,
-                    format_float, run_sweep, write_sweep_csv)
+from .sweep import (MAXIMA_FIELDS, SweepPointError, SweepSpec, csv_text,
+                    figure_pipeline, run_sweep, write_sweep_csv)
 
 ORACLE_TOLERANCE = 5e-3
+TIMESERIES_FIELDS = ("t", "re_C1", "im_C1", "re_C2", "im_C2", "E_B", "P_B", "W_B")
 OUT_ROOT_ENV = "QBATTERY_OUT"
 
 ENGINE_ALIASES = {"closed": ENGINE_CLOSED, ENGINE_CLOSED: ENGINE_CLOSED,
@@ -186,23 +187,19 @@ def _run_metrics(config: RunConfig):
 
 def cmd_timeseries(config: RunConfig, out: Path) -> list[Path]:
     traj, series = _run_metrics(config)
-    lines = ["t,re_C1,im_C1,re_C2,im_C2,E_B,P_B,W_B"]
-    for i, t in enumerate(traj.grid.samples):
-        lines.append(",".join(format_float(v) for v in (
-            t, traj.c1[i].real, traj.c1[i].imag, traj.c2[i].real,
-            traj.c2[i].imag, series.energy[i], series.power[i],
-            series.ergotropy[i])))
+    table = np.column_stack((traj.grid.samples, traj.c1.real, traj.c1.imag,
+                             traj.c2.real, traj.c2.imag, series.energy,
+                             series.power, series.ergotropy))
     path = out / "timeseries.csv"
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    path.write_text(csv_text(TIMESERIES_FIELDS, table.tolist()), newline="\n")
     return [path]
 
 
 def maxima_csv_text(series: MetricsSeries) -> str:
-    values = (series.max_energy.value, series.max_energy.time,
-              series.max_power.value, series.max_power.time,
-              series.max_ergotropy.value, series.max_ergotropy.time)
-    return (",".join(MAXIMA_FIELDS) + "\n"
-            + ",".join(format_float(v) for v in values) + "\n")
+    return csv_text(MAXIMA_FIELDS, [(
+        series.max_energy.value, series.max_energy.time,
+        series.max_power.value, series.max_power.time,
+        series.max_ergotropy.value, series.max_ergotropy.time)])
 
 
 def cmd_maxima(config: RunConfig, out: Path) -> list[Path]:
@@ -230,12 +227,13 @@ def cmd_oracle_check(config: RunConfig, out: Path) -> tuple[list[Path], bool]:
     params = config.params()
     frame = dressed_frame(params)
     grid = config.grid()
-    bath = build_bath(frame, n_modes=config.n_modes, span=config.span)
-    reference = propagate(params, frame, bath, grid, tol=config.tol)
-
+    # The engines run first: they fail fast (exit 3) where the bath would
+    # only fail after its whole evaluation budget.
     engines = {ENGINE_PSEUDOMODE: general_trajectory(params, frame, grid)}
     if params.equal_detunings():
         engines[ENGINE_CLOSED] = equal_frequency_trajectory(params, frame, grid)
+    bath = build_bath(frame, n_modes=config.n_modes, span=config.span)
+    reference = propagate(params, frame, bath, grid, tol=config.tol)
     gaps = {name: float(max(np.max(np.abs(traj.c1 - reference.c1)),
                             np.max(np.abs(traj.c2 - reference.c2))))
             for name, traj in engines.items()}

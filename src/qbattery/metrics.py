@@ -4,6 +4,11 @@ The battery's reduced state stays diagonal in its dressed basis, so every
 metric is a function of the excited-state population |C2|^2 and the dressed
 splitting chi_B.  The spectral (eigenvalue-overlap) ergotropy is kept
 alongside the two-level closed form as an independent route.
+
+The series functions accept one trajectory, or a batch of them with a
+leading points axis and one chi_B per point.  Each series is computed in
+place in one new array: on a batch, every fresh (points x time) temporary
+costs page faults that outweigh the arithmetic.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ from .dynamics import AmplitudeTrajectory, TimeGrid
 
 
 class Extremum(NamedTuple):
+    """Peak value and its time; arrays along the points axis for a batch."""
+
     value: float
     time: float
 
@@ -25,7 +32,8 @@ class Extremum(NamedTuple):
 class MetricsSeries:
     """Energy, power and ergotropy sampled on a time grid.
 
-    The max_* records are None until filled in by maxima().
+    A batch of points holds (points, time) arrays.  The max_* records are
+    None until filled in by maxima().
     """
 
     grid: TimeGrid
@@ -62,11 +70,21 @@ def battery_hamiltonian(chi_B: float) -> np.ndarray:
     return np.diag([-chi_B / 2.0, chi_B / 2.0])
 
 
-def stored_energy(traj: AmplitudeTrajectory, chi_B: float) -> np.ndarray:
-    """E_B(t) = |C2(t)|^2 chi_B, relative to the empty battery."""
-    if chi_B < 0.0:
+def _splitting(traj: AmplitudeTrajectory, chi_B) -> np.ndarray:
+    """chi_B shaped to multiply the trajectory's (points, time) samples."""
+    chi_B = np.asarray(chi_B, dtype=float)
+    if np.any(chi_B < 0.0):
         raise ValueError(f"negative chi_B: {chi_B}")
-    return np.abs(traj.c2) ** 2 * chi_B
+    return chi_B[..., None] if traj.c2.ndim > 1 else chi_B
+
+
+def stored_energy(traj: AmplitudeTrajectory, chi_B) -> np.ndarray:
+    """E_B(t) = |C2(t)|^2 chi_B, relative to the empty battery."""
+    chi_B = _splitting(traj, chi_B)
+    energy = np.abs(traj.c2)
+    energy *= energy
+    energy *= chi_B
+    return energy
 
 
 def stored_energy_trace(excited_population, chi_B: float,
@@ -88,23 +106,29 @@ def stored_energy_trace(excited_population, chi_B: float,
 def charging_power(energy: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """P_B(t) = E_B(t)/t, with the t -> 0 limit P_B(0) = 0."""
     energy = np.asarray(energy, dtype=float)
-    if energy.shape != grid.samples.shape:
+    if energy.shape[-1:] != grid.samples.shape:
         raise ValueError("energy series does not match the time grid")
-    power = np.zeros_like(energy)
-    power[1:] = energy[1:] / grid.samples[1:]
+    power = np.empty_like(energy)
+    power[..., 0] = 0.0
+    np.divide(energy[..., 1:], grid.samples[1:], out=power[..., 1:])
     return power
 
 
-def ergotropy_closed(traj: AmplitudeTrajectory, chi_B: float) -> np.ndarray:
+def ergotropy_closed(traj: AmplitudeTrajectory, chi_B) -> np.ndarray:
     """Two-level ergotropy (2|C2|^2 - 1) theta(|C2|^2 - 1/2) chi_B.
 
     The step function is taken as 0 at the threshold; the prefactor vanishes
     there, so the series is continuous either way.
     """
-    if chi_B < 0.0:
-        raise ValueError(f"negative chi_B: {chi_B}")
-    p = np.abs(traj.c2) ** 2
-    return np.where(p > 0.5, (2.0 * p - 1.0) * chi_B, 0.0)
+    chi_B = _splitting(traj, chi_B)
+    work = np.abs(traj.c2)
+    work *= work
+    work *= 2.0
+    work -= 1.0
+    charged = work > 0.0                    # |C2|^2 > 1/2, exactly
+    work *= chi_B
+    work[~charged] = 0.0
+    return work
 
 
 def ergotropy_spectral(rho_eigenvalues, hamiltonian_eigenvalues, rho_state) -> float:
@@ -141,22 +165,34 @@ def ergotropy_spectral(rho_eigenvalues, hamiltonian_eigenvalues, rho_state) -> f
 
 
 def _refine_peak(t: np.ndarray, y: np.ndarray) -> Extremum:
-    """Grid argmax plus quadratic interpolation through its neighbors.
+    """Grid argmax plus the vertex of the parabola through it and its neighbors.
 
-    The refined value is clamped from below by the grid maximum, so
-    refinement can only improve on the sampled peak.
+    y holds one series, or one per row, sampled at the times t along its
+    last axis.  A peak on the window edge, or without downward curvature,
+    stays at the grid point.  The refined value is clamped from below by the
+    grid maximum, so refinement can only improve on the sampled peak.
     """
-    i = int(np.argmax(y))
-    if i == 0 or i == y.size - 1:
-        return Extremum(float(y[i]), float(t[i]))
-    coeff = np.polyfit(t[i - 1:i + 2], y[i - 1:i + 2], 2)
-    if coeff[0] >= 0.0:
-        return Extremum(float(y[i]), float(t[i]))
-    t_star = float(np.clip(-coeff[1] / (2.0 * coeff[0]), t[i - 1], t[i + 1]))
-    value = float(np.polyval(coeff, t_star))
-    if value < y[i]:
-        return Extremum(float(y[i]), float(t[i]))
-    return Extremum(value, t_star)
+    n = y.shape[-1]
+    rows = y.reshape(-1, n)
+    r = np.arange(len(rows))
+    i = np.argmax(rows, axis=-1)
+    inner = np.clip(i, 1, n - 2)           # any index with neighbors when n > 2
+    y0, y1, y2 = (rows[r, inner + k] for k in (-1, 0, 1))
+    t0, t1, t2 = (t[inner + k] for k in (-1, 0, 1))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # y = y1 + b s + a s^2 in s = t - t1 passes through the three samples.
+        g0, g2 = (y0 - y1) / (t0 - t1), (y2 - y1) / (t2 - t1)
+        a = (g2 - g0) / (t2 - t0)
+        b = g0 - a * (t0 - t1)
+        time = np.clip(t1 - b / (2.0 * a), t0, t2)
+        value = y1 + (time - t1) * (b + a * (time - t1))
+    peak = rows[r, i]
+    refined = (i > 0) & (i < n - 1) & (a < 0.0) & (value >= peak)
+    value = np.where(refined, value, peak).reshape(y.shape[:-1])
+    time = np.where(refined, time, t[i]).reshape(y.shape[:-1])
+    if y.ndim == 1:
+        return Extremum(float(value), float(time))
+    return Extremum(value, time)
 
 
 def maxima(series: MetricsSeries) -> MetricsSeries:
@@ -170,9 +206,9 @@ def maxima(series: MetricsSeries) -> MetricsSeries:
     )
 
 
-def compute_metrics(traj: AmplitudeTrajectory, chi_B: float,
+def compute_metrics(traj: AmplitudeTrajectory, chi_B,
                     with_maxima: bool = True) -> MetricsSeries:
-    """Full metrics pipeline for one trajectory."""
+    """Full metrics pipeline for one trajectory or a batch of them."""
     energy = stored_energy(traj, chi_B)
     series = MetricsSeries(
         grid=traj.grid,

@@ -25,6 +25,11 @@ DEFAULT_SPAN = 50.0
 
 NORM_ABORT = 1e-6
 
+# Right-hand-side evaluations allowed per propagation.  The certification
+# points take about 6000; the budget bounds the runtime of inputs whose
+# splittings the integrator can only resolve with vanishing steps.
+RHS_BUDGET = 100_000
+
 
 @dataclass(frozen=True, eq=False)
 class DiscretizedBath:
@@ -105,8 +110,16 @@ def propagate(params: SystemParams, frame: DressedFrame, bath: DiscretizedBath,
     delta_L = frame.delta_L
     det = bath.mode_detunings
     g = bath.couplings
+    evaluations = 0
 
     def rhs(t, y):
+        nonlocal evaluations
+        evaluations += 1
+        if evaluations > RHS_BUDGET:
+            raise IntegrationError(
+                f"bath propagation used up its budget of {RHS_BUDGET} "
+                f"right-hand-side evaluations before t = {grid.t_max:g} "
+                f"(reached t = {t:g}, n_modes={bath.n_modes}, tol={tol:g})")
         cq = y[:2]
         ck = y[2:]
         base = np.exp(-1j * det * t)                      # e^{-i dw_k t}

@@ -1,8 +1,11 @@
 """Cartesian parameter sweeps and figure-reproduction pipelines.
 
-Sweep points are independent work items; rows come back in lexicographic
-axis order no matter how many workers run, and CSV payloads are
-byte-reproducible (17-significant-digit floats, no timestamps).
+Sweep points are evaluated in chunks of at most BUDGET time samples, each
+chunk as one (points x time) batch through the engines and metrics.  The
+chunk boundaries depend only on the grid, so rows are bit-identical and
+come back in lexicographic axis order no matter how many worker threads map
+over the chunks, and CSV payloads are byte-reproducible
+(17-significant-digit floats, no timestamps).
 """
 
 from __future__ import annotations
@@ -18,12 +21,18 @@ import numpy as np
 
 from . import __version__
 from .dynamics import TimeGrid, default_grid, trajectory
-from .metrics import MetricsSeries, compute_metrics
+from .metrics import Extremum, MetricsSeries, compute_metrics
 from .model import SystemParams, dressed_frame, validate
 
 AXIS_NAMES = ("omega_drive", "delta_A", "delta_B", "delta_common", "delta_L", "R", "r1")
 
 MAXIMA_FIELDS = ("E_max", "t_E", "P_max", "t_P", "W_max", "t_W")
+
+# Time samples per chunk: keeps each (points x time) temporary near 0.5 MB.
+BUDGET = 2 ** 15
+
+# The CSV float format: 17 significant digits, so values round-trip.
+FLOAT_FORMAT = "%.17g"
 
 
 class SweepPointError(RuntimeError):
@@ -85,55 +94,78 @@ def apply_point(base: SystemParams, point: dict[str, float]) -> SystemParams:
     return replace(base, **updates)
 
 
-def _evaluate(spec: SweepSpec, point: dict[str, float],
-              keep_series: bool) -> tuple[SweepRow, MetricsSeries | None]:
+def _evaluate(spec: SweepSpec, points: list[dict[str, float]],
+              keep_series: bool) -> tuple[list[SweepRow], list[MetricsSeries]]:
+    """Rows (and, if kept, per-point series) of one chunk of points.
+
+    A failure names the first failing point in row order: the chunk is then
+    evaluated again point by point until that point raises.
+    """
     try:
-        params = validate(apply_point(spec.base, point))
-        frame = dressed_frame(params)
-        traj = trajectory(params, frame, spec.grid, engine=spec.engine)
-        series = compute_metrics(traj, frame.chi_B)
+        params = [validate(apply_point(spec.base, point)) for point in points]
+        frames = [dressed_frame(p) for p in params]
+        traj = trajectory(params, frames, spec.grid, engine=spec.engine)
+        series = compute_metrics(traj, [f.chi_B for f in frames])
     except Exception as exc:
-        raise SweepPointError(point, exc) from exc
-    row = SweepRow(point=point,
-                   E_max=series.max_energy.value, t_E=series.max_energy.time,
-                   P_max=series.max_power.value, t_P=series.max_power.time,
-                   W_max=series.max_ergotropy.value, t_W=series.max_ergotropy.time)
-    return row, (series if keep_series else None)
+        if len(points) == 1:
+            raise SweepPointError(points[0], exc) from exc
+        for point in points:
+            _evaluate(spec, [point], keep_series)
+        raise
+    peaks = np.stack([series.max_energy.value, series.max_energy.time,
+                      series.max_power.value, series.max_power.time,
+                      series.max_ergotropy.value, series.max_ergotropy.time],
+                     axis=1).tolist()
+    rows = [SweepRow(point, *peak) for point, peak in zip(points, peaks)]
+    kept = [MetricsSeries(spec.grid, series.energy[k], series.power[k], series.ergotropy[k],
+                          Extremum(*peak[0:2]), Extremum(*peak[2:4]), Extremum(*peak[4:6]))
+            for k, peak in enumerate(peaks)] if keep_series else []
+    return rows, kept
 
 
 def run_sweep(spec: SweepSpec, threads: int = 1,
               keep_series: bool = False) -> SweepResult:
     """Evaluate every Cartesian point; row order is lexicographic in the axes.
 
-    An empty axis list produces the single base-parameter row.
+    The points go in chunks of max(1, BUDGET // n_points); threads map over
+    the chunks.  An empty axis list produces the single base-parameter row.
     """
     names = [name for name, _ in spec.axes]
     points = [dict(zip(names, combo))
               for combo in itertools.product(*(values for _, values in spec.axes))]
+    size = max(1, BUDGET // spec.grid.n_points)
+    chunks = [points[k:k + size] for k in range(0, len(points), size)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcome = list(pool.map(lambda p: _evaluate(spec, p, keep_series), points))
+            outcome = list(pool.map(lambda c: _evaluate(spec, c, keep_series), chunks))
     else:
-        outcome = [_evaluate(spec, p, keep_series) for p in points]
-    rows = tuple(row for row, _ in outcome)
-    series = tuple(s for _, s in outcome) if keep_series else None
-    return SweepResult(spec=spec, rows=rows, series=series)
+        outcome = [_evaluate(spec, c, keep_series) for c in chunks]
+    rows = tuple(row for chunk_rows, _ in outcome for row in chunk_rows)
+    series = tuple(s for _, chunk_series in outcome for s in chunk_series)
+    return SweepResult(spec=spec, rows=rows, series=series if keep_series else None)
 
 
 def format_float(x: float) -> str:
     """The CSV float format: 17 significant digits, so values round-trip."""
-    return f"{x:.17g}"
+    return FLOAT_FORMAT % x
+
+
+def csv_text(header, rows) -> str:
+    """A CSV file: the header, then one line per row of floats.
+
+    Each line is formatted in one step; every cell reads as format_float
+    writes it.
+    """
+    line = ",".join([FLOAT_FORMAT] * len(header))
+    return "\n".join([",".join(header)] + [line % tuple(row) for row in rows]) + "\n"
 
 
 def sweep_csv_text(result: SweepResult) -> str:
     names = [name for name, _ in result.spec.axes]
     header = [f"param_{n}" for n in names] + list(MAXIMA_FIELDS)
-    lines = [",".join(header)]
-    for row in result.rows:
-        cells = [format_float(row.point[n]) for n in names]
-        cells += [format_float(getattr(row, f)) for f in MAXIMA_FIELDS]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return csv_text(header, ([row.point[n] for n in names]
+                             + [getattr(row, f) for f in MAXIMA_FIELDS]
+                             for row in result.rows))
 
 
 def write_sweep_csv(result: SweepResult, path) -> Path:
@@ -192,12 +224,8 @@ _PANELS_MAXIMA = (("a", "power_max"), ("b", "energy_max"), ("c", "ergotropy_max"
 def _table_csv(first_header: str, first_column: np.ndarray,
                columns: list[tuple[str, np.ndarray]]) -> str:
     header = [first_header] + [name for name, _ in columns]
-    lines = [",".join(header)]
-    for i in range(first_column.size):
-        cells = [format_float(first_column[i])]
-        cells += [format_float(col[i]) for _, col in columns]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    table = np.column_stack([first_column] + [col for _, col in columns])
+    return csv_text(header, table.tolist())
 
 
 def figure_pipeline(figure_id: str, out_dir, n_points: int = 2000) -> list[Path]:

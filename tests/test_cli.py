@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -304,6 +305,8 @@ def test_set_flag_rejects_malformed_pairs(tmp_path, capsys):
     (["maxima", "--set", "n_points=2.5"], 2, "'n_points'"),
     (["sweep", "--set", 'axes=[["R"]]'], 2, "'axes'"),
     (["maxima", "--set", "out_dir=5"], 2, "'out_dir'"),
+    (["oracle-check", "--set", "omega_drive=1e300", "--set", "n_modes=400",
+      "--set", "span=10"], 3, "pseudomode engine"),
 ])
 def test_bad_input_exits_with_code_and_writes_no_csv(tmp_path, capsys, argv, code,
                                                       fragment):
@@ -313,3 +316,14 @@ def test_bad_input_exits_with_code_and_writes_no_csv(tmp_path, capsys, argv, cod
     assert fragment in err
     assert ("numerical failure" if code == 3 else "config error") in err
     assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_tiny_loss_rate_runs_without_floating_point_warnings(tmp_path):
+    # lambda = 1e-300 stretches the default window to t = 1e301; the F -> 0
+    # series of the survival amplitude must not be evaluated where unused.
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["timeseries", "--set", "lambda=1e-300", "--out", str(out)]) == 0
+    _, data = load_csv(out / "timeseries.csv")
+    assert data.shape == (2000, 8) and np.all(np.isfinite(data))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbattery import (IntegrationError, KernelParams, SystemParams, TimeGrid,
-                      dressed_frame, equal_frequency_trajectory,
+                      default_grid, dressed_frame, equal_frequency_trajectory,
                       general_trajectory, kernel_params, survival_amplitude,
                       trajectory)
 from qbattery.dynamics import AmplitudeTrajectory
@@ -95,6 +95,30 @@ def test_series_branch_agrees_with_exact_form_at_crossover():
             direct = cmath.exp(-M * t / 2) * (cmath.cosh(F * t / 2)
                                               + (M / F) * cmath.sinh(F * t / 2))
             assert abs(survival_amplitude(kf, t) - direct) < 1e-12
+
+
+@pytest.mark.parametrize("omega, delta, delta_L, R", [
+    (1.0, 0.0, 0.0, 0.5), (0.39, 2.64, 0.44, 10.0), (4.0, -3.0, 5.0, 10.0),
+    (0.0, 0.0, 0.0, 0.5), (0.0, 0.0, 0.0, 0.5 + 1e-9), (2.0, 5.0, -5.0, 0.1)])
+def test_survival_amplitude_on_a_grid_matches_direct_form(omega, delta, delta_L, R):
+    # The grid form fills the exponentials by doubling; the direct np.exp
+    # form is the reference.
+    k = make_kernel(omega, delta, delta_L, R)
+    g = TimeGrid.uniform(10.0 if R <= 1.0 else 5.0, 2000)
+    Z = survival_amplitude(k, g)
+    assert Z[0] == 1.0
+    np.testing.assert_allclose(Z, survival_amplitude(k, g.samples), rtol=0, atol=1e-14)
+
+
+def test_survival_amplitude_takes_a_batch_of_kernels():
+    kernels = [make_kernel(0.5), make_kernel(1.0, 2.0, 1.0, 10.0), make_kernel(0.0)]
+    batch = KernelParams(M=np.array([k.M for k in kernels]),
+                         F=np.array([k.F for k in kernels]))
+    t = np.linspace(0.0, 5.0, 50)
+    g = TimeGrid.uniform(5.0, 50)
+    assert survival_amplitude(batch, t).shape == survival_amplitude(batch, g).shape == (3, 50)
+    for row, k in zip(survival_amplitude(batch, t), kernels):
+        np.testing.assert_array_equal(row, survival_amplitude(k, t))
 
 
 def test_survival_amplitude_continuous_across_degeneracy():
@@ -199,6 +223,35 @@ def test_pseudomode_matches_closed_form():
         gap = max(np.abs(closed.c1 - pseudo.c1).max(),
                   np.abs(closed.c2 - pseudo.c2).max())
         assert gap <= 1e-6
+
+
+@pytest.mark.parametrize("omega_drive", [1e6, 1e9, 1e12, 1e15])
+def test_pseudomode_matches_closed_form_at_large_splittings(omega_drive):
+    # The generator is shifted by the mean splitting, so no rotation by the
+    # huge common phase is needed to recover the amplitudes.
+    p = SystemParams(omega_drive=omega_drive, R=0.5)
+    f = dressed_frame(p)
+    g = default_grid(p)
+    closed = equal_frequency_trajectory(p, f, g)
+    pseudo = general_trajectory(p, f, g)
+    gap = max(np.abs(closed.c1 - pseudo.c1).max(), np.abs(closed.c2 - pseudo.c2).max())
+    assert gap <= 1e-8
+
+
+@pytest.mark.parametrize("engine, name", [(equal_frequency_trajectory, "closed_form"),
+                                          (general_trajectory, "pseudomode")])
+def test_engines_take_a_batch_of_points(engine, name):
+    points = [SystemParams(omega_drive=0.5, R=0.5),
+              SystemParams(omega_drive=1.5, delta_A=1.0, delta_B=1.0, R=10.0, r1=0.3),
+              SystemParams(omega_drive=0.0, R=0.5, c01=0.6, c02=0.8j)]
+    frames = [dressed_frame(p) for p in points]
+    g = TimeGrid.uniform(5.0, 300)
+    batch = trajectory(points, frames, g, engine=name)
+    assert batch.c1.shape == batch.c2.shape == (3, 300)
+    for k, (p, f) in enumerate(zip(points, frames)):
+        single = engine(p, f, g)
+        np.testing.assert_array_equal(batch.c1[k], single.c1)
+        np.testing.assert_array_equal(batch.c2[k], single.c2)
 
 
 def test_decoupled_cavity_keeps_amplitudes_constant():

@@ -229,6 +229,31 @@ def test_refinement_never_undershoots_grid_max(values):
     assert t[0] <= peak.time <= t[-1]
 
 
+@pytest.mark.parametrize("n", [2, 3, 50])
+def test_refinement_of_rows_matches_one_series_at_a_time(n):
+    t = np.linspace(0.0, 1.0, n)
+    rows = np.array([np.sin(3.0 * t), t, -t, np.zeros(n), np.cos(7.0 * t) ** 2,
+                     np.where(t > 0.5, 1.0, 0.0)])
+    peaks = _refine_peak(t, rows)
+    for k, y in enumerate(rows):
+        assert (peaks.value[k], peaks.time[k]) == _refine_peak(t, y)
+
+
+def test_batch_metrics_match_single_trajectories():
+    points = [SystemParams(omega_drive=omega, R=R) for omega, R in ((0.5, 0.5), (1.0, 10.0))]
+    frames = [dressed_frame(p) for p in points]
+    g = TimeGrid.uniform(5.0, 400)
+    batch = compute_metrics(equal_frequency_trajectory(points, frames, g),
+                            [f.chi_B for f in frames])
+    for k, (p, f) in enumerate(zip(points, frames)):
+        single = compute_metrics(equal_frequency_trajectory(p, f, g), f.chi_B)
+        for name in ("energy", "power", "ergotropy"):
+            np.testing.assert_array_equal(getattr(batch, name)[k], getattr(single, name))
+        for name in ("max_energy", "max_power", "max_ergotropy"):
+            assert (getattr(batch, name).value[k], getattr(batch, name).time[k]) == \
+                getattr(single, name)
+
+
 @given(theta=st.floats(min_value=0.0, max_value=2 * math.pi))
 @settings(max_examples=25, deadline=None)
 def test_metrics_invariant_under_global_phase(theta):

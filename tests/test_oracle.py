@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qbattery import oracle
 from qbattery import (IntegrationError, SystemParams, TimeGrid, build_bath,
                       dressed_frame, equal_frequency_trajectory, propagate,
                       window_fraction)
@@ -104,6 +105,15 @@ def test_norm_breach_aborts_with_diagnostics():
     bath = build_bath(f, n_modes=800, span=20.0)
     with pytest.raises(IntegrationError, match="norm conservation"):
         propagate(p, f, bath, TimeGrid.uniform(5.0, 100), tol=1e-3)
+
+
+def test_propagation_stops_at_its_evaluation_budget(monkeypatch):
+    monkeypatch.setattr(oracle, "RHS_BUDGET", 100)
+    p = SystemParams()
+    f = dressed_frame(p)
+    bath = build_bath(f, n_modes=400, span=10.0)
+    with pytest.raises(IntegrationError, match="budget of 100 right-hand-side"):
+        propagate(p, f, bath, TimeGrid.uniform(5.0, 100))
 
 
 def test_doubling_modes_and_span_at_least_halves_the_gap():

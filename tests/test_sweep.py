@@ -2,11 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from qbattery import (FIGURES, SweepPointError, SweepSpec, SystemParams,
-                      TimeGrid, compute_metrics, dressed_frame,
-                      equal_frequency_trajectory, figure_pipeline, run_sweep)
-from qbattery.sweep import apply_point, sweep_csv_text, write_sweep_csv
+from qbattery import (FIGURES, IntegrationError, SweepPointError, SweepSpec,
+                      SystemParams, TimeGrid, compute_metrics, default_grid,
+                      dressed_frame, equal_frequency_trajectory, figure_pipeline,
+                      kernel_params, run_sweep, survival_amplitude)
+from qbattery.sweep import (BUDGET, apply_point, csv_text, format_float,
+                            sweep_csv_text, write_sweep_csv)
 
 # Peak records computed by the closed-form engine on the default windows and
 # frozen as regression values.  The trends they encode are discussed in the
@@ -146,6 +149,120 @@ def test_engines_agree_on_equal_detuning_sweeps():
                                  engine="pseudomode"))
     for a, b in zip(closed.rows, pseudo.rows):
         assert abs(a.E_max - b.E_max) <= 1e-6
+
+
+# --- batched evaluation ------------------------------------------------------
+#
+# A sweep evaluates its points in chunks of (points x time) arrays.  The loop
+# reference below computes one point at a time the way the engines did before
+# batching: the direct np.exp form of Z(t) (closed form), a step-by-step
+# product with the unshifted pseudomode generator (pseudomode), and peaks
+# refined by a least-squares parabola.  Both differ from the batched path only
+# in rounding, so the bounds are set from double precision: peak values
+# within 1e-11 max(1, chi_B), peak times within 1e-9.
+
+def _reference_c2(params, frame, grid, engine):
+    t = grid.samples
+    if engine == "closed_form":
+        Z = survival_amplitude(kernel_params(params, frame), t)
+        beta_plus = params.r1 * params.c01 + params.r2 * params.c02
+        beta_minus = params.r2 * params.c01 - params.r1 * params.c02
+        return -params.r1 * beta_minus + params.r2 * Z * beta_plus
+    w_A = frame.W * params.alpha_A * frame.cos2_A
+    w_B = frame.W * params.alpha_B * frame.cos2_B
+    step = expm(t[1] * np.array([
+        [-1j * frame.chi_A, 0.0, -w_A], [0.0, -1j * frame.chi_B, -w_B],
+        [w_A, w_B, -(frame.lambda_ - 1j * frame.delta_L)]]))
+    y = np.array([params.c01, params.c02, 0.0])
+    c2 = [y[1]]
+    for _ in range(grid.n_points - 1):
+        y = step @ y
+        c2.append(y[1])
+    return np.array(c2) * np.exp(1j * frame.chi_B * t)
+
+
+def _reference_peak(t, y):
+    i = int(np.argmax(y))
+    if i == 0 or i == y.size - 1:
+        return float(y[i]), float(t[i])
+    coeff = np.polyfit(t[i - 1:i + 2], y[i - 1:i + 2], 2)
+    if coeff[0] >= 0.0:
+        return float(y[i]), float(t[i])
+    t_star = float(np.clip(-coeff[1] / (2.0 * coeff[0]), t[i - 1], t[i + 1]))
+    value = float(np.polyval(coeff, t_star))
+    return (float(y[i]), float(t[i])) if value < y[i] else (value, t_star)
+
+
+def _reference_row(params, grid, engine):
+    frame = dressed_frame(params)
+    population = np.abs(_reference_c2(params, frame, grid, engine)) ** 2
+    energy = population * frame.chi_B
+    power = np.zeros_like(energy)
+    power[1:] = energy[1:] / grid.samples[1:]
+    work = np.where(population > 0.5, (2.0 * population - 1.0) * frame.chi_B, 0.0)
+    peaks = [_reference_peak(grid.samples, y) for y in (energy, power, work)]
+    return [x for peak in peaks for x in peak], frame.chi_B
+
+
+@pytest.mark.parametrize("engine, axes", [
+    ("closed_form", (("omega_drive", (0.0, 0.4, 0.9, 1.3, 2.0)),
+                     ("delta_common", (0.0, 2.5)), ("delta_L", (0.0, 3.0)),
+                     ("R", (0.5, 10.0)))),
+    ("pseudomode", (("delta_A", (0.0, 1.5)), ("delta_B", (0.0, 3.0)),
+                    ("omega_drive", (0.0, 0.7, 1.4, 2.0, 3.0)), ("R", (0.5, 10.0)))),
+])
+@pytest.mark.parametrize("base_R", [0.5, 10.0])
+def test_multi_chunk_sweep_matches_loop_reference(engine, axes, base_R):
+    base = base_params(R=base_R)
+    grid = default_grid(base)
+    result = run_sweep(SweepSpec(base=base, axes=axes, grid=grid, engine=engine))
+    assert len(result.rows) == 40 > 2 * (BUDGET // grid.n_points)
+    for row in result.rows:
+        expected, chi_B = _reference_row(apply_point(base, row.point), grid, engine)
+        got = [getattr(row, name) for name in
+               ("E_max", "t_E", "P_max", "t_P", "W_max", "t_W")]
+        for k in (0, 2, 4):
+            assert abs(got[k] - expected[k]) <= 1e-11 * max(1.0, chi_B), row
+        for k in (1, 3, 5):
+            assert abs(got[k] - expected[k]) <= 1e-9, row
+
+
+@pytest.mark.parametrize("engine", ["closed_form", "pseudomode"])
+def test_rows_do_not_depend_on_chunk_position(engine):
+    axes = (("omega_drive", tuple(np.linspace(0.0, 2.0, 9))), ("delta_L", (0.0, 4.0)),
+            ("R", (0.5, 10.0)))
+    grid = weak_grid(1025)   # 2^10 + 1 samples: the last doubling block is one sample
+    result = run_sweep(SweepSpec(base=base_params(), axes=axes, grid=grid, engine=engine))
+    assert len(result.rows) > BUDGET // grid.n_points
+    for row in result.rows:
+        single = run_sweep(SweepSpec(base=base_params(), grid=grid, engine=engine,
+                                     axes=tuple((k, (v,)) for k, v in row.point.items())))
+        assert single.rows == (row,)
+
+
+def test_failure_in_a_later_chunk_names_the_first_failing_point():
+    # Point 33 overflows in the engine, point 35 fails validation; both lie
+    # in the third chunk of 16 points.
+    omegas = [0.05 * k for k in range(40)]
+    omegas[33], omegas[35] = 1e300, -1.0
+    spec = SweepSpec(base=base_params(), axes=(("omega_drive", tuple(omegas)),),
+                     grid=weak_grid(2000))
+    assert BUDGET // spec.grid.n_points == 16
+    for threads in (1, 3):
+        with pytest.raises(SweepPointError) as err:
+            run_sweep(spec, threads=threads)
+        assert err.value.point == {"omega_drive": 1e300}
+        assert isinstance(err.value.cause, IntegrationError)
+
+
+def test_csv_rows_match_per_cell_format():
+    specials = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 2.2250738585072014e-308,
+                0.1, 1.0 / 3.0, 123456789.12345678, 1e-5, 1e16, 1e17, 3.0, -7.25,
+                float("inf"), float("-inf"), float("nan")]
+    table = np.array([specials, specials[::-1]]).T
+    lines = ["a,b"] + [",".join(format_float(x) for x in row) for row in table]
+    assert csv_text(["a", "b"], table.tolist()) == "\n".join(lines) + "\n"
+    assert [format_float(x) for x in specials] == [f"{x:.17g}" for x in specials]
 
 
 # --- figure pipelines --------------------------------------------------------
