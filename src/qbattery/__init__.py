@@ -8,7 +8,7 @@ from .dynamics import (AmplitudeTrajectory, IntegrationError, KernelParams,
                        general_trajectory, kernel_params, survival_amplitude,
                        trajectory)
 from .oracle import DiscretizedBath, build_bath, propagate, window_fraction
-from .metrics import (Extremum, MetricsSeries, QubitState, battery_hamiltonian,
+from .metrics import (Extremum, MetricsSeries, battery_hamiltonian,
                       charging_power, compute_metrics, ergotropy_closed,
                       ergotropy_spectral, maxima, stored_energy,
                       stored_energy_trace)
@@ -18,7 +18,7 @@ from .sweep import (FIGURES, SweepPointError, SweepResult, SweepRow, SweepSpec,
 __all__ = [
     "AmplitudeTrajectory", "DiscretizedBath", "DressedFrame", "Extremum",
     "FIGURES", "IntegrationError", "KernelParams", "MetricsSeries",
-    "QubitState", "SweepPointError", "SweepResult", "SweepRow", "SweepSpec",
+    "SweepPointError", "SweepResult", "SweepRow", "SweepSpec",
     "SystemParams", "TimeGrid", "battery_hamiltonian", "build_bath",
     "charging_power", "compute_metrics", "default_grid", "dressed_frame",
     "equal_frequency_trajectory", "ergotropy_closed", "ergotropy_spectral",

@@ -24,11 +24,10 @@ import numpy as np
 from . import __version__
 from .dynamics import (DEFAULT_N_POINTS, ENGINE_CLOSED, ENGINE_PSEUDOMODE,
                        IntegrationError, TimeGrid, default_grid,
-                       equal_frequency_trajectory, general_trajectory, trajectory)
-from .metrics import MetricsSeries, compute_metrics
+                       equal_frequency_trajectory, general_trajectory)
 from .model import INV_SQRT2, SystemParams, dressed_frame, validate
 from .oracle import DEFAULT_N_MODES, DEFAULT_SPAN, build_bath, propagate
-from .sweep import (MAXIMA_FIELDS, SweepPointError, SweepSpec, csv_text,
+from .sweep import (SweepPointError, SweepSpec, csv_text, evaluate,
                     figure_pipeline, run_sweep, write_sweep_csv)
 
 ORACLE_TOLERANCE = 5e-3
@@ -101,6 +100,19 @@ def _complex(value) -> complex:
     return complex(float(_number(re)), float(_number(im)))
 
 
+def _threads(value) -> int:
+    threads = _integer(value)
+    if threads < 1:
+        raise ValueError("need at least 1 thread")
+    return threads
+
+
+def _engine(value) -> str:
+    if value not in ENGINE_ALIASES:
+        raise ValueError(f"unknown engine; known: {', '.join(sorted(ENGINE_ALIASES))}")
+    return ENGINE_ALIASES[value]
+
+
 def _string(value) -> str:
     if not isinstance(value, str):
         raise TypeError("not a string")
@@ -113,8 +125,8 @@ def _axes(value) -> tuple:
 
 # Parser of each key's value; every other key holds a finite number.
 _PARSERS = {"c01": _complex, "c02": _complex, "axes": _axes,
-            "n_points": _integer, "threads": _integer, "n_modes": _integer,
-            "engine": _string, "out_dir": _string, "figure": _string}
+            "n_points": _integer, "threads": _threads, "n_modes": _integer,
+            "engine": _engine, "out_dir": _string, "figure": _string}
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -176,43 +188,28 @@ def _write_run_json(out: Path, command: str, config: RunConfig,
     return path
 
 
-def _run_metrics(config: RunConfig):
-    """Compute the trajectory and metrics for a single-run config."""
-    params = config.params()
-    frame = dressed_frame(params)
-    grid = config.grid()
-    traj = trajectory(params, frame, grid, engine=config.engine)
-    return traj, compute_metrics(traj, frame.chi_B)
+def _spec(config: RunConfig, axes=()) -> SweepSpec:
+    return SweepSpec(base=config.params(), axes=axes, grid=config.grid(),
+                     engine=config.engine)
 
 
 def cmd_timeseries(config: RunConfig, out: Path) -> list[Path]:
-    traj, series = _run_metrics(config)
-    table = np.column_stack((traj.grid.samples, traj.c1.real, traj.c1.imag,
-                             traj.c2.real, traj.c2.imag, series.energy,
-                             series.power, series.ergotropy))
+    traj, series = evaluate(_spec(config), [{}], with_maxima=False)
+    table = np.concatenate((traj.grid.samples[None], traj.c1.real, traj.c1.imag,
+                            traj.c2.real, traj.c2.imag, series.energy,
+                            series.power, series.ergotropy))
     path = out / "timeseries.csv"
-    path.write_text(csv_text(TIMESERIES_FIELDS, table.tolist()), newline="\n")
+    path.write_text(csv_text(TIMESERIES_FIELDS, table.T.tolist()), newline="\n")
     return [path]
-
-
-def maxima_csv_text(series: MetricsSeries) -> str:
-    return csv_text(MAXIMA_FIELDS, [(
-        series.max_energy.value, series.max_energy.time,
-        series.max_power.value, series.max_power.time,
-        series.max_ergotropy.value, series.max_ergotropy.time)])
 
 
 def cmd_maxima(config: RunConfig, out: Path) -> list[Path]:
-    _, series = _run_metrics(config)
-    path = out / "maxima.csv"
-    path.write_text(maxima_csv_text(series), newline="\n")
-    return [path]
+    """The sweep without axes: the one row of the configured point."""
+    return [write_sweep_csv(run_sweep(_spec(config)), out / "maxima.csv")]
 
 
 def cmd_sweep(config: RunConfig, out: Path) -> list[Path]:
-    spec = SweepSpec(base=config.params(), axes=config.axes,
-                     grid=config.grid(), engine=config.engine)
-    result = run_sweep(spec, threads=config.threads)
+    result = run_sweep(_spec(config, config.axes), threads=config.threads)
     return [write_sweep_csv(result, out / "sweep.csv")]
 
 
@@ -310,7 +307,7 @@ def _resolve_config(args) -> RunConfig:
         except json.JSONDecodeError:
             updates[key] = raw
     if args.engine:
-        updates["engine"] = ENGINE_ALIASES[args.engine]
+        updates["engine"] = args.engine
     if args.tol is not None:
         updates["tol"] = args.tol
     if args.threads is not None:
@@ -319,8 +316,6 @@ def _resolve_config(args) -> RunConfig:
         updates["figure"] = args.figure
     if updates:
         config = config_from_dict({**config_to_dict(config), **updates})
-    if config.engine not in (ENGINE_CLOSED, ENGINE_PSEUDOMODE):
-        raise ConfigError(f"unknown engine: {config.engine!r}")
     return config
 
 

@@ -35,6 +35,10 @@ from .model import DressedFrame, SystemParams, validate
 
 DEFAULT_N_POINTS = 2000
 
+# Largest grid a run may ask for: one (points x time) array of it is 16 MB,
+# and a single-point run of it peaks near 1 GB.
+MAX_N_POINTS = 2 ** 20
+
 ENGINE_CLOSED = "closed_form"
 ENGINE_PSEUDOMODE = "pseudomode"
 ENGINE_ORACLE = "oracle"
@@ -53,9 +57,9 @@ class TimeGrid:
     samples: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (self.n_points >= 2 and 0.0 < self.t_max < math.inf):
-            raise ValueError(f"need n_points >= 2 and a finite t_max > 0, "
-                             f"got {self.n_points} and {self.t_max}")
+        if not (2 <= self.n_points <= MAX_N_POINTS and 0.0 < self.t_max < math.inf):
+            raise ValueError(f"need 2 <= n_points <= {MAX_N_POINTS} and a finite "
+                             f"t_max > 0, got {self.n_points} and {self.t_max}")
         s = np.linspace(0.0, self.t_max, self.n_points)
         if not np.all(np.diff(s) > 0.0):
             raise ValueError(f"t_max {self.t_max} too small for {self.n_points} samples")
@@ -146,22 +150,25 @@ def survival_amplitude(kernel: KernelParams, t):
     t = t.samples if on_grid else np.asarray(t, dtype=float)
     M, F = (np.asarray(x, dtype=complex) for x in (kernel.M, kernel.F))
     M, F = (x.reshape(x.shape + (1,) * t.ndim) for x in (M, F))
-    degenerate = np.abs(F) < 1e-10 * np.abs(M)
-    F_safe = np.where(degenerate, 1.0, F)
-    ratio = M / F_safe
-    terms = (((1.0 + ratio) / 2.0, (F_safe - M) / 2.0),
-             ((1.0 - ratio) / 2.0, -(F_safe + M) / 2.0))
-    if on_grid:
-        ep, em = (_exp_on_grid(scale, rate, t) for scale, rate in terms)
-        out = np.add(ep, em, out=ep)
-    else:
-        ep, em = (scale * np.exp(rate * t) for scale, rate in terms)
-        out = np.asarray(ep + em)
-    series = degenerate | (t < 1e-6 / np.abs(F_safe))
-    if series.any():
-        M, F, t = (np.broadcast_to(x, out.shape)[series] for x in (M, F, t))
-        out[series] = np.exp(-M * t / 2.0) * (1.0 + M * t / 2.0
-                                             + (F * t) ** 2 / 8.0 * (1.0 + M * t / 6.0))
+    # Overflowing inputs (huge splittings or loss rates) give non-finite
+    # samples, which AmplitudeTrajectory rejects; numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        degenerate = np.abs(F) < 1e-10 * np.abs(M)
+        F_safe = np.where(degenerate, 1.0, F)
+        ratio = M / F_safe
+        terms = (((1.0 + ratio) / 2.0, (F_safe - M) / 2.0),
+                 ((1.0 - ratio) / 2.0, -(F_safe + M) / 2.0))
+        if on_grid:
+            ep, em = (_exp_on_grid(scale, rate, t) for scale, rate in terms)
+            out = np.add(ep, em, out=ep)
+        else:
+            ep, em = (scale * np.exp(rate * t) for scale, rate in terms)
+            out = np.asarray(ep + em)
+        series = degenerate | (t < 1e-6 / np.abs(F_safe))
+        if series.any():
+            M, F, t = (np.broadcast_to(x, out.shape)[series] for x in (M, F, t))
+            out[series] = np.exp(-M * t / 2.0) * (1.0 + M * t / 2.0
+                                                 + (F * t) ** 2 / 8.0 * (1.0 + M * t / 6.0))
     return complex(out) if out.ndim == 0 else out
 
 

@@ -45,26 +45,6 @@ class MetricsSeries:
     max_ergotropy: Extremum | None = None
 
 
-@dataclass(frozen=True)
-class QubitState:
-    """Diagonal reduced state of one qubit in its dressed basis."""
-
-    excited_population: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.excited_population <= 1.0:
-            raise ValueError(
-                f"excited_population out of [0,1]: {self.excited_population}")
-
-    @property
-    def populations(self) -> tuple[float, float]:
-        """(ground, excited); sums to 1 by construction."""
-        return (1.0 - self.excited_population, self.excited_population)
-
-    def density(self) -> np.ndarray:
-        return np.diag(self.populations).astype(float)
-
-
 def battery_hamiltonian(chi_B: float) -> np.ndarray:
     """(chi_B/2) (excited projector - ground projector), basis (g, e)."""
     return np.diag([-chi_B / 2.0, chi_B / 2.0])

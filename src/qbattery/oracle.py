@@ -30,6 +30,12 @@ NORM_ABORT = 1e-6
 # splittings the integrator can only resolve with vanishing steps.
 RHS_BUDGET = 100_000
 
+# Size caps.  Each right-hand-side evaluation costs time linear in n_modes,
+# and the integrator stores (n_modes + 2) x n_points complex states; the
+# certification points use 4000 modes and 8.0e6 states.
+MAX_N_MODES = 2 ** 16
+MAX_STATES = 2 ** 24
+
 
 @dataclass(frozen=True, eq=False)
 class DiscretizedBath:
@@ -59,11 +65,11 @@ def build_bath(frame: DressedFrame, n_modes: int = DEFAULT_N_MODES,
                span: float = DEFAULT_SPAN) -> DiscretizedBath:
     """Midpoint-sample the Lorentzian J on [-span*lambda, +span*lambda].
 
-    Requires n_modes >= 100, span >= 10, and a mode spacing of at most
-    lambda/20 so the Lorentzian width is resolved.
+    Requires 100 <= n_modes <= MAX_N_MODES, span >= 10, and a mode spacing
+    of at most lambda/20 so the Lorentzian width is resolved.
     """
-    if n_modes < 100:
-        raise ValueError(f"n_modes must be >= 100, got {n_modes}")
+    if not 100 <= n_modes <= MAX_N_MODES:
+        raise ValueError(f"n_modes must be in [100, {MAX_N_MODES}], got {n_modes}")
     if span < 10.0:
         raise ValueError(f"span must be >= 10, got {span}")
     lam, W = frame.lambda_, frame.W
@@ -96,9 +102,15 @@ def propagate(params: SystemParams, frame: DressedFrame, bath: DiscretizedBath,
         dC_k/dt = -i g_k sum_j a_j cos^2(eta_j/2) C_j e^{+i(dw_k - chi_j - delta_L) t}
 
     with every C_k(0) = 0.  Comparisons are only meaningful before bath
-    revivals, so the grid must end below half the recurrence time.
+    revivals, so the grid must end below half the recurrence time.  At most
+    MAX_STATES states (n_modes + 2) x n_points are stored.
     """
     validate(params)
+    states = (bath.n_modes + 2) * grid.n_points
+    if states > MAX_STATES:
+        raise ValueError(
+            f"{bath.n_modes} modes on {grid.n_points} samples store {states} "
+            f"states, more than MAX_STATES = {MAX_STATES}")
     half_rec = 0.5 * bath.recurrence_time
     if grid.t_max >= half_rec:
         raise ValueError(

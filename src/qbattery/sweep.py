@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import TimeGrid, default_grid, trajectory
-from .metrics import Extremum, MetricsSeries, compute_metrics
+from .dynamics import AmplitudeTrajectory, TimeGrid, default_grid, trajectory
+from .metrics import MetricsSeries, compute_metrics
 from .model import SystemParams, dressed_frame, validate
 
 AXIS_NAMES = ("omega_drive", "delta_A", "delta_B", "delta_common", "delta_L", "R", "r1")
@@ -79,7 +79,6 @@ class SweepRow:
 class SweepResult:
     spec: SweepSpec
     rows: tuple[SweepRow, ...]
-    series: tuple[MetricsSeries, ...] | None = None
 
 
 def apply_point(base: SystemParams, point: dict[str, float]) -> SystemParams:
@@ -94,37 +93,42 @@ def apply_point(base: SystemParams, point: dict[str, float]) -> SystemParams:
     return replace(base, **updates)
 
 
-def _evaluate(spec: SweepSpec, points: list[dict[str, float]],
-              keep_series: bool) -> tuple[list[SweepRow], list[MetricsSeries]]:
-    """Rows (and, if kept, per-point series) of one chunk of points.
+def evaluate(spec: SweepSpec, points: list[dict[str, float]],
+             with_maxima: bool = True) -> tuple[AmplitudeTrajectory, MetricsSeries]:
+    """Trajectories and metrics of a batch of points, as (points x time) arrays.
+
+    Each point overrides spec.base; the axes of spec are not used.  This is
+    the one path from parameters through the engines to the metrics that
+    sweeps, figures and single runs share.
+    """
+    params = [validate(apply_point(spec.base, point)) for point in points]
+    frames = [dressed_frame(p) for p in params]
+    traj = trajectory(params, frames, spec.grid, engine=spec.engine)
+    return traj, compute_metrics(traj, [f.chi_B for f in frames], with_maxima)
+
+
+def _rows(spec: SweepSpec, points: list[dict[str, float]]) -> list[SweepRow]:
+    """The rows of one chunk of points.
 
     A failure names the first failing point in row order: the chunk is then
     evaluated again point by point until that point raises.
     """
     try:
-        params = [validate(apply_point(spec.base, point)) for point in points]
-        frames = [dressed_frame(p) for p in params]
-        traj = trajectory(params, frames, spec.grid, engine=spec.engine)
-        series = compute_metrics(traj, [f.chi_B for f in frames])
+        _, series = evaluate(spec, points)
     except Exception as exc:
         if len(points) == 1:
             raise SweepPointError(points[0], exc) from exc
         for point in points:
-            _evaluate(spec, [point], keep_series)
+            _rows(spec, [point])
         raise
     peaks = np.stack([series.max_energy.value, series.max_energy.time,
                       series.max_power.value, series.max_power.time,
                       series.max_ergotropy.value, series.max_ergotropy.time],
                      axis=1).tolist()
-    rows = [SweepRow(point, *peak) for point, peak in zip(points, peaks)]
-    kept = [MetricsSeries(spec.grid, series.energy[k], series.power[k], series.ergotropy[k],
-                          Extremum(*peak[0:2]), Extremum(*peak[2:4]), Extremum(*peak[4:6]))
-            for k, peak in enumerate(peaks)] if keep_series else []
-    return rows, kept
+    return [SweepRow(point, *peak) for point, peak in zip(points, peaks)]
 
 
-def run_sweep(spec: SweepSpec, threads: int = 1,
-              keep_series: bool = False) -> SweepResult:
+def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     """Evaluate every Cartesian point; row order is lexicographic in the axes.
 
     The points go in chunks of max(1, BUDGET // n_points); threads map over
@@ -137,24 +141,17 @@ def run_sweep(spec: SweepSpec, threads: int = 1,
     chunks = [points[k:k + size] for k in range(0, len(points), size)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcome = list(pool.map(lambda c: _evaluate(spec, c, keep_series), chunks))
+            chunk_rows = list(pool.map(lambda c: _rows(spec, c), chunks))
     else:
-        outcome = [_evaluate(spec, c, keep_series) for c in chunks]
-    rows = tuple(row for chunk_rows, _ in outcome for row in chunk_rows)
-    series = tuple(s for _, chunk_series in outcome for s in chunk_series)
-    return SweepResult(spec=spec, rows=rows, series=series if keep_series else None)
-
-
-def format_float(x: float) -> str:
-    """The CSV float format: 17 significant digits, so values round-trip."""
-    return FLOAT_FORMAT % x
+        chunk_rows = [_rows(spec, c) for c in chunks]
+    return SweepResult(spec=spec, rows=tuple(row for rows in chunk_rows for row in rows))
 
 
 def csv_text(header, rows) -> str:
     """A CSV file: the header, then one line per row of floats.
 
-    Each line is formatted in one step; every cell reads as format_float
-    writes it.
+    Each line is formatted in one step; every cell reads as
+    FLOAT_FORMAT % cell.
     """
     line = ",".join([FLOAT_FORMAT] * len(header))
     return "\n".join([",".join(header)] + [line % tuple(row) for row in rows]) + "\n"
@@ -217,19 +214,16 @@ FIGURES: dict[str, FigureSpec] = {
                         {"delta_common": 0.0}),
 }
 
-_PANELS_TIMESERIES = (("a", "power"), ("b", "energy"), ("c", "ergotropy"))
-_PANELS_MAXIMA = (("a", "power_max"), ("b", "energy_max"), ("c", "ergotropy_max"))
-
-
-def _table_csv(first_header: str, first_column: np.ndarray,
-               columns: list[tuple[str, np.ndarray]]) -> str:
-    header = [first_header] + [name for name, _ in columns]
-    table = np.column_stack([first_column] + [col for _, col in columns])
-    return csv_text(header, table.tolist())
+# Panel letter, metric, and the SweepRow field that holds the metric's peak.
+_PANELS = (("a", "power", "P_max"), ("b", "energy", "E_max"), ("c", "ergotropy", "W_max"))
 
 
 def figure_pipeline(figure_id: str, out_dir, n_points: int = 2000) -> list[Path]:
-    """Emit one CSV per panel plus a metadata file for a published figure."""
+    """Emit one CSV per panel plus a metadata file for a published figure.
+
+    A time-series panel tabulates the metric of each family member against
+    lambda t; a peak panel tabulates the metric's peak against omega_drive.
+    """
     if figure_id not in FIGURES:
         raise ValueError(f"unknown figure id: {figure_id!r} "
                          f"(known: {', '.join(sorted(FIGURES))})")
@@ -240,41 +234,29 @@ def figure_pipeline(figure_id: str, out_dir, n_points: int = 2000) -> list[Path]
     grid = default_grid(base, n_points)
     family_name, family_values = fig.family
 
+    # One (family x samples) array per panel metric.
     if fig.kind == "timeseries":
-        spec = SweepSpec(base=apply_point(base, fig.fixed),
-                         axes=((family_name, family_values),), grid=grid)
-        result = run_sweep(spec, keep_series=True)
-        panels = {name: [] for _, name in _PANELS_TIMESERIES}
-        for value, series in zip(family_values, result.series):
-            label = f"{family_name}={value:g}"
-            panels["power"].append((label, series.power))
-            panels["energy"].append((label, series.energy))
-            panels["ergotropy"].append((label, series.ergotropy))
-        tables = {name: _table_csv("lambda_t", grid.samples, panels[name])
-                  for _, name in _PANELS_TIMESERIES}
-        panel_list = _PANELS_TIMESERIES
+        spec = SweepSpec(base=apply_point(base, fig.fixed), axes=(), grid=grid)
+        _, series = evaluate(spec, [{family_name: v} for v in family_values],
+                             with_maxima=False)
+        first_header, first_column, suffix = "lambda_t", grid.samples, ""
+        panels = {metric: getattr(series, metric) for _, metric, _ in _PANELS}
     else:
         spec = SweepSpec(base=apply_point(base, fig.fixed),
                          axes=((family_name, family_values),
                                ("omega_drive", OMEGA_AXIS)), grid=grid)
-        result = run_sweep(spec)
-        n_omega = len(OMEGA_AXIS)
-        panels = {name: [] for _, name in _PANELS_MAXIMA}
-        for j, value in enumerate(family_values):
-            block = result.rows[j * n_omega:(j + 1) * n_omega]
-            label = f"{family_name}={value:g}"
-            panels["power_max"].append((label, np.array([r.P_max for r in block])))
-            panels["energy_max"].append((label, np.array([r.E_max for r in block])))
-            panels["ergotropy_max"].append((label, np.array([r.W_max for r in block])))
-        omega = np.asarray(OMEGA_AXIS)
-        tables = {name: _table_csv("omega_drive", omega, panels[name])
-                  for _, name in _PANELS_MAXIMA}
-        panel_list = _PANELS_MAXIMA
+        rows = run_sweep(spec).rows
+        first_header, first_column, suffix = "omega_drive", np.asarray(OMEGA_AXIS), "_max"
+        panels = {metric: np.reshape([getattr(r, field) for r in rows],
+                                     (len(family_values), len(OMEGA_AXIS)))
+                  for _, metric, field in _PANELS}
 
+    header = [first_header] + [f"{family_name}={value:g}" for value in family_values]
     written: list[Path] = []
-    for panel, name in panel_list:
-        path = out / f"{figure_id}{panel}_{name}.csv"
-        path.write_text(tables[name], newline="\n")
+    for panel, metric, _ in _PANELS:
+        table = np.column_stack((first_column, panels[metric].T))
+        path = out / f"{figure_id}{panel}_{metric}{suffix}.csv"
+        path.write_text(csv_text(header, table.tolist()), newline="\n")
         written.append(path)
 
     meta = {

@@ -1,16 +1,15 @@
 import json
-import math
 import warnings
 
 import numpy as np
 import pytest
 
 import qbattery.cli as cli
-from qbattery import (IntegrationError, SystemParams, TimeGrid, dressed_frame,
+import qbattery.sweep as sweep
+from qbattery import (IntegrationError, SystemParams, dressed_frame,
                       kernel_params, survival_amplitude)
 from qbattery.cli import RunConfig, config_from_dict, config_to_dict, main
 from qbattery.dynamics import AmplitudeTrajectory
-from qbattery.metrics import MetricsSeries
 
 
 def write_config(tmp_path, **data):
@@ -105,29 +104,6 @@ def test_maxima_of_monotone_run_sits_at_window_end(tmp_path):
     assert record["W_max"] == 0.0
 
 
-def test_maxima_with_injected_synthetic_series(tmp_path, monkeypatch):
-    grid = TimeGrid.uniform(2.0, 2000)
-    energy = np.sin(grid.samples) ** 2
-
-    def fake_run_metrics(config):
-        series = MetricsSeries(grid=grid, energy=energy,
-                               power=np.zeros_like(energy),
-                               ergotropy=np.zeros_like(energy))
-        from qbattery.metrics import maxima as fill
-        traj = AmplitudeTrajectory(grid=grid, c1=np.zeros(2000, complex),
-                                   c2=np.zeros(2000, complex),
-                                   engine_tag="closed_form")
-        return traj, fill(series)
-
-    monkeypatch.setattr(cli, "_run_metrics", fake_run_metrics)
-    out = tmp_path / "run"
-    assert main(["maxima", "--out", str(out)]) == 0
-    header, data = load_csv(out / "maxima.csv")
-    record = dict(zip(header, data[0]))
-    assert record["E_max"] == pytest.approx(1.0, abs=1e-4)
-    assert record["t_E"] == pytest.approx(math.pi / 2, abs=1e-4)
-
-
 def test_strong_coupling_maxima_include_extractable_work(tmp_path):
     for omega in (0.5, 1.0, 2.0):
         out = tmp_path / f"om{omega}"
@@ -144,9 +120,7 @@ def test_sweep_without_axes_equals_maxima(tmp_path):
     maxima_out = tmp_path / "maxima"
     assert main(["sweep", "--out", str(sweep_out)]) == 0
     assert main(["maxima", "--out", str(maxima_out)]) == 0
-    _, sweep_data = load_csv(sweep_out / "sweep.csv")
-    _, maxima_data = load_csv(maxima_out / "maxima.csv")
-    np.testing.assert_array_equal(sweep_data, maxima_data)
+    assert (sweep_out / "sweep.csv").read_bytes() == (maxima_out / "maxima.csv").read_bytes()
 
 
 def test_sweep_with_axes_and_threads(tmp_path):
@@ -235,10 +209,13 @@ def test_flags_override_config(tmp_path):
 
 
 def test_engine_alias_closed_maps_to_closed_form(tmp_path):
-    out = tmp_path / "run"
-    assert main(["maxima", "--out", str(out), "--engine", "closed"]) == 0
-    meta = json.loads((out / "run.json").read_text())
-    assert meta["config"]["engine"] == "closed_form"
+    config = write_config(tmp_path, engine="closed")
+    for k, flags in enumerate((["--engine", "closed"], ["--set", "engine=closed"],
+                               ["--config", config])):
+        out = tmp_path / f"run{k}"
+        assert main(["maxima", "--out", str(out)] + flags) == 0
+        meta = json.loads((out / "run.json").read_text())
+        assert meta["config"]["engine"] == "closed_form"
 
 
 def test_out_root_env_var(tmp_path, monkeypatch):
@@ -272,12 +249,15 @@ def test_unknown_engine_exits_2(tmp_path, capsys):
 
 
 def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
-    def exploding(config):
+    def exploding(spec, points, with_maxima=True):
         raise IntegrationError("step budget exhausted")
 
-    monkeypatch.setattr(cli, "_run_metrics", exploding)
-    assert main(["timeseries", "--out", str(tmp_path / "o")]) == 3
-    assert "numerical failure" in capsys.readouterr().err
+    # Every single-run command reaches the engines through sweep.evaluate.
+    monkeypatch.setattr(cli, "evaluate", exploding)
+    monkeypatch.setattr(sweep, "evaluate", exploding)
+    for command in ("timeseries", "maxima", "sweep"):
+        assert main([command, "--out", str(tmp_path / command)]) == 3
+        assert "numerical failure" in capsys.readouterr().err
 
 
 def test_set_flag_rejects_malformed_pairs(tmp_path, capsys):
@@ -307,6 +287,15 @@ def test_set_flag_rejects_malformed_pairs(tmp_path, capsys):
     (["maxima", "--set", "out_dir=5"], 2, "'out_dir'"),
     (["oracle-check", "--set", "omega_drive=1e300", "--set", "n_modes=400",
       "--set", "span=10"], 3, "pseudomode engine"),
+    (["maxima", "--set", "n_points=1000000000000000"], 2, "n_points <="),
+    (["sweep", "--set", "n_points=1000000000000000"], 2, "n_points <="),
+    (["reproduce", "--figure", "fig5", "--set", "n_points=1000000000000000"], 2,
+     "n_points <="),
+    (["oracle-check", "--set", "n_modes=1000000000000000"], 2, "n_modes must be in"),
+    (["oracle-check", "--set", "n_points=5000"], 2, "MAX_STATES"),
+    (["sweep", "--set", "threads=0"], 2, "'threads'"),
+    (["sweep", "--threads", "0"], 2, "'threads'"),
+    (["sweep", "--set", "threads=-3"], 2, "'threads'"),
 ])
 def test_bad_input_exits_with_code_and_writes_no_csv(tmp_path, capsys, argv, code,
                                                       fragment):

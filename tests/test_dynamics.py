@@ -10,7 +10,7 @@ from qbattery import (IntegrationError, KernelParams, SystemParams, TimeGrid,
                       default_grid, dressed_frame, equal_frequency_trajectory,
                       general_trajectory, kernel_params, survival_amplitude,
                       trajectory)
-from qbattery.dynamics import AmplitudeTrajectory
+from qbattery.dynamics import MAX_N_POINTS, AmplitudeTrajectory
 
 # Oracle-certified survival amplitude at t = 2/lambda for
 # (R=0.5, Omega=0.5, Delta=Delta_L=0, r1=1/sqrt2, alpha_T=1), obtained by
@@ -37,10 +37,11 @@ def test_uniform_grid():
     assert np.allclose(np.diff(g.samples), 0.5)
 
 
-# (t_max, n_points); the last one is too short for distinct samples
+# (t_max, n_points); (5e-324, 3) is too short for distinct samples, and the
+# last one asks for more than MAX_N_POINTS samples
 @pytest.mark.parametrize("samples", [
     (5.0, 1), (5.0, 0), (0.0, 10), (-1.0, 10), (math.inf, 10), (math.nan, 10),
-    (5e-324, 3)])
+    (5e-324, 3), (5.0, MAX_N_POINTS + 1)])
 def test_grid_rejects_bad_samples(samples):
     with pytest.raises(ValueError):
         TimeGrid.uniform(*samples)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
-from qbattery import (QubitState, SystemParams, TimeGrid, battery_hamiltonian,
+from qbattery import (SystemParams, TimeGrid, battery_hamiltonian,
                       charging_power, compute_metrics, dressed_frame,
                       equal_frequency_trajectory, ergotropy_closed,
                       ergotropy_spectral, kernel_params, maxima,
@@ -105,19 +105,10 @@ def test_closed_ergotropy_thresholds():
                                    atol=1e-15)
 
 
-def test_qubit_state_populations():
-    s = QubitState(excited_population=0.3)
-    assert s.populations == (0.7, 0.3)
-    np.testing.assert_allclose(s.density(), np.diag([0.7, 0.3]))
-    with pytest.raises(ValueError):
-        QubitState(excited_population=1.5)
-
-
 def qubit_spectral(p_exc: float, chi: float) -> float:
-    state = QubitState(excited_population=p_exc)
-    r = sorted(state.populations, reverse=True)
+    populations = [1.0 - p_exc, p_exc]
     eps = np.diagonal(battery_hamiltonian(chi))
-    return ergotropy_spectral(r, eps, state.density())
+    return ergotropy_spectral(sorted(populations, reverse=True), eps, np.diag(populations))
 
 
 def test_spectral_ergotropy_passive_qubit():

@@ -53,6 +53,7 @@ def test_bath_mode_grid_is_midpoint_uniform():
     (dict(n_modes=99), "n_modes"),
     (dict(span=9.0), "span"),
     (dict(n_modes=400, span=50.0), "spacing"),  # d_omega = 0.25 > lambda/20
+    (dict(n_modes=oracle.MAX_N_MODES + 1), "n_modes"),
 ])
 def test_bath_rejects_unresolved_discretizations(kwargs, fragment):
     _, f = weak_frame()

@@ -8,8 +8,8 @@ from qbattery import (FIGURES, IntegrationError, SweepPointError, SweepSpec,
                       SystemParams, TimeGrid, compute_metrics, default_grid,
                       dressed_frame, equal_frequency_trajectory, figure_pipeline,
                       kernel_params, run_sweep, survival_amplitude)
-from qbattery.sweep import (BUDGET, apply_point, csv_text, format_float,
-                            sweep_csv_text, write_sweep_csv)
+from qbattery.sweep import (BUDGET, apply_point, csv_text, sweep_csv_text,
+                            write_sweep_csv)
 
 # Peak records computed by the closed-form engine on the default windows and
 # frozen as regression values.  The trends they encode are discussed in the
@@ -260,9 +260,8 @@ def test_csv_rows_match_per_cell_format():
                 0.1, 1.0 / 3.0, 123456789.12345678, 1e-5, 1e16, 1e17, 3.0, -7.25,
                 float("inf"), float("-inf"), float("nan")]
     table = np.array([specials, specials[::-1]]).T
-    lines = ["a,b"] + [",".join(format_float(x) for x in row) for row in table]
+    lines = ["a,b"] + [",".join(f"{x:.17g}" for x in row) for row in table]
     assert csv_text(["a", "b"], table.tolist()) == "\n".join(lines) + "\n"
-    assert [format_float(x) for x in specials] == [f"{x:.17g}" for x in specials]
 
 
 # --- figure pipelines --------------------------------------------------------
