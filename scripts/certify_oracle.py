@@ -1,55 +1,53 @@
 #!/usr/bin/env python3
 """Certify both analytic engines against the discretized-bath ground truth.
 
-Runs the two reference comparisons at full bath size (4000 modes, span 50):
+Usage:  python scripts/certify_oracle.py [OUT_DIR]
 
-  1. weak coupling, resonance, equal frequencies -> closed form
-  2. strong coupling, unequal frequencies        -> pseudomode
+Runs `qbattery oracle-check` at the two certification points, at full bath
+size (4000 modes, span 50) on the default windows and 2000-sample grids:
 
-Prints sup-norm gaps and norm drift; exits nonzero if either gap exceeds
-the 5e-3 certification tolerance.
+  1. weak coupling, resonance, equal detunings (the defaults):
+     closed form and pseudomode
+  2. strong coupling, unequal detunings (R = 10, delta_B = 4): pseudomode
+
+Each point writes oracle_check.json and run.json to its own subdirectory of
+OUT_DIR (default: a temporary directory, removed afterwards) and prints one
+gap line per engine.  Exits with the worst exit code of the two runs: 0 when
+every gap is within the certification tolerance, 4 when one is not.
 """
 
-import math
+import json
 import sys
+import tempfile
 import time
+from pathlib import Path
 
-import numpy as np
+from qbattery.cli import main as qbattery
 
-from qbattery import (SystemParams, TimeGrid, build_bath, dressed_frame,
-                      equal_frequency_trajectory, general_trajectory, propagate)
+POINTS = {
+    "weak": [],
+    "strong": ["--set", "R=10", "--set", "delta_B=4"],
+}
 
-TOLERANCE = 5e-3
 
-
-def compare(label, params, t_max, analytic):
-    frame = dressed_frame(params)
-    grid = TimeGrid.uniform(t_max, 2000)
-    start = time.monotonic()
-    bath = build_bath(frame)
-    reference = propagate(params, frame, bath, grid)
-    elapsed = time.monotonic() - start
-    trial = analytic(params, frame, grid)
-    gap = max(np.abs(reference.c1 - trial.c1).max(),
-              np.abs(reference.c2 - trial.c2).max())
-    drift = np.abs(reference.total_norm - 1.0).max()
-    status = "PASS" if gap <= TOLERANCE else "FAIL"
-    print(f"{label}: gap {gap:.3e} vs {TOLERANCE:g} -> {status} "
-          f"(norm drift {drift:.1e}, bath run {elapsed:.1f}s)")
-    return gap <= TOLERANCE
+def certify(out_root: Path) -> int:
+    codes = []
+    for name, flags in POINTS.items():
+        out = out_root / name
+        start = time.monotonic()
+        code = qbattery(["oracle-check", "--out", str(out)] + flags)
+        codes.append(code)
+        if code in (0, 4):
+            drift = json.loads((out / "oracle_check.json").read_text())["norm_drift"]
+            print(f"{name}: norm drift {drift:.1e}, {time.monotonic() - start:.1f}s")
+    return max(codes)
 
 
 def main() -> int:
-    ok = compare(
-        "closed form, weak resonance",
-        SystemParams(omega_drive=1.0, R=0.5, r1=1 / math.sqrt(2)),
-        10.0, equal_frequency_trajectory)
-    ok &= compare(
-        "pseudomode, strong unequal detunings",
-        SystemParams(delta_A=0.0, delta_B=4.0, omega_drive=1.0, R=10.0,
-                     r1=1 / math.sqrt(2)),
-        5.0, lambda p, f, g: general_trajectory(p, f, g))
-    return 0 if ok else 1
+    if len(sys.argv) > 1:
+        return certify(Path(sys.argv[1]))
+    with tempfile.TemporaryDirectory() as out_root:
+        return certify(Path(out_root))
 
 
 if __name__ == "__main__":

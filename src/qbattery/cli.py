@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands: timeseries, maxima, sweep, reproduce, oracle-check.  A flat
-JSON config file supplies any parameter; flags override config values.
-Every run writes a run.json with the fully resolved configuration, enough
-to reproduce the outputs bit-exactly.
+JSON config file supplies any parameter.  Its keys, then the --set KEY=VALUE
+pairs, then the flags --engine, --tol, --threads and --figure (each read
+exactly as --set KEY=VALUE) merge into one dict, a later value of a key
+replacing an earlier one, which config_from_dict parses once.  Every run
+writes a run.json with the fully resolved configuration, enough to
+reproduce the outputs bit-exactly.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure,
 4 oracle tolerance failure.
@@ -16,16 +19,15 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .dynamics import (DEFAULT_N_POINTS, ENGINE_CLOSED, ENGINE_PSEUDOMODE,
-                       IntegrationError, TimeGrid, default_grid,
-                       equal_frequency_trajectory, general_trajectory)
-from .model import INV_SQRT2, SystemParams, dressed_frame, validate
+                       IntegrationError, TimeGrid, default_grid)
+from .model import SystemParams, dressed_frame, validate
 from .oracle import DEFAULT_N_MODES, DEFAULT_SPAN, build_bath, propagate
 from .sweep import (SweepPointError, SweepSpec, csv_text, evaluate,
                     figure_pipeline, run_sweep, write_sweep_csv)
@@ -37,25 +39,31 @@ OUT_ROOT_ENV = "QBATTERY_OUT"
 ENGINE_ALIASES = {"closed": ENGINE_CLOSED, ENGINE_CLOSED: ENGINE_CLOSED,
                   ENGINE_PSEUDOMODE: ENGINE_PSEUDOMODE}
 
+# Most worker threads a sweep may ask for; a sweep starts up to one per chunk.
+MAX_THREADS = 64
+
+# The flags that set a config key, with their help; each flag is read
+# exactly as --set KEY=VALUE.
+FLAGS = {"engine": "trajectory engine: closed_form (alias closed) or pseudomode",
+         "tol": "relative tolerance of the oracle's integrator",
+         "threads": f"worker threads for sweeps, 1 to {MAX_THREADS}",
+         "figure": "figure id, fig2 through fig11"}
+
+# The config keys reproduce reads; every figure fixes the rest itself.
+REPRODUCE_KEYS = ("figure", "n_points", "out_dir")
+
 
 class ConfigError(ValueError):
     pass
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Flat run configuration; mirrors the JSON config file."""
+class RunConfig(SystemParams):
+    """Flat run configuration; mirrors the JSON config file.
 
-    delta_A: float = 0.0
-    delta_B: float = 0.0
-    delta_L: float = 0.0
-    omega_drive: float = 1.0
-    lambda_: float = 1.0
-    alpha_T: float = 1.0
-    r1: float = INV_SQRT2
-    R: float = 0.5
-    c01: complex = 1.0 + 0.0j
-    c02: complex = 0.0 + 0.0j
+    The physical parameters with their defaults, plus the run settings.
+    """
+
     t_max: float | None = None
     n_points: int = DEFAULT_N_POINTS
     engine: str = ENGINE_CLOSED
@@ -102,8 +110,8 @@ def _complex(value) -> complex:
 
 def _threads(value) -> int:
     threads = _integer(value)
-    if threads < 1:
-        raise ValueError("need at least 1 thread")
+    if not 1 <= threads <= MAX_THREADS:
+        raise ValueError(f"need 1 to {MAX_THREADS} threads")
     return threads
 
 
@@ -158,7 +166,7 @@ def config_to_dict(config: RunConfig) -> dict:
     return out
 
 
-def load_config(path) -> RunConfig:
+def _read_config(path) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -169,7 +177,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must contain a JSON object")
-    return config_from_dict(data)
+    return data
 
 
 def _write_run_json(out: Path, command: str, config: RunConfig,
@@ -193,44 +201,45 @@ def _spec(config: RunConfig, axes=()) -> SweepSpec:
                      engine=config.engine)
 
 
-def cmd_timeseries(config: RunConfig, out: Path) -> list[Path]:
+def cmd_timeseries(config: RunConfig, out: Path) -> tuple[list[Path], int]:
     traj, series = evaluate(_spec(config), [{}], with_maxima=False)
     table = np.concatenate((traj.grid.samples[None], traj.c1.real, traj.c1.imag,
                             traj.c2.real, traj.c2.imag, series.energy,
                             series.power, series.ergotropy))
     path = out / "timeseries.csv"
     path.write_text(csv_text(TIMESERIES_FIELDS, table.T.tolist()), newline="\n")
-    return [path]
+    return [path], 0
 
 
-def cmd_maxima(config: RunConfig, out: Path) -> list[Path]:
+def cmd_maxima(config: RunConfig, out: Path) -> tuple[list[Path], int]:
     """The sweep without axes: the one row of the configured point."""
-    return [write_sweep_csv(run_sweep(_spec(config)), out / "maxima.csv")]
+    return [write_sweep_csv(run_sweep(_spec(config)), out / "maxima.csv")], 0
 
 
-def cmd_sweep(config: RunConfig, out: Path) -> list[Path]:
+def cmd_sweep(config: RunConfig, out: Path) -> tuple[list[Path], int]:
     result = run_sweep(_spec(config, config.axes), threads=config.threads)
-    return [write_sweep_csv(result, out / "sweep.csv")]
+    return [write_sweep_csv(result, out / "sweep.csv")], 0
 
 
-def cmd_reproduce(config: RunConfig, out: Path) -> list[Path]:
+def cmd_reproduce(config: RunConfig, out: Path) -> tuple[list[Path], int]:
     if not config.figure:
         raise ConfigError("reproduce requires --figure (e.g. --figure fig2)")
-    return figure_pipeline(config.figure, out, n_points=config.n_points)
+    return figure_pipeline(config.figure, out, n_points=config.n_points), 0
 
 
-def cmd_oracle_check(config: RunConfig, out: Path) -> tuple[list[Path], bool]:
-    """Compare the discretized-bath ground truth against both engines."""
+def cmd_oracle_check(config: RunConfig, out: Path) -> tuple[list[Path], int]:
+    """Compare the discretized-bath ground truth against both engines; 4 on a miss."""
     params = config.params()
-    frame = dressed_frame(params)
-    grid = config.grid()
+    names = ((ENGINE_PSEUDOMODE, ENGINE_CLOSED) if params.equal_detunings()
+             else (ENGINE_PSEUDOMODE,))
     # The engines run first: they fail fast (exit 3) where the bath would
     # only fail after its whole evaluation budget.
-    engines = {ENGINE_PSEUDOMODE: general_trajectory(params, frame, grid)}
-    if params.equal_detunings():
-        engines[ENGINE_CLOSED] = equal_frequency_trajectory(params, frame, grid)
+    spec = _spec(config)
+    engines = {name: evaluate(replace(spec, engine=name), [{}], with_maxima=False)[0]
+               for name in names}
+    frame = dressed_frame(params)
     bath = build_bath(frame, n_modes=config.n_modes, span=config.span)
-    reference = propagate(params, frame, bath, grid, tol=config.tol)
+    reference = propagate(params, frame, bath, spec.grid, tol=config.tol)
     gaps = {name: float(max(np.max(np.abs(traj.c1 - reference.c1)),
                             np.max(np.abs(traj.c2 - reference.c2))))
             for name, traj in engines.items()}
@@ -251,7 +260,20 @@ def cmd_oracle_check(config: RunConfig, out: Path) -> tuple[list[Path], bool]:
         status = "PASS" if entry["pass"] else "FAIL"
         print(f"oracle-check {name}: gap {entry['sup_norm_gap']:.3e} "
               f"vs {ORACLE_TOLERANCE:g} -> {status}")
-    return [path], ok
+    if not ok:
+        print("oracle-check: tolerance failure", file=sys.stderr)
+    return [path], 0 if ok else 4
+
+
+# Each subcommand: the function that writes its outputs and returns them
+# with the exit code, and its help line.
+COMMANDS = {
+    "timeseries": (cmd_timeseries, "write amplitude and metric time series as CSV"),
+    "maxima": (cmd_maxima, "write the peak energy/power/ergotropy record"),
+    "sweep": (cmd_sweep, "run a Cartesian parameter sweep"),
+    "reproduce": (cmd_reproduce, "regenerate the CSV data behind a published figure"),
+    "oracle-check": (cmd_oracle_check, "validate engines against the discretized bath"),
+}
 
 
 def _resolve_out_dir(args, config: RunConfig, command: str) -> Path:
@@ -272,50 +294,38 @@ def build_parser() -> argparse.ArgumentParser:
         description="Charging dynamics of a driven open quantum battery.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-            ("timeseries", "write amplitude and metric time series as CSV"),
-            ("maxima", "write the peak energy/power/ergotropy record"),
-            ("sweep", "run a Cartesian parameter sweep"),
-            ("reproduce", "regenerate the CSV data behind a published figure"),
-            ("oracle-check", "validate engines against the discretized bath")):
+    for name, (_, text) in COMMANDS.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="path to a flat JSON config file")
         p.add_argument("--out", help=f"output directory (default: ${OUT_ROOT_ENV} "
                                      "or the current directory)")
-        p.add_argument("--engine", choices=sorted(ENGINE_ALIASES),
-                       help="trajectory engine for single runs and sweeps")
-        p.add_argument("--tol", type=float,
-                       help="relative tolerance of the oracle's integrator")
-        p.add_argument("--threads", type=int, help="worker threads for sweeps")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override any config key (JSON-parsed value); "
                             "repeatable")
-        if name == "reproduce":
-            p.add_argument("--figure", help="figure id, fig2 through fig11")
+        for key, about in FLAGS.items():
+            if key != "figure" or name == "reproduce":
+                p.add_argument(f"--{key}", help=f"{about}; same as --set {key}=VALUE")
     return parser
 
 
 def _resolve_config(args) -> RunConfig:
-    config = load_config(args.config) if args.config else RunConfig()
-    updates = {}
-    for pair in args.set:
+    data = _read_config(args.config) if args.config else {}
+    flags = [f"{key}={getattr(args, key)}" for key in FLAGS
+             if getattr(args, key, None) is not None]
+    for pair in args.set + flags:
         key, sep, raw = pair.partition("=")
         if not sep:
             raise ConfigError(f"--set expects key=value, got {pair!r}")
+        data.pop(key, None)  # parsed last, also after its other spelling
         try:
-            updates[key] = json.loads(raw)
+            data[key] = json.loads(raw)
         except json.JSONDecodeError:
-            updates[key] = raw
-    if args.engine:
-        updates["engine"] = args.engine
-    if args.tol is not None:
-        updates["tol"] = args.tol
-    if args.threads is not None:
-        updates["threads"] = args.threads
-    if getattr(args, "figure", None):
-        updates["figure"] = args.figure
-    if updates:
-        config = config_from_dict({**config_to_dict(config), **updates})
+            data[key] = raw
+    config = config_from_dict(data)
+    unread = sorted(set(data) - set(REPRODUCE_KEYS))
+    if args.command == "reproduce" and unread:
+        raise ConfigError(f"reproduce reads only {', '.join(REPRODUCE_KEYS)}; "
+                          f"it does not read {', '.join(map(repr, unread))}")
     return config
 
 
@@ -324,24 +334,9 @@ def main(argv=None) -> int:
     try:
         config = _resolve_config(args)
         out = _resolve_out_dir(args, config, args.command)
-        if args.command == "timeseries":
-            outputs = cmd_timeseries(config, out)
-        elif args.command == "maxima":
-            outputs = cmd_maxima(config, out)
-        elif args.command == "sweep":
-            outputs = cmd_sweep(config, out)
-        elif args.command == "reproduce":
-            outputs = cmd_reproduce(config, out)
-        else:
-            outputs, ok = cmd_oracle_check(config, out)
-            _write_run_json(out, args.command, config,
-                            [p.name for p in outputs])
-            if not ok:
-                print("oracle-check: tolerance failure", file=sys.stderr)
-                return 4
-            return 0
+        outputs, code = COMMANDS[args.command][0](config, out)
         _write_run_json(out, args.command, config, [p.name for p in outputs])
-        return 0
+        return code
     except (SweepPointError, IntegrationError, ValueError, OSError) as exc:
         cause = exc.cause if isinstance(exc, SweepPointError) else exc
         numerical = isinstance(cause, IntegrationError)

@@ -116,7 +116,7 @@ class KernelParams:
 
 
 def kernel_params(params: SystemParams, frame: DressedFrame) -> KernelParams:
-    """Kernel constants for equal detunings (chi_A = chi_B, eta_A = eta_B)."""
+    """Kernel constants for equal detunings (chi_A = chi_B, cos2_A = cos2_B)."""
     if not params.equal_detunings():
         raise ValueError(
             f"kernel requires delta_A == delta_B, got {params.delta_A} != {params.delta_B}")

@@ -63,17 +63,15 @@ class SystemParams:
 class DressedFrame:
     """Per-qubit dressed-basis quantities plus the shared kernel scales.
 
-    eta_A, eta_B: mixing angles of the driven qubits.
     chi_A, chi_B: dressed splittings sqrt(delta^2 + 4 omega_drive^2).
-    cos2_A, cos2_B: coupling weights cos^2(eta/2) = (1 + cos eta)/2.
+    cos2_A, cos2_B: coupling weights cos^2(eta/2) = (1 + cos eta)/2 of the
+        mixing angles eta of the driven qubits.
     W: cavity coupling scale, R * lambda_ / alpha_T.
     lambda_, delta_L: copied from the parameters; every kernel consumer
         (closed form, pseudomode, bath discretization) needs them alongside
         the dressed quantities.
     """
 
-    eta_A: float
-    eta_B: float
     chi_A: float
     chi_B: float
     cos2_A: float
@@ -113,19 +111,15 @@ def dressed_frame(params: SystemParams) -> DressedFrame:
     The mixing angle is the two-argument arctangent of (2 omega_drive,
     delta), so eta lies in [0, pi] for omega_drive >= 0 and negative
     detunings are handled unambiguously.  The fully degenerate point
-    omega_drive = delta = 0 resolves to eta = 0 (bare basis) with a
-    vanishing splitting chi = 0.  An overflowing chi or W raises ValueError.
+    omega_drive = delta = 0 resolves to eta = 0 (bare basis, cos2 = 1) with
+    a vanishing splitting chi = 0.  An overflowing chi or W raises ValueError.
     """
     two_omega = 2.0 * params.omega_drive
-    eta_A = math.atan2(two_omega, params.delta_A)
-    eta_B = math.atan2(two_omega, params.delta_B)
     frame = DressedFrame(
-        eta_A=eta_A,
-        eta_B=eta_B,
         chi_A=math.hypot(params.delta_A, two_omega),
         chi_B=math.hypot(params.delta_B, two_omega),
-        cos2_A=(1.0 + math.cos(eta_A)) / 2.0,
-        cos2_B=(1.0 + math.cos(eta_B)) / 2.0,
+        cos2_A=(1.0 + math.cos(math.atan2(two_omega, params.delta_A))) / 2.0,
+        cos2_B=(1.0 + math.cos(math.atan2(two_omega, params.delta_B))) / 2.0,
         W=params.R * params.lambda_ / params.alpha_T,
         lambda_=params.lambda_,
         delta_L=params.delta_L,

@@ -3,7 +3,8 @@
 The cavity continuum is replaced by n_modes equally spaced modes on a
 window of +-span loss rates around the cavity center, each coupled with
 g_k^2 = J(omega_k) * d_omega.  The resulting single-excitation Schrodinger
-equations for (C_A, C_B, C_k...) are integrated directly; the evolution is
+equations for the qubit and mode amplitudes are integrated directly, in the
+frame where their generator is a constant real Hamiltonian; the evolution is
 exactly unitary, so total norm conservation measures nothing but integrator
 error.  This engine validates both analytic engines and is deliberately
 independent of them: no kernel, no survival amplitude, no pseudomode.
@@ -96,12 +97,16 @@ def propagate(params: SystemParams, frame: DressedFrame, bath: DiscretizedBath,
               grid: TimeGrid, tol: float = 1e-9) -> AmplitudeTrajectory:
     """Integrate the full qubits-plus-modes amplitude equations.
 
-    In the interaction picture the equations are
+    In the frame rotating with each amplitude's own frequency, the state
+    y = (q_A, q_B, a_1..a_n) obeys y' = -i H y with the constant real
+    arrowhead Hamiltonian
 
-        dC_j/dt = -i a_j cos^2(eta_j/2) sum_k g_k C_k e^{-i(dw_k - chi_j - delta_L) t}
-        dC_k/dt = -i g_k sum_j a_j cos^2(eta_j/2) C_j e^{+i(dw_k - chi_j - delta_L) t}
+        H_jj = chi_j + delta_L,  H_kk = dw_k,  H_jk = H_kj = alpha_j cos^2(eta_j/2) g_k,
 
-    with every C_k(0) = 0.  Comparisons are only meaningful before bath
+    with every a_k(0) = 0, so the right-hand side computes no exponentials.
+    The qubit amplitudes are rotated back only at the samples,
+    C_j = q_j e^{i (chi_j + delta_L) t}; the phases have modulus 1, so the
+    total norm is that of y.  Comparisons are only meaningful before bath
     revivals, so the grid must end below half the recurrence time.  At most
     MAX_STATES states (n_modes + 2) x n_points are stored.
     """
@@ -118,8 +123,7 @@ def propagate(params: SystemParams, frame: DressedFrame, bath: DiscretizedBath,
             f"time {bath.recurrence_time:g}; enlarge n_modes/span")
     weights = np.array([params.alpha_A * frame.cos2_A,
                         params.alpha_B * frame.cos2_B])
-    chi = np.array([frame.chi_A, frame.chi_B])
-    delta_L = frame.delta_L
+    rates = np.array([frame.chi_A, frame.chi_B]) + frame.delta_L
     det = bath.mode_detunings
     g = bath.couplings
     evaluations = 0
@@ -132,13 +136,13 @@ def propagate(params: SystemParams, frame: DressedFrame, bath: DiscretizedBath,
                 f"bath propagation used up its budget of {RHS_BUDGET} "
                 f"right-hand-side evaluations before t = {grid.t_max:g} "
                 f"(reached t = {t:g}, n_modes={bath.n_modes}, tol={tol:g})")
-        cq = y[:2]
-        ck = y[2:]
-        base = np.exp(-1j * det * t)                      # e^{-i dw_k t}
-        rot = np.exp(1j * (chi + delta_L) * t)            # e^{+i (chi_j + dL) t}
-        dq = -1j * weights * rot * np.sum(g * ck * base)
-        dk = -1j * g * np.conj(base) * np.sum(weights * np.conj(rot) * cq)
-        return np.concatenate((dq, dk))
+        q, a = y[:2], y[2:]
+        hy = np.empty_like(y)
+        hy[:2] = rates * q + weights * np.sum(g * a)
+        np.multiply(det, a, out=hy[2:])
+        hy[2:] += g * np.sum(weights * q)
+        hy *= -1j
+        return hy
 
     y0 = np.zeros(bath.n_modes + 2, dtype=complex)
     y0[0] = params.c01
@@ -154,5 +158,6 @@ def propagate(params: SystemParams, frame: DressedFrame, bath: DiscretizedBath,
         raise IntegrationError(
             f"norm conservation breached: max |norm - 1| = {drift:.3e} "
             f"at t = {worst:g} (n_modes={bath.n_modes}, tol={tol:g})")
-    return AmplitudeTrajectory(grid=grid, c1=sol.y[0], c2=sol.y[1],
+    c1, c2 = sol.y[:2] * np.exp(1j * rates[:, None] * grid.samples)
+    return AmplitudeTrajectory(grid=grid, c1=c1, c2=c2,
                                engine_tag=ENGINE_ORACLE, total_norm=total_norm)

@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from qbattery import (IntegrationError, SystemParams, dressed_frame,
                       kernel_params, survival_amplitude)
 from qbattery.cli import RunConfig, config_from_dict, config_to_dict, main
 from qbattery.dynamics import AmplitudeTrajectory
+
+ENGINE_CONFIG = str(Path(__file__).parent / "data" / "engine_pseudomode.json")
 
 
 def write_config(tmp_path, **data):
@@ -157,6 +160,15 @@ def test_reproduce_requires_known_figure(tmp_path, capsys):
     assert main(["reproduce", "--out", str(tmp_path)]) == 2
 
 
+def test_reproduce_reads_figure_n_points_and_out_dir(tmp_path):
+    out = tmp_path / "fig2"
+    config = write_config(tmp_path, figure="fig2", out_dir=str(out))
+    assert main(["reproduce", "--config", config, "--set", "n_points=300"]) == 0
+    assert json.loads((out / "fig2_metadata.json").read_text())["grid"]["n_points"] == 300
+    assert main(["reproduce", "--figure", "fig2", "--set", "n_points=300",
+                 "--out", str(tmp_path / "set")]) == 0
+
+
 # --- oracle check ------------------------------------------------------------
 
 def test_oracle_check_passes_on_small_bath(tmp_path, capsys):
@@ -255,7 +267,7 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
     # Every single-run command reaches the engines through sweep.evaluate.
     monkeypatch.setattr(cli, "evaluate", exploding)
     monkeypatch.setattr(sweep, "evaluate", exploding)
-    for command in ("timeseries", "maxima", "sweep"):
+    for command in ("timeseries", "maxima", "sweep", "oracle-check"):
         assert main([command, "--out", str(tmp_path / command)]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
@@ -296,6 +308,15 @@ def test_set_flag_rejects_malformed_pairs(tmp_path, capsys):
     (["sweep", "--set", "threads=0"], 2, "'threads'"),
     (["sweep", "--threads", "0"], 2, "'threads'"),
     (["sweep", "--set", "threads=-3"], 2, "'threads'"),
+    (["sweep", "--threads", "2.5"], 2, "'threads'"),
+    (["maxima", "--tol", "abc"], 2, "'tol'"),
+    (["maxima", "--engine", "magic"], 2, "'engine'"),
+    (["sweep", "--set", "threads=65"], 2, "'threads'"),
+    (["sweep", "--threads", "1000000"], 2, "'threads'"),
+    (["reproduce", "--figure", "fig2", "--engine", "pseudomode", "--set", "R=10"], 2,
+     "does not read 'R', 'engine'"),
+    (["reproduce", "--figure", "fig2", "--config", ENGINE_CONFIG], 2,
+     "does not read 'engine'"),
 ])
 def test_bad_input_exits_with_code_and_writes_no_csv(tmp_path, capsys, argv, code,
                                                       fragment):

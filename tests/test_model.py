@@ -61,14 +61,12 @@ def test_relative_couplings_stay_normalized():
 
 def test_dressed_frame_no_drive_is_bare_basis():
     f = dressed_frame(SystemParams(delta_A=5.0, omega_drive=0.0))
-    assert f.eta_A == 0.0
     assert f.chi_A == 5.0
     assert f.cos2_A == 1.0
 
 
 def test_dressed_frame_resonant_drive():
     f = dressed_frame(SystemParams(delta_A=0.0, omega_drive=2.0))
-    assert f.eta_A == pytest.approx(math.pi / 2, abs=1e-15)
     assert f.chi_A == pytest.approx(4.0, abs=1e-15)
     assert f.cos2_A == pytest.approx(0.5, abs=1e-15)
 
@@ -91,37 +89,41 @@ def test_splitting_reconstruction(delta, omega):
     assert abs(f.chi_A**2 - target) <= 1e-12 * max(1.0, target)
     assert f.chi_A >= abs(delta) - 1e-15
     assert f.chi_A >= 2 * omega - 1e-15
-    assert 0.0 <= f.eta_A <= math.pi
-    # the weight identity is how cos2 is computed; must hold bit-exactly
-    assert f.cos2_A == (1.0 + math.cos(f.eta_A)) / 2.0
+    assert 0.0 <= f.cos2_A <= 1.0
+    # the weight identity of the mixing angle is how cos2 is computed; must
+    # hold bit-exactly
+    assert f.cos2_A == (1.0 + math.cos(math.atan2(2 * omega, delta))) / 2.0
 
 
 @given(delta=finite, omega=st.floats(min_value=0.1, max_value=10.0))
 def test_mixing_angle_continuous_in_delta(delta, omega):
     h = 1e-8
-    a = dressed_frame(SystemParams(delta_A=delta, omega_drive=omega)).eta_A
-    b = dressed_frame(SystemParams(delta_A=delta + h, omega_drive=omega)).eta_A
+    a = dressed_frame(SystemParams(delta_A=delta, omega_drive=omega)).cos2_A
+    b = dressed_frame(SystemParams(delta_A=delta + h, omega_drive=omega)).cos2_A
+    # |d cos2 / d eta| = sin(eta)/2 <= 1/2 and
     # |d eta / d delta| = 2 omega / chi^2 <= 1/(2 omega)
-    assert abs(b - a) <= 1.1 * h / (2 * omega) + 1e-15
+    assert abs(b - a) <= 1.1 * h / (4 * omega) + 1e-15
 
 
 @given(delta=finite, omega=st.floats(min_value=0.1, max_value=10.0))
 def test_mixing_angle_continuous_in_omega(delta, omega):
     h = 1e-8
-    a = dressed_frame(SystemParams(delta_A=delta, omega_drive=omega)).eta_A
-    b = dressed_frame(SystemParams(delta_A=delta, omega_drive=omega + h)).eta_A
+    a = dressed_frame(SystemParams(delta_A=delta, omega_drive=omega)).cos2_A
+    b = dressed_frame(SystemParams(delta_A=delta, omega_drive=omega + h)).cos2_A
+    # |d cos2 / d eta| = sin(eta)/2 <= 1/2 and
     # |d eta / d omega| = 2|delta| / chi^2, maximized at delta = 2 omega
-    assert abs(b - a) <= 1.1 * h / (2 * omega) + 1e-15
+    assert abs(b - a) <= 1.1 * h / (4 * omega) + 1e-15
 
 
 def test_negative_detuning_maps_above_pi_half():
+    # eta > pi/2 puts less than half the weight on the cavity coupling
     f = dressed_frame(SystemParams(delta_A=-2.0, omega_drive=1.0))
-    assert math.pi / 2 < f.eta_A < math.pi
+    assert 0.0 < f.cos2_A < 0.5
 
 
 def test_degenerate_point_resolves_to_bare_basis():
     f = dressed_frame(SystemParams(delta_A=0.0, omega_drive=0.0))
-    assert f.eta_A == 0.0
+    assert f.cos2_A == 1.0
     assert f.chi_A == 0.0
 
 

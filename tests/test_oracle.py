@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from qbattery import oracle
 from qbattery import (IntegrationError, SystemParams, TimeGrid, build_bath,
@@ -89,6 +90,30 @@ def test_propagation_matches_closed_form_on_small_bath():
     gap = max(np.abs(bath_traj.c1 - closed.c1).max(),
               np.abs(bath_traj.c2 - closed.c2).max())
     assert gap <= 5e-3
+
+
+def test_propagation_matches_exact_propagator_of_its_hamiltonian():
+    # The qubits-plus-modes amplitudes obey y' = -i H y with a constant real
+    # arrowhead H; on a small bath its eigendecomposition solves them exactly.
+    p = SystemParams(delta_A=0.5, delta_B=2.0, delta_L=1.5, omega_drive=0.8,
+                     R=3.0, c01=0.6, c02=0.8j)
+    f = dressed_frame(p)
+    bath = build_bath(f, n_modes=400, span=10.0)
+    grid = TimeGrid.uniform(5.0, 100)
+    rates = np.array([f.chi_A, f.chi_B]) + f.delta_L
+    weights = np.array([p.alpha_A * f.cos2_A, p.alpha_B * f.cos2_B])
+    H = np.diag(np.concatenate((rates, bath.mode_detunings)))
+    H[:2, 2:] = np.outer(weights, bath.couplings)
+    H[2:, :2] = H[:2, 2:].T
+    energies, V = eigh(H)
+    y0 = np.zeros(bath.n_modes + 2, dtype=complex)
+    y0[:2] = p.c01, p.c02
+    y = V @ (np.exp(-1j * np.outer(energies, grid.samples)) * (V.T @ y0)[:, None])
+    c1, c2 = y[:2] * np.exp(1j * np.outer(rates, grid.samples))
+    traj = propagate(p, f, bath, grid)
+    assert max(np.abs(traj.c1 - c1).max(), np.abs(traj.c2 - c2).max()) <= 1e-8
+    np.testing.assert_allclose(traj.total_norm, np.sum(np.abs(y) ** 2, axis=0),
+                               rtol=0, atol=1e-8)
 
 
 def test_grid_must_stay_below_recurrence_horizon():
