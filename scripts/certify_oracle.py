@@ -12,7 +12,8 @@ size (4000 modes, span 50) on the default windows and 2000-sample grids:
 
 Each point writes oracle_check.json and run.json to its own subdirectory of
 OUT_DIR (default: a temporary directory, removed afterwards) and prints one
-gap line per engine.  Exits with the worst exit code of the two runs: 0 when
+gap line per engine, then the bath's norm drift: the completeness defect of
+its eigenvectors as seen by the initial state.  Exits with the worst exit code of the two runs: 0 when
 every gap is within the certification tolerance, 4 when one is not.
 """
 
@@ -39,7 +40,8 @@ def certify(out_root: Path) -> int:
         codes.append(code)
         if code in (0, 4):
             drift = json.loads((out / "oracle_check.json").read_text())["norm_drift"]
-            print(f"{name}: norm drift {drift:.1e}, {time.monotonic() - start:.1f}s")
+            print(f"{name}: norm drift (completeness defect) {drift:.1e}, "
+                  f"{time.monotonic() - start:.1f}s")
     return max(codes)
 
 

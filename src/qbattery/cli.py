@@ -5,8 +5,9 @@ JSON config file supplies any parameter.  Its keys, then the --set KEY=VALUE
 pairs, then the flags --engine, --tol, --threads and --figure (each read
 exactly as --set KEY=VALUE) merge into one dict, a later value of a key
 replacing an earlier one, which config_from_dict parses once.  Every run
-writes a run.json with the fully resolved configuration, enough to
-reproduce the outputs bit-exactly.
+writes a run.json with the fully resolved configuration (for reproduce, the
+keys it reads), enough to reproduce the outputs bit-exactly when fed back
+as a config file.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure,
 4 oracle tolerance failure.
@@ -45,7 +46,7 @@ MAX_THREADS = 64
 # The flags that set a config key, with their help; each flag is read
 # exactly as --set KEY=VALUE.
 FLAGS = {"engine": "trajectory engine: closed_form (alias closed) or pseudomode",
-         "tol": "relative tolerance of the oracle's integrator",
+         "tol": "relative stop of the bath oracle's eigenvalue iteration",
          "threads": f"worker threads for sweeps, 1 to {MAX_THREADS}",
          "figure": "figure id, fig2 through fig11"}
 
@@ -182,11 +183,14 @@ def _read_config(path) -> dict:
 
 def _write_run_json(out: Path, command: str, config: RunConfig,
                     outputs: list[str]) -> Path:
+    recorded = config_to_dict(config)
+    if command == "reproduce":
+        recorded = {key: recorded[key] for key in REPRODUCE_KEYS}
     payload = {
         "artifact": "qbattery",
         "version": __version__,
         "command": command,
-        "config": config_to_dict(config),
+        "config": recorded,
         "oracle_tolerance": ORACLE_TOLERANCE if command == "oracle-check" else None,
         "outputs": outputs,
     }
@@ -232,8 +236,8 @@ def cmd_oracle_check(config: RunConfig, out: Path) -> tuple[list[Path], int]:
     params = config.params()
     names = ((ENGINE_PSEUDOMODE, ENGINE_CLOSED) if params.equal_detunings()
              else (ENGINE_PSEUDOMODE,))
-    # The engines run first: they fail fast (exit 3) where the bath would
-    # only fail after its whole evaluation budget.
+    # The engines run first, so an input that overflows them (exit 3) is
+    # reported by the engine before the bath is built.
     spec = _spec(config)
     engines = {name: evaluate(replace(spec, engine=name), [{}], with_maxima=False)[0]
                for name in names}
@@ -330,7 +334,15 @@ def _resolve_config(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help or --version and 2 on a command line
+        # it rejects, having printed the reason.
+        if not exc.code:
+            return 0
+        print("qbattery: config error: invalid command line", file=sys.stderr)
+        return 2
     try:
         config = _resolve_config(args)
         out = _resolve_out_dir(args, config, args.command)

@@ -45,7 +45,7 @@ ENGINE_ORACLE = "oracle"
 
 
 class IntegrationError(RuntimeError):
-    """An integrator missed its tolerance or an engine gave non-finite amplitudes."""
+    """A solve missed its tolerance or an engine gave non-finite amplitudes."""
 
 
 @dataclass(frozen=True, eq=False)

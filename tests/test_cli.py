@@ -169,6 +169,20 @@ def test_reproduce_reads_figure_n_points_and_out_dir(tmp_path):
                  "--out", str(tmp_path / "set")]) == 0
 
 
+def test_reproduce_run_json_config_feeds_back(tmp_path):
+    first = tmp_path / "first"
+    assert main(["reproduce", "--figure", "fig2", "--set", "n_points=300",
+                 "--out", str(first)]) == 0
+    recorded = json.loads((first / "run.json").read_text())["config"]
+    assert recorded == {"figure": "fig2", "n_points": 300, "out_dir": None}
+    again = tmp_path / "again"
+    config = write_config(tmp_path, **recorded)
+    assert main(["reproduce", "--config", config, "--out", str(again)]) == 0
+    for path in first.glob("*.csv"):
+        assert (again / path.name).read_bytes() == path.read_bytes()
+    assert sorted(p.name for p in again.iterdir()) == sorted(p.name for p in first.iterdir())
+
+
 # --- oracle check ------------------------------------------------------------
 
 def test_oracle_check_passes_on_small_bath(tmp_path, capsys):
@@ -317,6 +331,9 @@ def test_set_flag_rejects_malformed_pairs(tmp_path, capsys):
      "does not read 'R', 'engine'"),
     (["reproduce", "--figure", "fig2", "--config", ENGINE_CONFIG], 2,
      "does not read 'engine'"),
+    (["maxima", "--bogus", "1"], 2, "unrecognized arguments: --bogus 1"),
+    ([], 2, "argument command"),
+    (["nosuch"], 2, "invalid choice: 'nosuch'"),
 ])
 def test_bad_input_exits_with_code_and_writes_no_csv(tmp_path, capsys, argv, code,
                                                       fragment):
@@ -326,6 +343,14 @@ def test_bad_input_exits_with_code_and_writes_no_csv(tmp_path, capsys, argv, cod
     assert fragment in err
     assert ("numerical failure" if code == 3 else "config error") in err
     assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_command_line_rejected_by_argparse_returns_2_and_help_returns_0(capsys):
+    assert main([]) == 2
+    assert "required: command" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert main(["sweep", "--help"]) == 0
+    assert "--threads" in capsys.readouterr().out
 
 
 def test_tiny_loss_rate_runs_without_floating_point_warnings(tmp_path):
