@@ -2,8 +2,8 @@
 
 Subcommands: timeseries, maxima, sweep, reproduce, oracle-check.  A flat
 JSON config file supplies any parameter.  Its keys, then the --set KEY=VALUE
-pairs, then the flags --engine, --tol, --threads and --figure (each read
-exactly as --set KEY=VALUE) merge into one dict, a later value of a key
+pairs, then the flags --engine, --threads and --figure (each read exactly
+as --set KEY=VALUE) merge into one dict, a later value of a key
 replacing an earlier one, which config_from_dict parses once.  Every run
 writes a run.json with the fully resolved configuration (for reproduce, the
 keys it reads), enough to reproduce the outputs bit-exactly when fed back
@@ -46,7 +46,6 @@ MAX_THREADS = 64
 # The flags that set a config key, with their help; each flag is read
 # exactly as --set KEY=VALUE.
 FLAGS = {"engine": "trajectory engine: closed_form (alias closed) or pseudomode",
-         "tol": "relative stop of the bath oracle's eigenvalue iteration",
          "threads": f"worker threads for sweeps, 1 to {MAX_THREADS}",
          "figure": "figure id, fig2 through fig11"}
 
@@ -68,7 +67,6 @@ class RunConfig(SystemParams):
     t_max: float | None = None
     n_points: int = DEFAULT_N_POINTS
     engine: str = ENGINE_CLOSED
-    tol: float = 1e-9
     threads: int = 1
     out_dir: str | None = None
     axes: tuple = ()
@@ -129,7 +127,8 @@ def _string(value) -> str:
 
 
 def _axes(value) -> tuple:
-    return tuple((str(axis), tuple(float(v) for v in values)) for axis, values in value)
+    return tuple((str(axis), tuple(float(_number(v)) for v in values))
+                 for axis, values in value)
 
 
 # Parser of each key's value; every other key holds a finite number.
@@ -206,7 +205,7 @@ def _spec(config: RunConfig, axes=()) -> SweepSpec:
 
 
 def cmd_timeseries(config: RunConfig, out: Path) -> tuple[list[Path], int]:
-    traj, series = evaluate(_spec(config), [{}], with_maxima=False)
+    traj, series = evaluate(_spec(config), [{}])
     table = np.concatenate((traj.grid.samples[None], traj.c1.real, traj.c1.imag,
                             traj.c2.real, traj.c2.imag, series.energy,
                             series.power, series.ergotropy))
@@ -233,17 +232,16 @@ def cmd_reproduce(config: RunConfig, out: Path) -> tuple[list[Path], int]:
 
 def cmd_oracle_check(config: RunConfig, out: Path) -> tuple[list[Path], int]:
     """Compare the discretized-bath ground truth against both engines; 4 on a miss."""
-    params = config.params()
+    spec = _spec(config)
+    params = spec.base
     names = ((ENGINE_PSEUDOMODE, ENGINE_CLOSED) if params.equal_detunings()
              else (ENGINE_PSEUDOMODE,))
     # The engines run first, so an input that overflows them (exit 3) is
     # reported by the engine before the bath is built.
-    spec = _spec(config)
-    engines = {name: evaluate(replace(spec, engine=name), [{}], with_maxima=False)[0]
-               for name in names}
+    engines = {name: evaluate(replace(spec, engine=name), [{}])[0] for name in names}
     frame = dressed_frame(params)
     bath = build_bath(frame, n_modes=config.n_modes, span=config.span)
-    reference = propagate(params, frame, bath, spec.grid, tol=config.tol)
+    reference = propagate(params, frame, bath, spec.grid)
     gaps = {name: float(max(np.max(np.abs(traj.c1 - reference.c1)),
                             np.max(np.abs(traj.c2 - reference.c2))))
             for name, traj in engines.items()}

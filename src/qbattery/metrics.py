@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import AmplitudeTrajectory, TimeGrid
+from .dynamics import AmplitudeTrajectory, IntegrationError, TimeGrid
 
 
 class Extremum(NamedTuple):
@@ -67,30 +67,18 @@ def stored_energy(traj: AmplitudeTrajectory, chi_B) -> np.ndarray:
     return energy
 
 
-def stored_energy_trace(excited_population, chi_B: float,
-                        reference_excited: float = 0.0) -> np.ndarray:
-    """Trace-form energy Tr[H rho(t)] - Tr[H rho_ref] for diagonal states.
-
-    With the ground-state reference (reference_excited = 0) this reproduces
-    stored_energy exactly.
-    """
-    if chi_B < 0.0:
-        raise ValueError(f"negative chi_B: {chi_B}")
-    p = np.asarray(excited_population, dtype=float)
-    levels = np.diagonal(battery_hamiltonian(chi_B))
-    pops = np.stack([1.0 - p, p], axis=-1)
-    ref = np.array([1.0 - reference_excited, reference_excited])
-    return pops @ levels - ref @ levels
-
-
 def charging_power(energy: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """P_B(t) = E_B(t)/t, with the t -> 0 limit P_B(0) = 0."""
+    """P_B(t) = E_B(t)/t, with P_B(0) = 0; IntegrationError if it overflows."""
     energy = np.asarray(energy, dtype=float)
     if energy.shape[-1:] != grid.samples.shape:
         raise ValueError("energy series does not match the time grid")
     power = np.empty_like(energy)
     power[..., 0] = 0.0
-    np.divide(energy[..., 1:], grid.samples[1:], out=power[..., 1:])
+    with np.errstate(over="ignore"):
+        np.divide(energy[..., 1:], grid.samples[1:], out=power[..., 1:])
+    # The power is non-negative, so its maximum is finite only if every sample is.
+    if not np.isfinite(np.max(power)):
+        raise IntegrationError("charging power overflows the float range")
     return power
 
 

@@ -106,7 +106,10 @@ def validate(params: SystemParams) -> SystemParams:
 
 
 def dressed_frame(params: SystemParams) -> DressedFrame:
-    """Derive the dressed-basis frame for validated parameters.
+    """Validate the parameters and derive their dressed-basis frame.
+
+    Every engine takes a point together with its frame, so the point is
+    validated here, once, and nowhere downstream.
 
     The mixing angle is the two-argument arctangent of (2 omega_drive,
     delta), so eta lies in [0, pi] for omega_drive >= 0 and negative
@@ -114,6 +117,7 @@ def dressed_frame(params: SystemParams) -> DressedFrame:
     omega_drive = delta = 0 resolves to eta = 0 (bare basis, cos2 = 1) with
     a vanishing splitting chi = 0.  An overflowing chi or W raises ValueError.
     """
+    validate(params)
     two_omega = 2.0 * params.omega_drive
     frame = DressedFrame(
         chi_A=math.hypot(params.delta_A, two_omega),

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DressedFrame, SystemParams, validate
+from .model import DressedFrame, SystemParams
 from .dynamics import (AmplitudeTrajectory, ENGINE_ORACLE, IntegrationError,
                        TimeGrid, _exp_on_grid)
 
@@ -56,10 +56,10 @@ TERMS = 16
 # Eigenvalues whose phases are filled at once: 512 x 2000 samples is 16 MB.
 CHUNK = 512
 
-# Tightest relative stop of the root iteration.  Its steps shrink
-# quadratically, so a root whose last step was this small is exact to
-# rounding, and smaller steps are rounding noise that need not shrink.
-_STOP_FLOOR = 1e-12
+# Relative stop of the root iteration: a root whose last step moved it by at
+# most STOP times its offset from its pole is done.  The steps shrink
+# quadratically, so the next step would move it by rounding alone.
+STOP = 1e-9
 
 # Rounding units, of the largest diagonal entry of H, below which a
 # perturbation of H is dropped (see _eigenpairs).
@@ -101,28 +101,28 @@ def build_bath(frame: DressedFrame, n_modes: int = DEFAULT_N_MODES,
         raise ValueError(f"n_modes must be in [100, {MAX_N_MODES}], got {n_modes}")
     if span < 10.0:
         raise ValueError(f"span must be >= 10, got {span}")
-    lam, W = frame.lambda_, frame.W
-    d_omega = 2.0 * span * lam / n_modes
-    if d_omega > lam / 20.0 + 1e-15:
+    # In units of lambda, the weight J(dw) d_omega / W^2 of a mode depends
+    # on x = dw/lambda alone, so neither W nor lambda is squared.
+    step = 2.0 * span / n_modes
+    if step > 1.0 / 20.0 + 1e-15:
         raise ValueError(
-            f"mode spacing {d_omega:g} exceeds lambda/20; "
+            f"mode spacing {step:g} lambda exceeds lambda/20; "
             f"need n_modes >= {40.0 * span:g} for span {span:g}")
-    detunings = -span * lam + (np.arange(n_modes) + 0.5) * d_omega
-    density = W * W * lam / math.pi / (detunings ** 2 + lam ** 2)
-    couplings = np.sqrt(density * d_omega)
-    if W > 0.0:
-        weight = float(np.sum(couplings ** 2))
-        target = W * W * window_fraction(span)
-        if abs(weight - target) > 0.01 * W * W:
-            raise ValueError(
-                f"discretized weight {weight:g} misses truncated-window "
-                f"integral {target:g} by more than 1%")
+    x = -span + (np.arange(n_modes) + 0.5) * step
+    shape = step / math.pi / (x * x + 1.0)
+    weight = float(np.sum(shape))
+    if abs(weight - window_fraction(span)) > 0.01:
+        raise ValueError(
+            f"discretized weight {weight:g} W^2 misses the truncated-window "
+            f"fraction {window_fraction(span):g} by more than 1%")
+    detunings = frame.lambda_ * x
+    couplings = frame.W * np.sqrt(shape)
     return DiscretizedBath(n_modes=n_modes, span=span,
                            mode_detunings=detunings, couplings=couplings)
 
 
 def propagate(params: SystemParams, frame: DressedFrame, bath: DiscretizedBath,
-              grid: TimeGrid, tol: float = 1e-9) -> AmplitudeTrajectory:
+              grid: TimeGrid) -> AmplitudeTrajectory:
     """Exact qubit amplitudes of the qubits-plus-modes Schrodinger equation.
 
     In the frame rotating with each amplitude's own frequency, the state
@@ -137,14 +137,13 @@ def propagate(params: SystemParams, frame: DressedFrame, bath: DiscretizedBath,
         q(t) = q0 + sum_k (e^{-i lam_k t} - 1) u_k (u_k . q0),
 
     exact at t = 0, and C_j = q_j e^{i e_j t}.  total_norm, the norm of y,
-    is |q0|^2 at t = 0 and sum_k |u_k . q0|^2 after.  tol is the relative
-    stop of the root iteration (see _iterate); a completeness defect
+    is |q0|^2 at t = 0 and sum_k |u_k . q0|^2 after.  The eigenpairs are
+    solved in units of lambda (see _eigenpairs); a completeness defect
     max |sum_k u_k u_k^T - I| above NORM_ABORT raises IntegrationError.
     Comparisons are only meaningful before bath revivals, so the grid must
     end below half the recurrence time.  At most MAX_STATES phases
     (n_modes + 2) x n_points are computed.
     """
-    validate(params)
     phases = (bath.n_modes + 2) * grid.n_points
     if phases > MAX_STATES:
         raise ValueError(
@@ -165,14 +164,20 @@ def propagate(params: SystemParams, frame: DressedFrame, bath: DiscretizedBath,
     total_norm = np.full(grid.n_points, float(np.sum(np.abs(q0) ** 2)))
     # The coupling part of H has norm |w| |g|, so it moves the amplitudes by
     # at most |w| |g| t_max; below a rounding unit it is dropped.
-    coupling = math.hypot(*weights) * float(np.linalg.norm(bath.couplings))
+    coupling = math.hypot(*weights) * float(np.hypot.reduce(bath.couplings))
     if coupling * grid.t_max > np.finfo(float).eps:
-        energies, blocks = _eigenpairs(rates, weights, bath, tol)
+        lam = frame.lambda_
+        # Past the float range in units of lambda the eigenpairs are not
+        # finite, which _eigenpairs reports; numpy need not warn.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            energies, blocks = _eigenpairs(rates / lam, weights, bath.mode_detunings / lam,
+                                           bath.couplings / lam)
+        energies *= lam
         defect = float(np.max(np.abs(blocks.T @ blocks - np.eye(2))))
         if not defect <= NORM_ABORT:
             raise IntegrationError(
                 f"norm conservation breached: completeness defect "
-                f"max |G - I| = {defect:.3e} (n_modes={bath.n_modes}, tol={tol:g})")
+                f"max |G - I| = {defect:.3e} (n_modes={bath.n_modes})")
         projections = blocks @ q0
         total_norm[1:] = np.sum(np.abs(projections) ** 2)
         coef = blocks * projections[:, None]
@@ -187,9 +192,13 @@ def propagate(params: SystemParams, frame: DressedFrame, bath: DiscretizedBath,
                                engine_tag=ENGINE_ORACLE, total_norm=total_norm)
 
 
-def _eigenpairs(rates: np.ndarray, weights: np.ndarray, bath: DiscretizedBath,
-                tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _eigenpairs(rates: np.ndarray, weights: np.ndarray, d: np.ndarray,
+                g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of H and the qubit blocks (eigenvalues x 2) of its eigenvectors.
+
+    H has the diagonal rates and mode frequencies d and the couplings
+    weights_j g_k; propagate passes them in units of lambda, so that no
+    huge or tiny scale is squared, and the eigenvalues come in that unit.
 
     In the qubit basis w_hat = w/|w|, w_perp = (w_B, -w_A)/|w| only w_hat
     couples to the modes, with spikes |w| g_k, and w_perp couples to w_hat
@@ -207,8 +216,7 @@ def _eigenpairs(rates: np.ndarray, weights: np.ndarray, bath: DiscretizedBath,
     w_perp = np.array([w_hat[1], -w_hat[0]])
     c, p_star, eps = (float(a @ (rates * b)) for a, b in
                       ((w_hat, w_hat), (w_perp, w_perp), (w_perp, w_hat)))
-    d = bath.mode_detunings
-    z2 = float(weights @ weights) * bath.couplings ** 2
+    z2 = (math.hypot(*weights) * g) ** 2
     # Perturbations of H below this size are rounding: eps is dropped, and
     # p* is moved onto a mode frequency this close to it.
     negligible = _DEFLATE * max(np.max(np.abs(rates)), -d[0], d[-1])
@@ -220,28 +228,25 @@ def _eigenpairs(rates: np.ndarray, weights: np.ndarray, bath: DiscretizedBath,
         dark.append((p_star, w_perp))
     elif abs(d[k] - p_star) <= negligible:
         p_star = float(d[k])
-        z2 = z2.copy()
         dark.append((p_star, -math.sqrt(z2[k] / (z2[k] + eps * eps)) * w_perp))
         z2[k] += eps * eps
     else:
         extra = (p_star, eps * eps)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        origin, tau, slope = _secular_roots(c, d, z2, extra, tol)
-        head = 1.0 / np.sqrt(slope)
-        blocks = head[:, None] * w_hat
-        if eps:
-            blocks += (eps * head / ((origin - p_star) + tau))[:, None] * w_perp
+    origin, tau, slope = _secular_roots(c, d, z2, extra)
+    head = 1.0 / np.sqrt(slope)
+    blocks = head[:, None] * w_hat
+    if eps:
+        blocks += (eps * head / ((origin - p_star) + tau))[:, None] * w_perp
     energies = origin + tau
     if dark:
         energies = np.concatenate((energies, [p for p, _ in dark]))
         blocks = np.concatenate((blocks, [u for _, u in dark]))
     if not (np.all(np.isfinite(energies)) and np.all(np.isfinite(blocks))):
-        raise IntegrationError(
-            f"bath eigenpairs are not finite (n_modes={bath.n_modes}, tol={tol:g})")
+        raise IntegrationError(f"bath eigenpairs are not finite (n_modes={d.size})")
     return energies, blocks
 
 
-def _secular_roots(c: float, d: np.ndarray, z2: np.ndarray, extra, tol: float):
+def _secular_roots(c: float, d: np.ndarray, z2: np.ndarray, extra):
     """All roots of f(lam) = lam - c - sum_p z_p^2 / (lam - p).
 
     The poles are the uniform comb d with weights z2, plus extra = (p, z^2)
@@ -297,12 +302,12 @@ def _secular_roots(c: float, d: np.ndarray, z2: np.ndarray, extra, tol: float):
         return rest, 1.0 + np.sum(terms / gap, axis=1)
 
     roots = [_gap_roots(lambda sel, side, x: comb(gaps[sel] + side, x),
-                        d[gaps], d[gaps + 1], z2[gaps], z2[gaps + 1], tol)]
+                        d[gaps], d[gaps + 1], z2[gaps], z2[gaps + 1])]
     if beside.size:
         left, right = poles[beside], poles[beside + 1]
         roots.append(_gap_roots(
             lambda sel, side, x: direct(np.where(side, right[sel], left[sel]), x),
-            left, right, weights[beside], weights[beside + 1], tol))
+            left, right, weights[beside], weights[beside + 1]))
     # The outer roots lie within sqrt(sum z^2), plus the distance of c, of
     # the outermost poles: f <= 0 at the lower start and f >= 0 at the upper.
     bound = math.sqrt(float(np.sum(weights)))
@@ -312,12 +317,12 @@ def _secular_roots(c: float, d: np.ndarray, z2: np.ndarray, extra, tol: float):
     tau, slope = _iterate(lambda sel, x: direct(origin[sel], x), tau,
                           *direct(origin, tau), weights[[0, -1]],
                           np.array([-np.inf, np.inf]), np.array([2.0 * tau[0], 0.0]),
-                          np.array([0.0, 2.0 * tau[1]]), tol)
+                          np.array([0.0, 2.0 * tau[1]]))
     roots.append((origin, tau, slope))
     return tuple(np.concatenate(x) for x in zip(*roots))
 
 
-def _gap_roots(evaluate, left, right, w_left, w_right, tol):
+def _gap_roots(evaluate, left, right, w_left, w_right):
     """The root of f in each gap (left, right) between adjacent poles.
 
     evaluate(sel, side, tau) gives f and f' at offset tau from the left
@@ -337,11 +342,11 @@ def _gap_roots(evaluate, left, right, w_left, w_right, tol):
     lo, hi = np.where(side, tau, 0.0), np.where(side, 0.0, tau)
     tau, slope = _iterate(lambda sel, x: evaluate(sel, side[sel], x), tau, rest,
                           slope, np.where(side, w_right, w_left),
-                          np.where(side, left, right) - origin, lo, hi, tol)
+                          np.where(side, left, right) - origin, lo, hi)
     return origin, tau, slope
 
 
-def _iterate(evaluate, tau, rest, slope, weight, other, lo, hi, tol):
+def _iterate(evaluate, tau, rest, slope, weight, other, lo, hi):
     """Fixed-weight iteration for roots bracketed in (lo, hi).
 
     Each root is an offset tau from its origin pole, of weight s; evaluate
@@ -351,10 +356,8 @@ def _iterate(evaluate, tau, rest, slope, weight, other, lo, hi, tol):
     at tau with one more pole at the other end of the gap (offset other),
     or with a line on the outer half-lines (other = +-inf).  A step that
     leaves the bracket bisects it instead.  A root whose last step moved it
-    by at most max(tol, _STOP_FLOOR) |tau| is done.  Returns tau and f' at
-    the roots.
+    by at most STOP |tau| is done.  Returns tau and f' at the roots.
     """
-    stop = max(tol, _STOP_FLOOR)
     out = np.empty_like(tau)
     moved = np.full(tau.size, np.inf)
     todo = np.arange(tau.size)
@@ -363,7 +366,7 @@ def _iterate(evaluate, tau, rest, slope, weight, other, lo, hi, tol):
             rest, slope = evaluate(todo, tau[todo])
         x, s = tau[todo], weight[todo]
         f = rest - s / x
-        done = (np.abs(moved[todo]) <= stop * np.abs(x)) | (f == 0.0)
+        done = (np.abs(moved[todo]) <= STOP * np.abs(x)) | (f == 0.0)
         out[todo[done]] = slope[done] + s[done] / x[done] ** 2
         keep = ~done
         todo, x, s, f, rest, slope = (a[keep] for a in (todo, x, s, f, rest, slope))
@@ -378,7 +381,7 @@ def _iterate(evaluate, tau, rest, slope, weight, other, lo, hi, tol):
         tau[todo] = step
     raise IntegrationError(
         f"bath root solve used up its budget of {MAX_PASSES} passes with "
-        f"{todo.size} of {tau.size} roots still moving (tol={tol:g})")
+        f"{todo.size} of {tau.size} roots still moving")
 
 
 def _fixed_weight_step(x, s, rest, slope, other):

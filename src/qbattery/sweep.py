@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .dynamics import AmplitudeTrajectory, TimeGrid, default_grid, trajectory
 from .metrics import MetricsSeries, compute_metrics
-from .model import SystemParams, dressed_frame, validate
+from .model import SystemParams, dressed_frame
 
 AXIS_NAMES = ("omega_drive", "delta_A", "delta_B", "delta_common", "delta_L", "R", "r1")
 
@@ -54,7 +54,10 @@ class SweepSpec:
     def __post_init__(self):
         axes = tuple((str(name), tuple(float(v) for v in values))
                      for name, values in self.axes)
+        names = [name for name, _ in axes]
         for name, values in axes:
+            if names.count(name) > 1:
+                raise ValueError(f"repeated sweep axis: {name!r}")
             if name not in AXIS_NAMES:
                 raise ValueError(f"unknown sweep axis: {name!r}")
             if not values:
@@ -93,18 +96,18 @@ def apply_point(base: SystemParams, point: dict[str, float]) -> SystemParams:
     return replace(base, **updates)
 
 
-def evaluate(spec: SweepSpec, points: list[dict[str, float]],
-             with_maxima: bool = True) -> tuple[AmplitudeTrajectory, MetricsSeries]:
+def evaluate(spec: SweepSpec,
+             points: list[dict[str, float]]) -> tuple[AmplitudeTrajectory, MetricsSeries]:
     """Trajectories and metrics of a batch of points, as (points x time) arrays.
 
     Each point overrides spec.base; the axes of spec are not used.  This is
-    the one path from parameters through the engines to the metrics that
-    sweeps, figures and single runs share.
+    the one path from parameters through the engines to the metrics, with
+    their peaks, that sweeps, figures and single runs share.
     """
-    params = [validate(apply_point(spec.base, point)) for point in points]
+    params = [apply_point(spec.base, point) for point in points]
     frames = [dressed_frame(p) for p in params]
     traj = trajectory(params, frames, spec.grid, engine=spec.engine)
-    return traj, compute_metrics(traj, [f.chi_B for f in frames], with_maxima)
+    return traj, compute_metrics(traj, [f.chi_B for f in frames])
 
 
 def _rows(spec: SweepSpec, points: list[dict[str, float]]) -> list[SweepRow]:
@@ -237,8 +240,7 @@ def figure_pipeline(figure_id: str, out_dir, n_points: int = 2000) -> list[Path]
     # One (family x samples) array per panel metric.
     if fig.kind == "timeseries":
         spec = SweepSpec(base=apply_point(base, fig.fixed), axes=(), grid=grid)
-        _, series = evaluate(spec, [{family_name: v} for v in family_values],
-                             with_maxima=False)
+        _, series = evaluate(spec, [{family_name: v} for v in family_values])
         first_header, first_column, suffix = "lambda_t", grid.samples, ""
         panels = {metric: getattr(series, metric) for _, metric, _ in _PANELS}
     else:

@@ -203,8 +203,8 @@ def test_oracle_check_passes_on_small_bath(tmp_path, capsys):
 def test_oracle_check_fails_with_exit_4(tmp_path, monkeypatch, capsys):
     real_propagate = cli.propagate
 
-    def skewed(params, frame, bath, grid, tol=1e-9):
-        traj = real_propagate(params, frame, bath, grid, tol=tol)
+    def skewed(params, frame, bath, grid):
+        traj = real_propagate(params, frame, bath, grid)
         return AmplitudeTrajectory(grid=traj.grid, c1=traj.c1,
                                    c2=traj.c2 + 0.01, engine_tag=traj.engine_tag,
                                    total_norm=traj.total_norm)
@@ -225,11 +225,11 @@ def test_flags_override_config(tmp_path):
     config = write_config(tmp_path, engine="closed_form", n_points=200)
     out = tmp_path / "run"
     assert main(["timeseries", "--config", config, "--out", str(out),
-                 "--engine", "pseudomode", "--tol", "1e-8",
+                 "--engine", "pseudomode", "--threads", "2",
                  "--set", "omega_drive=0.5"]) == 0
     meta = json.loads((out / "run.json").read_text())
     assert meta["config"]["engine"] == "pseudomode"
-    assert meta["config"]["tol"] == 1e-8
+    assert meta["config"]["threads"] == 2
     assert meta["config"]["omega_drive"] == 0.5
     assert meta["config"]["n_points"] == 200
 
@@ -275,7 +275,7 @@ def test_unknown_engine_exits_2(tmp_path, capsys):
 
 
 def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
-    def exploding(spec, points, with_maxima=True):
+    def exploding(spec, points):
         raise IntegrationError("step budget exhausted")
 
     # Every single-run command reaches the engines through sweep.evaluate.
@@ -323,7 +323,7 @@ def test_set_flag_rejects_malformed_pairs(tmp_path, capsys):
     (["sweep", "--threads", "0"], 2, "'threads'"),
     (["sweep", "--set", "threads=-3"], 2, "'threads'"),
     (["sweep", "--threads", "2.5"], 2, "'threads'"),
-    (["maxima", "--tol", "abc"], 2, "'tol'"),
+    (["maxima", "--tol", "abc"], 2, "arguments: --tol abc"),
     (["maxima", "--engine", "magic"], 2, "'engine'"),
     (["sweep", "--set", "threads=65"], 2, "'threads'"),
     (["sweep", "--threads", "1000000"], 2, "'threads'"),
@@ -334,6 +334,18 @@ def test_set_flag_rejects_malformed_pairs(tmp_path, capsys):
     (["maxima", "--bogus", "1"], 2, "unrecognized arguments: --bogus 1"),
     ([], 2, "argument command"),
     (["nosuch"], 2, "invalid choice: 'nosuch'"),
+    (["maxima", "--set", "tol=1e-9"], 2, "unknown config key: 'tol'"),
+    (["sweep", "--set", 'axes=[["omega_drive", [0.5]], ["omega_drive", [1.0]]]'], 2,
+     "repeated sweep axis: 'omega_drive'"),
+    (["sweep", "--set", 'axes=[["omega_drive", [true]]]'], 2, "'axes'"),
+    (["maxima", "--engine", "pseudomode", "--set", "delta_B=-7.9e32"], 3,
+     "pseudomode engine"),
+    (["maxima", "--engine", "pseudomode", "--set", "delta_A=1e308", "--set", "delta_B=1e308"],
+     3, "pseudomode engine"),
+    (["maxima", "--engine", "pseudomode", "--set", "n_points=2", "--set", "lambda=1e308",
+      "--set", "omega_drive=1000"], 3, "charging power overflows"),
+    (["oracle-check", "--set", "n_modes=400", "--set", "span=10", "--set", "lambda=1e-320",
+      "--set", "t_max=1e30", "--set", "R=1e300"], 3, "bath root solve"),
 ])
 def test_bad_input_exits_with_code_and_writes_no_csv(tmp_path, capsys, argv, code,
                                                       fragment):
@@ -343,6 +355,24 @@ def test_bad_input_exits_with_code_and_writes_no_csv(tmp_path, capsys, argv, cod
     assert fragment in err
     assert ("numerical failure" if code == 3 else "config error") in err
     assert not list(tmp_path.rglob("*.csv"))
+
+
+# Valid inputs at the edges of the float range that both engines handle:
+# the bath is built and solved in units of lambda, so none of them squares
+# W, lambda or a mode frequency.
+@pytest.mark.parametrize("pairs", [
+    ["R=1e-161"],
+    ["alpha_T=1e-300"],
+    ["lambda=1.27e-252", "t_max=0.0656"],
+    ["lambda=7.1e212", "delta_A=1.6", "delta_B=-2.39", "t_max=1.4e-212", "n_points=64"],
+])
+def test_oracle_check_runs_at_extreme_scales(tmp_path, pairs):
+    argv = ["oracle-check", "--set", "n_modes=400", "--set", "span=10"]
+    for pair in pairs:
+        argv += ["--set", pair]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "oracle_check.json").read_text())
+    assert np.isfinite(report["norm_drift"])
 
 
 def test_command_line_rejected_by_argparse_returns_2_and_help_returns_0(capsys):

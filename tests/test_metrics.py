@@ -11,7 +11,7 @@ from qbattery import (SystemParams, TimeGrid, battery_hamiltonian,
                       charging_power, compute_metrics, dressed_frame,
                       equal_frequency_trajectory, ergotropy_closed,
                       ergotropy_spectral, kernel_params, maxima,
-                      stored_energy, stored_energy_trace, survival_amplitude)
+                      stored_energy, survival_amplitude)
 from qbattery.dynamics import AmplitudeTrajectory
 from qbattery.metrics import MetricsSeries, _refine_peak
 
@@ -49,25 +49,12 @@ def test_stored_energy_rejects_negative_splitting():
         stored_energy(synthetic_trajectory(g, np.zeros(5)), -1.0)
 
 
-def test_trace_form_agrees_with_amplitude_form():
-    _, f, traj = resonant_run()
-    amplitude_form = stored_energy(traj, f.chi_B)
-    trace_form = stored_energy_trace(np.abs(traj.c2) ** 2, f.chi_B)
-    np.testing.assert_allclose(trace_form, amplitude_form, rtol=0, atol=1e-12)
-
-
 def test_resonant_energy_equals_survival_offset_identity():
     p, f, traj = resonant_run()
     energy = stored_energy(traj, f.chi_B)
     Z = survival_amplitude(kernel_params(p, f), traj.grid.samples)
     np.testing.assert_allclose(energy, np.abs(Z - 1.0) ** 2 * f.chi_B / 4.0,
                                rtol=0, atol=1e-12)
-
-
-def test_trace_form_with_charged_reference():
-    # starting from a half-charged battery removes half a splitting
-    e = stored_energy_trace(np.array([0.5, 1.0]), 2.0, reference_excited=0.5)
-    np.testing.assert_allclose(e, [0.0, 1.0], atol=1e-15)
 
 
 # --- charging power ----------------------------------------------------------

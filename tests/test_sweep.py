@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from qbattery import model
 from qbattery import (FIGURES, IntegrationError, SweepPointError, SweepSpec,
                       SystemParams, TimeGrid, compute_metrics, default_grid,
                       dressed_frame, equal_frequency_trajectory, figure_pipeline,
@@ -253,6 +254,24 @@ def test_failure_in_a_later_chunk_names_the_first_failing_point():
             run_sweep(spec, threads=threads)
         assert err.value.point == {"omega_drive": 1e300}
         assert isinstance(err.value.cause, IntegrationError)
+
+
+def test_each_point_is_validated_once(monkeypatch):
+    # dressed_frame validates its point; nothing downstream validates again.
+    calls = []
+    real_validate = model.validate
+
+    def counting(params):
+        calls.append(params)
+        return real_validate(params)
+
+    monkeypatch.setattr(model, "validate", counting)
+    omegas = tuple(0.05 * k for k in range(40))
+    spec = SweepSpec(base=base_params(), axes=(("omega_drive", omegas),),
+                     grid=weak_grid(2000))
+    assert BUDGET // spec.grid.n_points == 16    # three chunks
+    assert len(run_sweep(spec).rows) == 40
+    assert [p.omega_drive for p in calls] == list(omegas)
 
 
 def test_csv_rows_match_per_cell_format():
