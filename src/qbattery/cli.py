@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 config error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -310,6 +311,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and kept for the process.
+
+    Building it is a large share of a short command's time.  Parsing keeps
+    nothing in the parser: every parse starts from a new namespace.
+    """
+    return build_parser()
+
+
 def _resolve_config(args) -> RunConfig:
     data = _read_config(args.config) if args.config else {}
     flags = [f"{key}={getattr(args, key)}" for key in FLAGS
@@ -333,7 +344,7 @@ def _resolve_config(args) -> RunConfig:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 after --help or --version and 2 on a command line
         # it rejects, having printed the reason.

@@ -47,6 +47,37 @@ class IntegrationError(RuntimeError):
     """A solve missed its tolerance, or amplitudes or metrics are not finite."""
 
 
+class Workspace:
+    """The (points x time) arrays that one sweep worker reuses across chunks.
+
+    Each fresh array of a batch costs its first-touch page faults, and the
+    allocator hands a freed one back to the OS, so a sweep that allocated
+    its arrays chunk by chunk paid those faults on every chunk.  A stage
+    asks for an array by slot name; each slot keeps one flat buffer, grown
+    to its largest request, and returns a view of it, which the next request
+    of the same slot overwrites.  Without a workspace (None) every call gets
+    fresh arrays.
+    """
+
+    def __init__(self):
+        self._slots: dict[str, np.ndarray] = {}
+
+    def empty(self, name: str, shape: tuple, dtype=complex) -> np.ndarray:
+        size = math.prod(shape)
+        slot = self._slots.get(name)
+        if slot is None or slot.size < size or slot.dtype != dtype:
+            slot = self._slots[name] = np.empty(size, dtype)
+        return slot[:size].reshape(shape)
+
+
+def _empty(workspace: Workspace | None, name: str, shape: tuple,
+           dtype=complex) -> np.ndarray:
+    """A fresh array, or a view of the workspace's slot name."""
+    if workspace is None:
+        return np.empty(shape, dtype)
+    return workspace.empty(name, shape, dtype)
+
+
 @dataclass(frozen=True, eq=False)
 class TimeGrid:
     """n_points evenly spaced sample times from 0 to t_max."""
@@ -125,7 +156,7 @@ def kernel_params(params: SystemParams, frame: DressedFrame) -> KernelParams:
     return KernelParams(M=M, F=F)
 
 
-def survival_amplitude(kernel: KernelParams, t):
+def survival_amplitude(kernel: KernelParams, t, workspace: Workspace | None = None):
     """Survival amplitude Z(t) of the super-radiant component.
 
     Z(t) = e^{-Mt/2} (cosh(Ft/2) + (M/F) sinh(Ft/2)), evaluated with the
@@ -143,7 +174,8 @@ def survival_amplitude(kernel: KernelParams, t):
     exponentials are filled over the uniform samples by doubling, which
     agrees with the direct np.exp form to about 1e-14.  kernel.M and
     kernel.F may be arrays with a leading points axis; the result then has
-    shape M.shape + t.shape.
+    shape M.shape + t.shape.  With a workspace, the result and its
+    temporaries are views of its slots.
     """
     on_grid = isinstance(t, TimeGrid)
     t = t.samples if on_grid else np.asarray(t, dtype=float)
@@ -158,12 +190,16 @@ def survival_amplitude(kernel: KernelParams, t):
         terms = (((1.0 + ratio) / 2.0, (F_safe - M) / 2.0),
                  ((1.0 - ratio) / 2.0, -(F_safe + M) / 2.0))
         if on_grid:
-            ep, em = (_exp_on_grid(scale, rate, t) for scale, rate in terms)
+            shape = M.shape[:-1] + t.shape
+            ep, em = (_exp_on_grid(scale, rate, t, _empty(workspace, name, shape))
+                      for name, (scale, rate) in zip(("ep", "em"), terms))
             out = np.add(ep, em, out=ep)
         else:
             ep, em = (scale * np.exp(rate * t) for scale, rate in terms)
             out = np.asarray(ep + em)
-        series = degenerate | (t < 1e-6 / np.abs(F_safe))
+        series = np.less(t, 1e-6 / np.abs(F_safe),
+                         out=_empty(workspace, "series", out.shape, bool))
+        series |= degenerate
         if series.any():
             M, F, t = (np.broadcast_to(x, out.shape)[series] for x in (M, F, t))
             out[series] = np.exp(-M * t / 2.0) * (1.0 + M * t / 2.0
@@ -171,13 +207,16 @@ def survival_amplitude(kernel: KernelParams, t):
     return complex(out) if out.ndim == 0 else out
 
 
-def _exp_on_grid(scale: np.ndarray, rate: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _exp_on_grid(scale: np.ndarray, rate: np.ndarray, t: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """scale e^{rate t} over uniform samples t, for rates shaped (..., 1).
 
     The factor for a shift of m samples is taken directly as e^{rate t_m},
-    so rounding grows with the log2(n) doubling levels, not with n.
+    so rounding grows with the log2(n) doubling levels, not with n.  out,
+    when given, is a complex array of the result's shape.
     """
-    out = np.empty(rate.shape[:-1] + t.shape, dtype=complex)
+    if out is None:
+        out = np.empty(rate.shape[:-1] + t.shape, dtype=complex)
     out[..., :1] = scale
     shifts = (np.exp(rate * t[2 ** k]) for k in itertools.count())
     return _fill_by_doubling(out, shifts, np.multiply)
@@ -238,7 +277,8 @@ def _trajectory(params, grid: TimeGrid, c1: np.ndarray, c2: np.ndarray,
     return AmplitudeTrajectory(grid=grid, c1=c1, c2=c2, engine_tag=engine_tag)
 
 
-def equal_frequency_trajectory(params, frame, grid: TimeGrid) -> AmplitudeTrajectory:
+def equal_frequency_trajectory(params, frame, grid: TimeGrid,
+                               workspace: Workspace | None = None) -> AmplitudeTrajectory:
     """Closed-form amplitudes for identical qubit detunings.
 
     The initial state is decomposed into the constant sub-radiant amplitude
@@ -249,18 +289,20 @@ def equal_frequency_trajectory(params, frame, grid: TimeGrid) -> AmplitudeTrajec
         C2(t) = -r1 beta_minus + r2 Z(t) beta_plus
 
     params and frame are one point, or equal-length sequences of points;
-    a batch gives amplitudes shaped (points, time).
+    a batch gives amplitudes shaped (points, time).  With a workspace, the
+    amplitudes are views of its slots.
     """
     points, frames = _batch(params, frame)
     kernels = [kernel_params(p, f) for p, f in zip(points, frames)]
     Z = survival_amplitude(KernelParams(M=np.array([k.M for k in kernels]),
-                                        F=np.array([k.F for k in kernels])), grid)
+                                        F=np.array([k.F for k in kernels])),
+                           grid, workspace)
     r1, r2, c01, c02 = (_values(points, name)[:, None]
                         for name in ("r1", "r2", "c01", "c02"))
     beta_plus = r1 * c01 + r2 * c02
     beta_minus = r2 * c01 - r1 * c02
     # In place, so a batch holds no more than three (points x time) arrays.
-    c2 = np.multiply(Z, r2 * beta_plus)
+    c2 = np.multiply(Z, r2 * beta_plus, out=_empty(workspace, "c2", Z.shape))
     c2 -= r1 * beta_minus
     c1 = np.multiply(Z, r1 * beta_plus, out=Z)
     c1 += r2 * beta_minus
@@ -270,7 +312,8 @@ def equal_frequency_trajectory(params, frame, grid: TimeGrid) -> AmplitudeTrajec
 # As in survival_amplitude, AmplitudeTrajectory rejects overflowed samples, so
 # numpy need not warn anywhere in the engine.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def general_trajectory(params, frame, grid: TimeGrid) -> AmplitudeTrajectory:
+def general_trajectory(params, frame, grid: TimeGrid,
+                       workspace: Workspace | None = None) -> AmplitudeTrajectory:
     """Exact pseudomode amplitudes, valid for unequal detunings.
 
     The co-rotating state y = (C_A, C_B, b) e^{i chi t} with the mean
@@ -281,7 +324,8 @@ def general_trajectory(params, frame, grid: TimeGrid) -> AmplitudeTrajectory:
     products, and C_j = y_j e^{i (chi_j - chi) t}.
 
     params and frame are one point, or equal-length sequences of points;
-    a batch gives amplitudes shaped (points, time).
+    a batch gives amplitudes shaped (points, time).  With a workspace, the
+    amplitudes are views of its slots.
     """
     # Imported here: scipy.linalg is most of the time of importing the package.
     from scipy.linalg import expm
@@ -302,20 +346,24 @@ def general_trajectory(params, frame, grid: TimeGrid) -> AmplitudeTrajectory:
     t = grid.samples
     step = expm(generator * t[1])
     # Stored component-major, so C_A and C_B are contiguous (points, time) blocks.
-    y = np.empty((3, len(points), grid.n_points), dtype=complex)
+    y = _empty(workspace, "y", (3, len(points), grid.n_points))
     y[0, :, 0], y[1, :, 0], y[2, :, 0] = _values(points, "c01"), _values(points, "c02"), 0.0
     _fill_by_doubling(y.transpose(1, 0, 2), _squarings(step), np.matmul)
     c1, c2 = y[0], y[1]
-    c1 *= _exp_on_grid(1.0, 1j * (chi_A - chi)[:, None], t)
-    c2 *= _exp_on_grid(1.0, 1j * (chi_B - chi)[:, None], t)
+    # One slot serves both phase factors: c1 has taken its factor before
+    # c2's overwrites it.
+    c1 *= _exp_on_grid(1.0, 1j * (chi_A - chi)[:, None], t,
+                       _empty(workspace, "phase", c1.shape))
+    c2 *= _exp_on_grid(1.0, 1j * (chi_B - chi)[:, None], t,
+                       _empty(workspace, "phase", c2.shape))
     return _trajectory(params, grid, c1, c2, ENGINE_PSEUDOMODE)
 
 
-def trajectory(params, frame, grid: TimeGrid,
-               engine: str = ENGINE_CLOSED) -> AmplitudeTrajectory:
+def trajectory(params, frame, grid: TimeGrid, engine: str = ENGINE_CLOSED,
+               workspace: Workspace | None = None) -> AmplitudeTrajectory:
     """Dispatch one point or a batch of points to the requested engine."""
     if engine == ENGINE_CLOSED:
-        return equal_frequency_trajectory(params, frame, grid)
+        return equal_frequency_trajectory(params, frame, grid, workspace)
     if engine == ENGINE_PSEUDOMODE:
-        return general_trajectory(params, frame, grid)
+        return general_trajectory(params, frame, grid, workspace)
     raise ValueError(f"unknown engine: {engine!r}")

@@ -7,8 +7,9 @@ alongside the two-level closed form as an independent route.
 
 The series functions accept one trajectory, or a batch of them with a
 leading points axis and one chi_B per point.  Each series is computed in
-place in one new array: on a batch, every fresh (points x time) temporary
-costs page faults that outweigh the arithmetic.
+place in one array, fresh or a view of a sweep worker's Workspace: on a
+batch, every fresh (points x time) temporary costs page faults that
+outweigh the arithmetic.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import AmplitudeTrajectory, IntegrationError, TimeGrid
+from .dynamics import AmplitudeTrajectory, IntegrationError, TimeGrid, Workspace, _empty
 
 
 class Extremum(NamedTuple):
@@ -58,21 +59,41 @@ def _splitting(traj: AmplitudeTrajectory, chi_B) -> np.ndarray:
     return chi_B[..., None] if traj.c2.ndim > 1 else chi_B
 
 
+def _energy_and_ergotropy(traj: AmplitudeTrajectory, chi_B,
+                          workspace: Workspace | None = None):
+    """Stored energy and two-level ergotropy from one |C2|^2 pass.
+
+    E_B = |C2|^2 chi_B and W_B = (2|C2|^2 - 1) theta(|C2|^2 - 1/2) chi_B.
+    The step function is taken as 0 at the threshold; the prefactor
+    vanishes there, so the series is continuous either way.
+    """
+    chi_B = _splitting(traj, chi_B)
+    shape = traj.c2.shape
+    population = np.abs(traj.c2, out=_empty(workspace, "energy", shape, float))
+    population *= population
+    ergotropy = np.multiply(population, 2.0,
+                            out=_empty(workspace, "ergotropy", shape, float))
+    ergotropy -= 1.0
+    charged = np.greater(ergotropy, 0.0,             # |C2|^2 > 1/2, exactly
+                         out=_empty(workspace, "charged", shape, bool))
+    ergotropy *= chi_B
+    np.copyto(ergotropy, 0.0, where=np.logical_not(charged, out=charged))
+    energy = np.multiply(population, chi_B, out=population)
+    return energy, ergotropy
+
+
 def stored_energy(traj: AmplitudeTrajectory, chi_B) -> np.ndarray:
     """E_B(t) = |C2(t)|^2 chi_B, relative to the empty battery."""
-    chi_B = _splitting(traj, chi_B)
-    energy = np.abs(traj.c2)
-    energy *= energy
-    energy *= chi_B
-    return energy
+    return _energy_and_ergotropy(traj, chi_B)[0]
 
 
-def charging_power(energy: np.ndarray, grid: TimeGrid) -> np.ndarray:
+def charging_power(energy: np.ndarray, grid: TimeGrid,
+                   workspace: Workspace | None = None) -> np.ndarray:
     """P_B(t) = E_B(t)/t, with P_B(0) = 0; IntegrationError if it overflows."""
     energy = np.asarray(energy, dtype=float)
     if energy.shape[-1:] != grid.samples.shape:
         raise ValueError("energy series does not match the time grid")
-    power = np.empty_like(energy)
+    power = _empty(workspace, "power", energy.shape, float)
     power[..., 0] = 0.0
     with np.errstate(over="ignore"):
         np.divide(energy[..., 1:], grid.samples[1:], out=power[..., 1:])
@@ -83,20 +104,8 @@ def charging_power(energy: np.ndarray, grid: TimeGrid) -> np.ndarray:
 
 
 def ergotropy_closed(traj: AmplitudeTrajectory, chi_B) -> np.ndarray:
-    """Two-level ergotropy (2|C2|^2 - 1) theta(|C2|^2 - 1/2) chi_B.
-
-    The step function is taken as 0 at the threshold; the prefactor vanishes
-    there, so the series is continuous either way.
-    """
-    chi_B = _splitting(traj, chi_B)
-    work = np.abs(traj.c2)
-    work *= work
-    work *= 2.0
-    work -= 1.0
-    charged = work > 0.0                    # |C2|^2 > 1/2, exactly
-    work *= chi_B
-    work[~charged] = 0.0
-    return work
+    """Two-level ergotropy (2|C2|^2 - 1) theta(|C2|^2 - 1/2) chi_B."""
+    return _energy_and_ergotropy(traj, chi_B)[1]
 
 
 def ergotropy_spectral(rho_eigenvalues, hamiltonian_eigenvalues, rho_state) -> float:
@@ -174,14 +183,17 @@ def maxima(series: MetricsSeries) -> MetricsSeries:
     )
 
 
-def compute_metrics(traj: AmplitudeTrajectory, chi_B,
-                    with_maxima: bool = True) -> MetricsSeries:
-    """Full metrics pipeline for one trajectory or a batch of them."""
-    energy = stored_energy(traj, chi_B)
+def compute_metrics(traj: AmplitudeTrajectory, chi_B, with_maxima: bool = True,
+                    workspace: Workspace | None = None) -> MetricsSeries:
+    """Full metrics pipeline for one trajectory or a batch of them.
+
+    With a workspace, the series are views of its slots.
+    """
+    energy, ergotropy = _energy_and_ergotropy(traj, chi_B, workspace)
     series = MetricsSeries(
         grid=traj.grid,
         energy=energy,
-        power=charging_power(energy, traj.grid),
-        ergotropy=ergotropy_closed(traj, chi_B),
+        power=charging_power(energy, traj.grid, workspace),
+        ergotropy=ergotropy,
     )
     return maxima(series) if with_maxima else series

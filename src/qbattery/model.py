@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -91,6 +92,11 @@ def validate(params: SystemParams) -> SystemParams:
             raise ValueError(f"non-finite {name}: {value}")
     if not (params.lambda_ > 0.0):
         raise ValueError(f"non-positive lambda_: {params.lambda_}")
+    if params.lambda_ < sys.float_info.min:
+        # lambda_ is the unit of every rate and time: a subnormal one has
+        # lost its precision, and its inverse overflows.
+        raise ValueError(f"subnormal lambda_: {params.lambda_} is below the smallest "
+                         f"normal float {sys.float_info.min}")
     if not (params.alpha_T > 0.0):
         raise ValueError(f"non-positive alpha_T: {params.alpha_T}")
     if not (0.0 <= params.r1 <= 1.0):

@@ -1,11 +1,13 @@
 """Cartesian parameter sweeps and figure-reproduction pipelines.
 
 Sweep points are evaluated in chunks of at most BUDGET time samples, each
-chunk as one (points x time) batch through the engines and metrics.  The
-chunk boundaries depend only on the grid, so rows are bit-identical and
-come back in lexicographic axis order no matter how many worker threads map
-over the chunks, and CSV payloads are byte-reproducible
-(17-significant-digit floats, no timestamps).
+chunk as one (points x time) batch through the engines and metrics.  Each
+worker of a sweep evaluates its chunks in one Workspace, so its arrays are
+allocated once per run_sweep call, not once per chunk.  The chunk
+boundaries depend only on the grid, so rows are bit-identical and come back
+in lexicographic axis order no matter how many worker threads map over the
+chunks, and CSV payloads are byte-reproducible (17-significant-digit
+floats, no timestamps).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -20,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import AmplitudeTrajectory, TimeGrid, default_grid, trajectory
+from .dynamics import AmplitudeTrajectory, TimeGrid, Workspace, default_grid, trajectory
 from .metrics import MetricsSeries, compute_metrics
 from .model import SystemParams, dressed_frame
 
@@ -96,33 +99,38 @@ def apply_point(base: SystemParams, point: dict[str, float]) -> SystemParams:
     return replace(base, **updates)
 
 
-def evaluate(spec: SweepSpec,
-             points: list[dict[str, float]]) -> tuple[AmplitudeTrajectory, MetricsSeries]:
+def evaluate(spec: SweepSpec, points: list[dict[str, float]],
+             workspace: Workspace | None = None) -> tuple[AmplitudeTrajectory, MetricsSeries]:
     """Trajectories and metrics of a batch of points, as (points x time) arrays.
 
     Each point overrides spec.base; the axes of spec are not used.  This is
     the one path from parameters through the engines to the metrics, with
-    their peaks, that sweeps, figures and single runs share.
+    their peaks, that sweeps, figures and single runs share.  Without a
+    workspace the arrays are fresh; with one they are views of its slots,
+    which the next evaluation in that workspace overwrites.
     """
     params = [apply_point(spec.base, point) for point in points]
     frames = [dressed_frame(p) for p in params]
-    traj = trajectory(params, frames, spec.grid, engine=spec.engine)
-    return traj, compute_metrics(traj, [f.chi_B for f in frames])
+    traj = trajectory(params, frames, spec.grid, spec.engine, workspace)
+    return traj, compute_metrics(traj, [f.chi_B for f in frames], workspace=workspace)
 
 
-def _rows(spec: SweepSpec, points: list[dict[str, float]]) -> list[SweepRow]:
-    """The rows of one chunk of points.
+def _rows(spec: SweepSpec, points: list[dict[str, float]],
+          workspace: Workspace) -> list[SweepRow]:
+    """The rows of one chunk of points, evaluated in the worker's workspace.
 
-    A failure names the first failing point in row order: the chunk is then
-    evaluated again point by point until that point raises.
+    The rows hold Python floats, so nothing of the workspace is read after
+    the next chunk starts.  A failure names the first failing point in row
+    order: the chunk is then evaluated again point by point until that
+    point raises.
     """
     try:
-        _, series = evaluate(spec, points)
+        _, series = evaluate(spec, points, workspace)
     except Exception as exc:
         if len(points) == 1:
             raise SweepPointError(points[0], exc) from exc
         for point in points:
-            _rows(spec, [point])
+            _rows(spec, [point], workspace)
         raise
     peaks = np.stack([series.max_energy.value, series.max_energy.time,
                       series.max_power.value, series.max_power.time,
@@ -135,7 +143,9 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     """Evaluate every Cartesian point; row order is lexicographic in the axes.
 
     The points go in chunks of max(1, BUDGET // n_points); threads map over
-    the chunks.  An empty axis list produces the single base-parameter row.
+    the chunks.  Each worker thread evaluates its chunks in its own
+    Workspace, released when this call returns.  An empty axis list
+    produces the single base-parameter row.
     """
     names = [name for name, _ in spec.axes]
     points = [dict(zip(names, combo))
@@ -143,10 +153,18 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     size = max(1, BUDGET // spec.grid.n_points)
     chunks = [points[k:k + size] for k in range(0, len(points), size)]
     if threads > 1:
+        local = threading.local()
+
+        def rows(chunk):
+            if not hasattr(local, "workspace"):
+                local.workspace = Workspace()
+            return _rows(spec, chunk, local.workspace)
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunk_rows = list(pool.map(lambda c: _rows(spec, c), chunks))
+            chunk_rows = list(pool.map(rows, chunks))
     else:
-        chunk_rows = [_rows(spec, c) for c in chunks]
+        workspace = Workspace()
+        chunk_rows = [_rows(spec, c, workspace) for c in chunks]
     return SweepResult(spec=spec, rows=tuple(row for rows in chunk_rows for row in rows))
 
 

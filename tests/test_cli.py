@@ -275,7 +275,7 @@ def test_unknown_engine_exits_2(tmp_path, capsys):
 
 
 def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
-    def exploding(spec, points):
+    def exploding(spec, points, workspace=None):
         raise IntegrationError("step budget exhausted")
 
     # Every single-run command reaches the engines through sweep.evaluate.
@@ -284,6 +284,18 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
     for command in ("timeseries", "maxima", "sweep", "oracle-check"):
         assert main([command, "--out", str(tmp_path / command)]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+
+def test_second_run_in_one_process_sees_only_its_own_pairs(tmp_path):
+    # main builds its parser once per process; a parse must leave nothing
+    # of its flags or --set pairs behind for the next one.
+    assert main(["sweep", "--engine", "pseudomode", "--threads", "2",
+                 "--set", "R=10", "--set", 'axes=[["omega_drive", [0.5, 1.0]]]',
+                 "--out", str(tmp_path / "first")]) == 0
+    assert main(["maxima", "--set", "delta_L=2", "--out", str(tmp_path / "second")]) == 0
+    recorded = json.loads((tmp_path / "second" / "run.json").read_text())["config"]
+    expected = config_to_dict(RunConfig(delta_L=2))
+    assert recorded == json.loads(json.dumps(expected))
 
 
 def test_set_flag_rejects_malformed_pairs(tmp_path, capsys):
@@ -344,8 +356,11 @@ def test_set_flag_rejects_malformed_pairs(tmp_path, capsys):
      3, "pseudomode engine"),
     (["maxima", "--engine", "pseudomode", "--set", "n_points=2", "--set", "lambda=1e308",
       "--set", "omega_drive=1000"], 3, "charging power overflows"),
+    # A subnormal lambda cannot be the unit of rates; validate names it
+    # before the bath is built or the default window overflows.
     (["oracle-check", "--set", "n_modes=400", "--set", "span=10", "--set", "lambda=1e-320",
-      "--set", "t_max=1e30", "--set", "R=1e300"], 3, "bath root solve"),
+      "--set", "t_max=1e30", "--set", "R=1e300"], 2, "subnormal lambda_"),
+    (["maxima", "--set", "lambda=1e-320"], 2, "subnormal lambda_"),
 ])
 def test_bad_input_exits_with_code_and_writes_no_csv(tmp_path, capsys, argv, code,
                                                       fragment):

@@ -1,15 +1,21 @@
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qbattery import model
+import qbattery
+from qbattery import cli, model
 from qbattery import (FIGURES, IntegrationError, SweepPointError, SweepSpec,
                       SystemParams, TimeGrid, compute_metrics, default_grid,
                       dressed_frame, equal_frequency_trajectory, figure_pipeline,
                       kernel_params, run_sweep, survival_amplitude)
-from qbattery.sweep import (BUDGET, apply_point, csv_text, sweep_csv_text,
+from qbattery.sweep import (BUDGET, apply_point, csv_text, evaluate, sweep_csv_text,
                             write_sweep_csv)
 
 # Peak records computed by the closed-form engine on the default windows and
@@ -272,6 +278,93 @@ def test_each_point_is_validated_once(monkeypatch):
     assert BUDGET // spec.grid.n_points == 16    # three chunks
     assert len(run_sweep(spec).rows) == 40
     assert [p.omega_drive for p in calls] == list(omegas)
+
+
+# Minor page faults of a repeated serial sweep of 32 chunks and of one chunk,
+# counted in a fresh interpreter: the allocator state left by other tests
+# decides whether freed memory goes back to the OS, and so whether a fresh
+# array faults at all.
+FAULT_PROBE = """
+import json, resource
+from qbattery import SweepSpec, SystemParams, TimeGrid, run_sweep
+
+def faults(n_points):
+    omegas = tuple(0.01 * k for k in range(n_points))
+    spec = SweepSpec(base=SystemParams(), axes=(("omega_drive", omegas),),
+                     grid=TimeGrid.uniform(10.0, 2000))
+    run_sweep(spec)                      # warm-up: lazy imports and caches
+    start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_sweep(spec)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start
+
+print(json.dumps({"many": faults(32 * 16), "one": faults(16)}))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts Linux minor page faults")
+def test_serial_sweep_touches_its_chunk_buffers_once():
+    # A chunk of 16 points holds about 2 MB of (points x time) arrays.  Its
+    # worker reuses them, so a sweep of 32 chunks first-touches them about
+    # as often as a sweep of one chunk; arrays fresh per chunk fault 32x.
+    import resource
+    if resource.getrusage(resource.RUSAGE_SELF).ru_minflt == 0:
+        pytest.skip("ru_minflt reads 0 here")
+    assert BUDGET // 2000 == 16
+    src = str(Path(qbattery.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env, timeout=120,
+                           capture_output=True, text=True, check=True)
+    faults = json.loads(probe.stdout)
+    assert faults["many"] <= 3 * faults["one"], faults
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_keeps_no_workspace_after_it_returns(threads):
+    # On a grid longer than BUDGET a chunk is one point and each of its
+    # arrays is 0.5 to 1 MB, larger than any chunk of a small warm-up sweep,
+    # so a workspace kept after either sweep shows as traced memory.
+    omegas = (("omega_drive", (0.5, 1.0, 1.5)),)
+    spec = SweepSpec(base=base_params(), axes=omegas, grid=weak_grid(2 * BUDGET + 1))
+    run_sweep(SweepSpec(base=base_params(), axes=omegas, grid=weak_grid(100)),
+              threads=threads)           # warm-up: lazy imports and caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rows = run_sweep(spec, threads=threads).rows
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 3
+    assert after - before <= 256 * 1024
+
+
+def _arrays(result):
+    traj, series = result
+    return [traj.c1, traj.c2, series.energy, series.power, series.ergotropy]
+
+
+def _share_memory(first, second):
+    return any(np.shares_memory(a, b) for a in _arrays(first) for b in _arrays(second))
+
+
+def test_evaluations_outside_a_sweep_get_fresh_arrays(tmp_path, monkeypatch):
+    # Only run_sweep hands evaluate a workspace; oracle-check holds both
+    # engines' trajectories at once.
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(evaluate(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "evaluate", recording)
+    assert cli.main(["oracle-check", "--set", "n_modes=400", "--set", "span=10",
+                     "--out", str(tmp_path)]) == 0
+    assert len(results) == 2 and not _share_memory(*results)
+
+    spec = SweepSpec(base=base_params(), axes=(), grid=weak_grid(2000))
+    points = [{"omega_drive": 0.5}, {"omega_drive": 1.0}]
+    assert not _share_memory(evaluate(spec, points), evaluate(spec, points))
 
 
 def test_csv_rows_match_per_cell_format():
