@@ -3,25 +3,29 @@
 
 Usage:  python scripts/reproduce_figures.py [OUT_DIR]
 
-Each figure lands in its own subdirectory with three panel CSVs and a
-metadata file recording every parameter default.
+Runs `qbattery reproduce --figure figN` for each figure, so each one lands in
+its own subdirectory of OUT_DIR (default: figures_out) with three panel
+CSVs, a metadata file recording every parameter default, and run.json.
+Exits with the worst exit code of the runs.
 """
 
 import sys
 import time
 from pathlib import Path
 
-from qbattery import FIGURES, figure_pipeline
+from qbattery import FIGURES
+from qbattery.cli import main as qbattery
 
 
 def main() -> int:
     out_root = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("figures_out")
+    codes = []
     for figure_id in sorted(FIGURES, key=lambda f: int(f.removeprefix("fig"))):
+        out = out_root / figure_id
         start = time.monotonic()
-        files = figure_pipeline(figure_id, out_root / figure_id)
-        print(f"{figure_id}: {len(files)} files in {time.monotonic() - start:.2f}s "
-              f"-> {out_root / figure_id}")
-    return 0
+        codes.append(qbattery(["reproduce", "--figure", figure_id, "--out", str(out)]))
+        print(f"{figure_id}: exit {codes[-1]} in {time.monotonic() - start:.2f}s -> {out}")
+    return max(codes)
 
 
 if __name__ == "__main__":

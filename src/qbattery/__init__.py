@@ -10,7 +10,7 @@ from .dynamics import (AmplitudeTrajectory, IntegrationError, KernelParams,
 from .oracle import DiscretizedBath, build_bath, propagate, window_fraction
 from .metrics import (Extremum, MetricsSeries, battery_hamiltonian,
                       charging_power, compute_metrics, ergotropy_closed,
-                      ergotropy_spectral, maxima, stored_energy)
+                      ergotropy_spectral, maxima)
 from .sweep import (FIGURES, SweepPointError, SweepResult, SweepRow, SweepSpec,
                     figure_pipeline, run_sweep, write_sweep_csv)
 
@@ -22,7 +22,7 @@ __all__ = [
     "charging_power", "compute_metrics", "default_grid", "dressed_frame",
     "equal_frequency_trajectory", "ergotropy_closed", "ergotropy_spectral",
     "figure_pipeline", "general_trajectory", "kernel_params", "maxima",
-    "propagate", "run_sweep", "stored_energy", "survival_amplitude",
+    "propagate", "run_sweep", "survival_amplitude",
     "trajectory", "validate", "window_fraction", "write_sweep_csv",
     "__version__",
 ]

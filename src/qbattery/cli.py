@@ -291,7 +291,13 @@ def _resolve_out_dir(args, config: RunConfig, command: str) -> Path:
     return out
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and kept for the process.
+
+    Building it is a large share of a short command's time.  Parsing keeps
+    nothing in the parser: every parse starts from a new namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="qbattery",
         description="Charging dynamics of a driven open quantum battery.")
@@ -309,16 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
             if key != "figure" or name == "reproduce":
                 p.add_argument(f"--{key}", help=f"{about}; same as --set {key}=VALUE")
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and kept for the process.
-
-    Building it is a large share of a short command's time.  Parsing keeps
-    nothing in the parser: every parse starts from a new namespace.
-    """
-    return build_parser()
 
 
 def _resolve_config(args) -> RunConfig:
@@ -344,7 +340,7 @@ def _resolve_config(args) -> RunConfig:
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 after --help or --version and 2 on a command line
         # it rejects, having printed the reason.

@@ -54,8 +54,8 @@ def battery_hamiltonian(chi_B: float) -> np.ndarray:
 def _splitting(traj: AmplitudeTrajectory, chi_B) -> np.ndarray:
     """chi_B shaped to multiply the trajectory's (points, time) samples."""
     chi_B = np.asarray(chi_B, dtype=float)
-    if np.any(chi_B < 0.0):
-        raise ValueError(f"negative chi_B: {chi_B}")
+    if not np.all(np.isfinite(chi_B) & (chi_B >= 0.0)):
+        raise ValueError(f"chi_B must be finite and non-negative: {chi_B}")
     return chi_B[..., None] if traj.c2.ndim > 1 else chi_B
 
 
@@ -63,9 +63,9 @@ def _energy_and_ergotropy(traj: AmplitudeTrajectory, chi_B,
                           workspace: Workspace | None = None):
     """Stored energy and two-level ergotropy from one |C2|^2 pass.
 
-    E_B = |C2|^2 chi_B and W_B = (2|C2|^2 - 1) theta(|C2|^2 - 1/2) chi_B.
-    The step function is taken as 0 at the threshold; the prefactor
-    vanishes there, so the series is continuous either way.
+    E_B = |C2|^2 chi_B and W_B = max(2|C2|^2 - 1, 0) chi_B, which is
+    (2|C2|^2 - 1) theta(|C2|^2 - 1/2) chi_B: the prefactor vanishes at the
+    threshold, so the series is continuous there.
     """
     chi_B = _splitting(traj, chi_B)
     shape = traj.c2.shape
@@ -74,17 +74,10 @@ def _energy_and_ergotropy(traj: AmplitudeTrajectory, chi_B,
     ergotropy = np.multiply(population, 2.0,
                             out=_empty(workspace, "ergotropy", shape, float))
     ergotropy -= 1.0
-    charged = np.greater(ergotropy, 0.0,             # |C2|^2 > 1/2, exactly
-                         out=_empty(workspace, "charged", shape, bool))
+    np.maximum(ergotropy, 0.0, out=ergotropy)
     ergotropy *= chi_B
-    np.copyto(ergotropy, 0.0, where=np.logical_not(charged, out=charged))
     energy = np.multiply(population, chi_B, out=population)
     return energy, ergotropy
-
-
-def stored_energy(traj: AmplitudeTrajectory, chi_B) -> np.ndarray:
-    """E_B(t) = |C2(t)|^2 chi_B, relative to the empty battery."""
-    return _energy_and_ergotropy(traj, chi_B)[0]
 
 
 def charging_power(energy: np.ndarray, grid: TimeGrid,

@@ -1,13 +1,15 @@
 """Cartesian parameter sweeps and figure-reproduction pipelines.
 
 Sweep points are evaluated in chunks of at most BUDGET time samples, each
-chunk as one (points x time) batch through the engines and metrics.  Each
-worker of a sweep evaluates its chunks in one Workspace, so its arrays are
-allocated once per run_sweep call, not once per chunk.  The chunk
-boundaries depend only on the grid, so rows are bit-identical and come back
-in lexicographic axis order no matter how many worker threads map over the
-chunks, and CSV payloads are byte-reproducible (17-significant-digit
-floats, no timestamps).
+chunk as one (points x time) batch through the engines and metrics.  The
+chunks are split into at most `threads` contiguous runs; one worker
+function evaluates a run in a Workspace of its own, so its arrays are
+allocated once per run, not once per chunk.  The calling thread takes the
+first run and a pool the others, so a one-run sweep starts no thread.  The
+chunk boundaries depend only on the grid, so rows are bit-identical and
+come back in lexicographic axis order for every thread count, and CSV
+payloads are byte-reproducible (17-significant-digit floats, no
+timestamps).
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -23,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import AmplitudeTrajectory, TimeGrid, Workspace, default_grid, trajectory
+from .dynamics import (ENGINE_CLOSED, AmplitudeTrajectory, TimeGrid, Workspace,
+                       default_grid, trajectory)
 from .metrics import MetricsSeries, compute_metrics
 from .model import SystemParams, dressed_frame
 
@@ -52,7 +54,7 @@ class SweepSpec:
     base: SystemParams
     axes: tuple[tuple[str, tuple[float, ...]], ...]
     grid: TimeGrid
-    engine: str = "closed_form"
+    engine: str = ENGINE_CLOSED
 
     def __post_init__(self):
         axes = tuple((str(name), tuple(float(v) for v in values))
@@ -139,33 +141,35 @@ def _rows(spec: SweepSpec, points: list[dict[str, float]],
     return [SweepRow(point, *peak) for point, peak in zip(points, peaks)]
 
 
+def _run_rows(spec: SweepSpec, chunks: list[list[dict[str, float]]]) -> list[SweepRow]:
+    """The rows of a contiguous run of chunks, evaluated in one Workspace."""
+    workspace = Workspace()
+    return [row for chunk in chunks for row in _rows(spec, chunk, workspace)]
+
+
 def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     """Evaluate every Cartesian point; row order is lexicographic in the axes.
 
-    The points go in chunks of max(1, BUDGET // n_points); threads map over
-    the chunks.  Each worker thread evaluates its chunks in its own
-    Workspace, released when this call returns.  An empty axis list
-    produces the single base-parameter row.
+    The points go in chunks of max(1, BUDGET // n_points), and the chunks in
+    at most `threads` contiguous runs, whose lengths differ by at most one
+    chunk.  The calling thread evaluates the first run and a pool the
+    others, each run in a Workspace released when its worker returns; rows
+    are joined in run order, so a failure names the first failing point in
+    row order.  An empty axis list produces the single base-parameter row.
     """
     names = [name for name, _ in spec.axes]
     points = [dict(zip(names, combo))
               for combo in itertools.product(*(values for _, values in spec.axes))]
     size = max(1, BUDGET // spec.grid.n_points)
     chunks = [points[k:k + size] for k in range(0, len(points), size)]
-    if threads > 1:
-        local = threading.local()
-
-        def rows(chunk):
-            if not hasattr(local, "workspace"):
-                local.workspace = Workspace()
-            return _rows(spec, chunk, local.workspace)
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunk_rows = list(pool.map(rows, chunks))
-    else:
-        workspace = Workspace()
-        chunk_rows = [_rows(spec, c, workspace) for c in chunks]
-    return SweepResult(spec=spec, rows=tuple(row for rows in chunk_rows for row in rows))
+    n_runs = max(1, min(threads, len(chunks)))
+    bounds = [len(chunks) * k // n_runs for k in range(n_runs + 1)]
+    runs = [chunks[a:b] for a, b in zip(bounds, bounds[1:])]
+    with ThreadPoolExecutor(max(1, len(runs) - 1)) as pool:
+        later = pool.map(_run_rows, itertools.repeat(spec), runs[1:])
+        rows = _run_rows(spec, runs[0])
+        rows.extend(itertools.chain.from_iterable(later))
+    return SweepResult(spec=spec, rows=tuple(rows))
 
 
 def csv_text(header, rows) -> str:

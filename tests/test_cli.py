@@ -361,6 +361,9 @@ def test_set_flag_rejects_malformed_pairs(tmp_path, capsys):
     (["oracle-check", "--set", "n_modes=400", "--set", "span=10", "--set", "lambda=1e-320",
       "--set", "t_max=1e30", "--set", "R=1e300"], 2, "subnormal lambda_"),
     (["maxima", "--set", "lambda=1e-320"], 2, "subnormal lambda_"),
+    # Amplitudes whose squares overflow are not normalized, not an OverflowError.
+    (["maxima", "--set", "c01=1e155"], 2, "not normalized"),
+    (["maxima", "--set", "c02=[1e308, 1e308]"], 2, "not normalized"),
 ])
 def test_bad_input_exits_with_code_and_writes_no_csv(tmp_path, capsys, argv, code,
                                                       fragment):

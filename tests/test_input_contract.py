@@ -2,10 +2,13 @@
 
 Any config value may arrive through --set, so the property test drives
 qbattery.cli.main over all five commands with numbers from 0 and
-+-1e-320 ... 1e308: the exit code is 0, 2, 3 or 4, nothing escapes main, no
++-1e-320 ... 1e308, c01/c02 as numbers, pairs of any length, strings and
+bools, threads from 0 to 65, and config files whose JSON has the wrong
+type: the exit code is 0, 2, 3 or 4, nothing escapes main, no
 floating-point RuntimeWarning is raised, and on exit 0 every number in every
 CSV and JSON output is finite.  Grids stay at 64 samples and the oracle on a
-400-mode bath, so one example takes milliseconds.
+400-mode bath, so one example takes milliseconds; a sweep then has one
+chunk, so no thread count starts a thread.
 """
 
 import contextlib
@@ -14,12 +17,13 @@ import json
 import math
 import tempfile
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbattery.cli import COMMANDS, main
+from qbattery.cli import COMMANDS, RunConfig, main
 from qbattery.sweep import AXIS_NAMES, FIGURES
 
 NUMERIC_KEYS = ("delta_A", "delta_B", "delta_L", "omega_drive", "lambda",
@@ -28,6 +32,22 @@ NUMERIC_KEYS = ("delta_A", "delta_B", "delta_L", "omega_drive", "lambda",
 # Log-uniform magnitudes; 10^308.25 is below the largest double.
 magnitudes = st.floats(min_value=-320.0, max_value=308.25).map(lambda e: 10.0 ** e)
 numbers = st.one_of(st.just(0.0), magnitudes, magnitudes.map(lambda v: -v))
+
+# An amplitude as a number, an [re, im] pair of any length, a string or a bool.
+amplitudes = st.one_of(numbers, st.lists(numbers, max_size=3), st.text(max_size=3),
+                       st.booleans())
+# Sweep workers: the bounds 0 and 65 just outside 1 ... 64, and every count inside.
+thread_counts = st.one_of(st.sampled_from([0, 65]), st.integers(1, 64))
+
+# A config file holding JSON of the wrong type: no object at all, or a known
+# key holding null, a bool, a string, a list or an object.
+wrong_values = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                         st.lists(numbers, max_size=2), st.just({}))
+# At most one config file per command line.
+configs = st.lists(st.one_of(
+    wrong_values,
+    st.dictionaries(st.sampled_from(sorted(f.name for f in fields(RunConfig))),
+                    wrong_values, min_size=1, max_size=2)), max_size=1)
 
 
 @st.composite
@@ -43,8 +63,13 @@ def command_lines(draw):
                 draw(st.lists(numbers, min_size=1, max_size=3))]
         argv += ["--set", f"axes={json.dumps([axis])}"]
     pairs = draw(st.dictionaries(st.sampled_from(NUMERIC_KEYS), numbers, max_size=4))
+    pairs.update(draw(st.dictionaries(st.sampled_from(["c01", "c02"]), amplitudes,
+                                      max_size=2)))
     for key, value in pairs.items():
-        argv += ["--set", f"{key}={value!r}"]
+        argv += ["--set", f"{key}={json.dumps(value)}"]
+    if draw(st.booleans()):
+        argv += draw(st.sampled_from([["--threads"], ["--set", "threads="]]))
+        argv[-1] += str(draw(thread_counts))
     return argv
 
 
@@ -70,16 +95,21 @@ def _non_finite(path: Path) -> list[str]:
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
-@given(argv=command_lines())
-def test_every_input_ends_in_a_documented_exit_code(argv):
+@given(argv=command_lines(), configs=configs)
+def test_every_input_ends_in_a_documented_exit_code(argv, configs):
     with tempfile.TemporaryDirectory() as tmp, \
             warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()) as err:
         warnings.simplefilter("always")
-        code = main(argv + ["--out", tmp])
+        out = Path(tmp) / "out"
+        for config in configs:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(config))
+            argv = argv + ["--config", str(path)]
+        code = main(argv + ["--out", str(out)])
         assert code in (0, 2, 3, 4), err.getvalue()
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         if code == 0:
-            assert not [bad for path in sorted(Path(tmp).iterdir())
+            assert not [bad for path in sorted(out.iterdir())
                         for bad in _non_finite(path)]

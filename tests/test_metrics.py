@@ -11,7 +11,7 @@ from qbattery import (SystemParams, TimeGrid, battery_hamiltonian,
                       charging_power, compute_metrics, dressed_frame,
                       equal_frequency_trajectory, ergotropy_closed,
                       ergotropy_spectral, kernel_params, maxima,
-                      stored_energy, survival_amplitude)
+                      survival_amplitude)
 from qbattery.dynamics import AmplitudeTrajectory
 from qbattery.metrics import MetricsSeries, _refine_peak
 
@@ -34,24 +34,31 @@ def resonant_run(omega=1.0, R=0.5, t_max=10.0, n=500):
 def test_empty_battery_stores_nothing():
     g = TimeGrid.uniform(1.0, 20)
     traj = synthetic_trajectory(g, np.zeros(20))
-    assert np.all(stored_energy(traj, 4.0) == 0.0)
+    assert np.all(compute_metrics(traj, 4.0).energy == 0.0)
 
 
 def test_fully_charged_battery_stores_one_splitting():
     g = TimeGrid.uniform(1.0, 5)
     traj = synthetic_trajectory(g, np.ones(5))
-    np.testing.assert_allclose(stored_energy(traj, 4.0), 4.0)
+    np.testing.assert_allclose(compute_metrics(traj, 4.0).energy, 4.0)
 
 
 def test_stored_energy_rejects_negative_splitting():
     g = TimeGrid.uniform(1.0, 5)
     with pytest.raises(ValueError):
-        stored_energy(synthetic_trajectory(g, np.zeros(5)), -1.0)
+        compute_metrics(synthetic_trajectory(g, np.zeros(5)), -1.0)
+
+
+@pytest.mark.parametrize("chi_B", [math.inf, math.nan])
+def test_metrics_reject_non_finite_splitting(chi_B):
+    g = TimeGrid.uniform(1.0, 5)
+    with pytest.raises(ValueError, match="finite"):
+        compute_metrics(synthetic_trajectory(g, np.zeros(5)), chi_B)
 
 
 def test_resonant_energy_equals_survival_offset_identity():
     p, f, traj = resonant_run()
-    energy = stored_energy(traj, f.chi_B)
+    energy = compute_metrics(traj, f.chi_B).energy
     Z = survival_amplitude(kernel_params(p, f), traj.grid.samples)
     np.testing.assert_allclose(energy, np.abs(Z - 1.0) ** 2 * f.chi_B / 4.0,
                                rtol=0, atol=1e-12)
@@ -68,7 +75,7 @@ def test_linear_charging_has_constant_power():
 
 def test_power_time_product_recovers_energy():
     _, f, traj = resonant_run()
-    energy = stored_energy(traj, f.chi_B)
+    energy = compute_metrics(traj, f.chi_B).energy
     power = charging_power(energy, traj.grid)
     np.testing.assert_allclose(power * traj.grid.samples, energy,
                                rtol=0, atol=1e-15)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 from scipy.linalg import expm
 
 import qbattery
-from qbattery import cli, model
+from qbattery import cli, model, sweep
 from qbattery import (FIGURES, IntegrationError, SweepPointError, SweepSpec,
                       SystemParams, TimeGrid, compute_metrics, default_grid,
                       dressed_frame, equal_frequency_trajectory, figure_pipeline,
@@ -260,6 +261,31 @@ def test_failure_in_a_later_chunk_names_the_first_failing_point():
             run_sweep(spec, threads=threads)
         assert err.value.point == {"omega_drive": 1e300}
         assert isinstance(err.value.cause, IntegrationError)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 8])
+def test_sweep_evaluates_contiguous_runs_the_caller_taking_the_first(monkeypatch,
+                                                                     threads):
+    # 10 points at 4 per chunk: chunks of 4, 4 and 2 points, split into at
+    # most `threads` runs, each evaluated by the one worker function.
+    runs = []
+    real_run_rows = sweep._run_rows
+
+    def recording(spec, chunks):
+        runs.append((threading.get_ident(),
+                     [p["omega_drive"] for chunk in chunks for p in chunk]))
+        return real_run_rows(spec, chunks)
+
+    monkeypatch.setattr(sweep, "_run_rows", recording)
+    omegas = tuple(0.1 * k for k in range(10))
+    spec = SweepSpec(base=base_params(), axes=(("omega_drive", omegas),),
+                     grid=weak_grid(BUDGET // 4))
+    rows = run_sweep(spec, threads=threads).rows
+    assert [row.point["omega_drive"] for row in rows] == list(omegas)
+    runs.sort(key=lambda run: run[1][0])
+    assert len(runs) == min(threads, 3)
+    assert [w for _, points in runs for w in points] == list(omegas)
+    assert runs[0][0] == threading.get_ident()
 
 
 def test_each_point_is_validated_once(monkeypatch):
