@@ -59,8 +59,8 @@ COMMANDS = (
     + [["sweep", "--threads", "2", "--engine", "pseudomode"]
        + _set("axes", [["delta_A", [0.0, 1.5]], ["delta_B", [0.0, 4.0]],
                        ["omega_drive", [0.5, 1.0, 1.5]]])]
-    # 33 x 16 points at 16 points per chunk: 33 chunks, in one serial run and
-    # in three runs of 11 chunks, one per worker.
+    # 33 x 16 points at 16 points per chunk: 33 chunks, evaluated serially
+    # and shared by three workers.
     + [["sweep"] + threads
        + _set("axes", [["omega_drive", OMEGAS], ["delta_L", [0.5 * k for k in range(16)]]])
        for threads in ([], ["--threads", "3"])]

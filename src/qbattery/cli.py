@@ -293,11 +293,8 @@ def _resolve_out_dir(args, config: RunConfig, command: str) -> Path:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and kept for the process.
-
-    Building it is a large share of a short command's time.  Parsing keeps
-    nothing in the parser: every parse starts from a new namespace.
-    """
+    """The parser, built once per process (a large share of a short command's
+    time); parsing keeps nothing in it."""
     parser = argparse.ArgumentParser(
         prog="qbattery",
         description="Charging dynamics of a driven open quantum battery.")

@@ -301,8 +301,7 @@ def equal_frequency_trajectory(params, frame, grid: TimeGrid,
                         for name in ("r1", "r2", "c01", "c02"))
     beta_plus = r1 * c01 + r2 * c02
     beta_minus = r2 * c01 - r1 * c02
-    # In place, so a batch holds no more than three (points x time) arrays;
-    # c2 takes the slot of survival_amplitude's em factor, dead once Z is formed.
+    # In place, in the dead em slot: a batch holds three (points x time) arrays.
     c2 = np.multiply(Z, r2 * beta_plus, out=_empty(workspace, "em", Z.shape))
     c2 -= r1 * beta_minus
     c1 = np.multiply(Z, r1 * beta_plus, out=Z)

@@ -105,8 +105,7 @@ def validate(params: SystemParams) -> SystemParams:
         raise ValueError(f"negative omega_drive: {params.omega_drive}")
     if not (params.R >= 0.0):
         raise ValueError(f"negative R: {params.R}")
-    # Products, not abs() and powers: a huge amplitude gives norm inf, not an
-    # OverflowError.
+    # Products, so a huge amplitude gives norm inf, not an OverflowError.
     norm = sum(x * x for c in (params.c01, params.c02) for x in (c.real, c.imag))
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"initial state not normalized: |c01|^2+|c02|^2 = {norm}")

@@ -1,22 +1,21 @@
 """Cartesian parameter sweeps and figure-reproduction pipelines.
 
 Sweep points are evaluated in chunks of at most BUDGET time samples, each
-chunk as one (points x time) batch through the engines and metrics.  The
-chunks are split into at most `threads` contiguous runs; one worker
-function evaluates a run in a Workspace of its own, so its arrays are
-allocated once per run, not once per chunk.  The calling thread takes the
-first run and a pool the others, so a one-run sweep starts no thread.  The
-chunk boundaries depend only on the grid, so rows are bit-identical and
-come back in lexicographic axis order for every thread count, and CSV
-payloads are byte-reproducible (17-significant-digit floats, no
-timestamps).
+chunk as one (points x time) batch through the engines and metrics, by
+workers that each take the next chunk when free and reuse one Workspace;
+the calling thread is one of them.  The chunk boundaries depend only on the
+grid, so rows are bit-identical and come back in lexicographic axis order
+for every thread count, and CSV payloads are byte-reproducible
+(17-significant-digit floats, no timestamps).
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -141,35 +140,43 @@ def _rows(spec: SweepSpec, points: list[dict[str, float]],
     return [SweepRow(point, *peak) for point, peak in zip(points, peaks)]
 
 
-def _run_rows(spec: SweepSpec, chunks: list[list[dict[str, float]]]) -> list[SweepRow]:
-    """The rows of a contiguous run of chunks, evaluated in one Workspace."""
+def _drain(spec: SweepSpec, chunks: list, todo: deque, results: list) -> None:
+    """Put the rows of each chunk popped from `todo`, or its exception, in
+    results; a failure empties `todo`, so no worker starts a later chunk."""
     workspace = Workspace()
-    return [row for chunk in chunks for row in _rows(spec, chunk, workspace)]
+    with contextlib.suppress(IndexError):        # popleft on an empty deque
+        for index in iter(todo.popleft, None):
+            try:
+                results[index] = _rows(spec, chunks[index], workspace)
+            except Exception as exc:
+                results[index] = exc
+                todo.clear()
 
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     """Evaluate every Cartesian point; row order is lexicographic in the axes.
 
-    The points go in chunks of max(1, BUDGET // n_points), and the chunks in
-    at most `threads` contiguous runs, whose lengths differ by at most one
-    chunk.  The calling thread evaluates the first run and a pool the
-    others, each run in a Workspace released when its worker returns; rows
-    are joined in run order, so a failure names the first failing point in
-    row order.  An empty axis list produces the single base-parameter row.
+    The points go in chunks of max(1, BUDGET // n_points).  Up to `threads`
+    workers, the calling thread and a pool, each take the next chunk when
+    free into a Workspace of their own.  A failure names the first failing
+    point in row order.  An empty axis list gives the base-parameter row.
     """
     names = [name for name, _ in spec.axes]
     points = [dict(zip(names, combo))
               for combo in itertools.product(*(values for _, values in spec.axes))]
     size = max(1, BUDGET // spec.grid.n_points)
     chunks = [points[k:k + size] for k in range(0, len(points), size)]
-    n_runs = max(1, min(threads, len(chunks)))
-    bounds = [len(chunks) * k // n_runs for k in range(n_runs + 1)]
-    runs = [chunks[a:b] for a, b in zip(bounds, bounds[1:])]
-    with ThreadPoolExecutor(max(1, len(runs) - 1)) as pool:
-        later = pool.map(_run_rows, itertools.repeat(spec), runs[1:])
-        rows = _run_rows(spec, runs[0])
-        rows.extend(itertools.chain.from_iterable(later))
-    return SweepResult(spec=spec, rows=tuple(rows))
+    todo, results = deque(range(len(chunks))), [None] * len(chunks)
+    workers = max(1, min(threads, len(chunks)))
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        others = [pool.submit(_drain, spec, chunks, todo, results) for _ in range(workers - 1)]
+        _drain(spec, chunks, todo, results)
+        for worker in others:
+            worker.result()
+    for chunk_rows in results:
+        if isinstance(chunk_rows, Exception):
+            raise chunk_rows
+    return SweepResult(spec=spec, rows=tuple(itertools.chain.from_iterable(results)))
 
 
 def csv_text(header, rows) -> str:

@@ -2,13 +2,14 @@
 
 Any config value may arrive through --set, so the property test drives
 qbattery.cli.main over all five commands with numbers from 0 and
-+-1e-320 ... 1e308, c01/c02 as numbers, pairs of any length, strings and
-bools, threads from 0 to 65, and config files whose JSON has the wrong
-type: the exit code is 0, 2, 3 or 4, nothing escapes main, no
++-1e-320 ... 1e308: the exit code is 0, 2, 3 or 4, nothing escapes main, no
 floating-point RuntimeWarning is raised, and on exit 0 every number in every
-CSV and JSON output is finite.  Grids stay at 64 samples and the oracle on a
-400-mode bath, so one example takes milliseconds; a sweep then has one
-chunk, so no thread count starts a thread.
+CSV and JSON output is finite.  A second property test holds the same
+command lines to that contract with wrongly typed input added: c01/c02 as
+numbers, pairs of any length, strings and bools, threads from 0 to 65, and
+config files whose JSON has the wrong type.  Grids stay at 64 samples and
+the oracle on a 400-mode bath, so one example takes milliseconds; a sweep
+then has one chunk, so no thread count starts a thread.
 """
 
 import contextlib
@@ -38,16 +39,14 @@ amplitudes = st.one_of(numbers, st.lists(numbers, max_size=3), st.text(max_size=
                        st.booleans())
 # Sweep workers: the bounds 0 and 65 just outside 1 ... 64, and every count inside.
 thread_counts = st.one_of(st.sampled_from([0, 65]), st.integers(1, 64))
-
 # A config file holding JSON of the wrong type: no object at all, or a known
 # key holding null, a bool, a string, a list or an object.
 wrong_values = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
                          st.lists(numbers, max_size=2), st.just({}))
-# At most one config file per command line.
-configs = st.lists(st.one_of(
+wrong_configs = st.one_of(
     wrong_values,
     st.dictionaries(st.sampled_from(sorted(f.name for f in fields(RunConfig))),
-                    wrong_values, min_size=1, max_size=2)), max_size=1)
+                    wrong_values, min_size=1, max_size=2))
 
 
 @st.composite
@@ -63,14 +62,24 @@ def command_lines(draw):
                 draw(st.lists(numbers, min_size=1, max_size=3))]
         argv += ["--set", f"axes={json.dumps([axis])}"]
     pairs = draw(st.dictionaries(st.sampled_from(NUMERIC_KEYS), numbers, max_size=4))
-    pairs.update(draw(st.dictionaries(st.sampled_from(["c01", "c02"]), amplitudes,
-                                      max_size=2)))
     for key, value in pairs.items():
+        argv += ["--set", f"{key}={value!r}"]
+    return argv
+
+
+@st.composite
+def wrongly_typed_command_lines(draw):
+    """A command line of command_lines() with amplitudes, a thread count or
+    a config file of the wrong type added; the config as JSON, or None."""
+    argv = draw(command_lines())
+    amps = draw(st.dictionaries(st.sampled_from(["c01", "c02"]), amplitudes, max_size=2))
+    for key, value in amps.items():
         argv += ["--set", f"{key}={json.dumps(value)}"]
     if draw(st.booleans()):
         argv += draw(st.sampled_from([["--threads"], ["--set", "threads="]]))
         argv[-1] += str(draw(thread_counts))
-    return argv
+    config = draw(st.none() | wrong_configs.map(json.dumps))
+    return argv, config
 
 
 def _numbers(value):
@@ -94,22 +103,33 @@ def _non_finite(path: Path) -> list[str]:
     return [f"{path.name}: {cell}" for cell in cells if not math.isfinite(cell)]
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(argv=command_lines(), configs=configs)
-def test_every_input_ends_in_a_documented_exit_code(argv, configs):
+def _assert_documented_exit(argv):
     with tempfile.TemporaryDirectory() as tmp, \
             warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()) as err:
         warnings.simplefilter("always")
-        out = Path(tmp) / "out"
-        for config in configs:
-            path = Path(tmp) / "config.json"
-            path.write_text(json.dumps(config))
-            argv = argv + ["--config", str(path)]
-        code = main(argv + ["--out", str(out)])
+        code = main(argv + ["--out", tmp])
         assert code in (0, 2, 3, 4), err.getvalue()
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         if code == 0:
-            assert not [bad for path in sorted(out.iterdir())
+            assert not [bad for path in sorted(Path(tmp).iterdir())
                         for bad in _non_finite(path)]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(argv=command_lines())
+def test_every_input_ends_in_a_documented_exit_code(argv):
+    _assert_documented_exit(argv)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(drawn=wrongly_typed_command_lines())
+def test_wrongly_typed_input_ends_in_a_documented_exit_code(drawn):
+    argv, config = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        if config is not None:
+            path = Path(tmp) / "config.json"
+            path.write_text(config)
+            argv = argv + ["--config", str(path)]
+        _assert_documented_exit(argv)

@@ -263,29 +263,78 @@ def test_failure_in_a_later_chunk_names_the_first_failing_point():
         assert isinstance(err.value.cause, IntegrationError)
 
 
+def _four_per_chunk_spec(n):
+    omegas = tuple(0.1 * k for k in range(n))
+    return omegas, SweepSpec(base=base_params(), axes=(("omega_drive", omegas),),
+                             grid=weak_grid(BUDGET // 4))
+
+
 @pytest.mark.parametrize("threads", [1, 2, 3, 8])
-def test_sweep_evaluates_contiguous_runs_the_caller_taking_the_first(monkeypatch,
-                                                                     threads):
-    # 10 points at 4 per chunk: chunks of 4, 4 and 2 points, split into at
-    # most `threads` runs, each evaluated by the one worker function.
-    runs = []
-    real_run_rows = sweep._run_rows
+def test_sweep_workers_evaluate_each_chunk_once(monkeypatch, threads):
+    calls = []
+    real_rows = sweep._rows
 
-    def recording(spec, chunks):
-        runs.append((threading.get_ident(),
-                     [p["omega_drive"] for chunk in chunks for p in chunk]))
-        return real_run_rows(spec, chunks)
+    def recording(spec, points, workspace):
+        calls.append((threading.get_ident(), id(workspace), points[0]["omega_drive"]))
+        return real_rows(spec, points, workspace)
 
-    monkeypatch.setattr(sweep, "_run_rows", recording)
-    omegas = tuple(0.1 * k for k in range(10))
-    spec = SweepSpec(base=base_params(), axes=(("omega_drive", omegas),),
-                     grid=weak_grid(BUDGET // 4))
+    monkeypatch.setattr(sweep, "_rows", recording)
+    omegas, spec = _four_per_chunk_spec(10)   # chunks of 4, 4 and 2 points
     rows = run_sweep(spec, threads=threads).rows
     assert [row.point["omega_drive"] for row in rows] == list(omegas)
-    runs.sort(key=lambda run: run[1][0])
-    assert len(runs) == min(threads, 3)
-    assert [w for _, points in runs for w in points] == list(omegas)
-    assert runs[0][0] == threading.get_ident()
+    assert sorted(first for _, _, first in calls) == [omegas[0], omegas[4], omegas[8]]
+    # One workspace per worker, and no more workers than chunks.
+    workers = {thread for thread, _, _ in calls}
+    assert len(workers) == len({(t, w) for t, w, _ in calls}) <= min(threads, 3)
+    if threads == 1:
+        assert workers == {threading.get_ident()}
+
+
+def test_a_free_worker_takes_the_next_chunk(monkeypatch):
+    # The worker holding the first of four chunks waits until the other
+    # three are done: with the chunks dealt out in two fixed runs, the
+    # first run would also hold the second chunk and the wait would time out.
+    rest_done = threading.Event()
+    done = []
+    real_rows = sweep._rows
+
+    def rows(spec, points, workspace):
+        if points[0]["omega_drive"] == 0.0:
+            assert rest_done.wait(timeout=30)
+        result = real_rows(spec, points, workspace)
+        done.append(points[0]["omega_drive"])
+        if len(done) == 3:
+            rest_done.set()
+        return result
+
+    monkeypatch.setattr(sweep, "_rows", rows)
+    omegas, spec = _four_per_chunk_spec(16)
+    rows_out = run_sweep(spec, threads=2).rows
+    assert [row.point["omega_drive"] for row in rows_out] == list(omegas)
+    assert done[-1] == 0.0
+
+
+def test_a_later_failure_on_another_worker_does_not_mask_an_earlier_one(monkeypatch):
+    # The third chunk fails first; the first chunk fails after it, on the
+    # other worker, and is still the failure reported.
+    later_failed = threading.Event()
+    real_rows = sweep._rows
+
+    def rows(spec, points, workspace):
+        first = points[0]["omega_drive"]
+        if first == 0.0:
+            assert later_failed.wait(timeout=30)
+            raise SweepPointError(points[0], RuntimeError("first chunk"))
+        if first == 0.8:
+            later_failed.set()
+            raise SweepPointError(points[0], RuntimeError("third chunk"))
+        return real_rows(spec, points, workspace)
+
+    monkeypatch.setattr(sweep, "_rows", rows)
+    _, spec = _four_per_chunk_spec(10)
+    with pytest.raises(SweepPointError) as err:
+        run_sweep(spec, threads=2)
+    assert err.value.point == {"omega_drive": 0.0}
 
 
 def test_each_point_is_validated_once(monkeypatch):
