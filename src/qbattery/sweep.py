@@ -141,8 +141,8 @@ def _rows(spec: SweepSpec, points: list[dict[str, float]],
 
 
 def _drain(spec: SweepSpec, chunks: list, todo: deque, results: list) -> None:
-    """Put the rows of each chunk popped from `todo`, or its exception, in
-    results; a failure empties `todo`, so no worker starts a later chunk."""
+    """Evaluate the chunks popped from `todo` in one Workspace; results[i] gets
+    chunk i's rows or exception.  A failure empties `todo`: no later chunk starts."""
     workspace = Workspace()
     with contextlib.suppress(IndexError):        # popleft on an empty deque
         for index in iter(todo.popleft, None):
@@ -169,9 +169,9 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     todo, results = deque(range(len(chunks))), [None] * len(chunks)
     workers = max(1, min(threads, len(chunks)))
     with ThreadPoolExecutor(max(1, workers - 1)) as pool:
-        others = [pool.submit(_drain, spec, chunks, todo, results) for _ in range(workers - 1)]
+        rest = [pool.submit(_drain, spec, chunks, todo, results) for _ in range(workers - 1)]
         _drain(spec, chunks, todo, results)
-        for worker in others:
+        for worker in rest:
             worker.result()
     for chunk_rows in results:
         if isinstance(chunk_rows, Exception):

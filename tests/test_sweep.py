@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -312,6 +313,30 @@ def test_a_free_worker_takes_the_next_chunk(monkeypatch):
     rows_out = run_sweep(spec, threads=2).rows
     assert [row.point["omega_drive"] for row in rows_out] == list(omegas)
     assert done[-1] == 0.0
+
+
+def test_workers_pop_each_chunk_once_under_frequent_thread_switches(monkeypatch):
+    # More workers than cores and a 1 us switch interval: a chunk popped
+    # twice or lost shows as a repeated or missing row.
+    calls = []
+
+    def rows(spec, points, workspace):
+        calls.append(points[0]["omega_drive"])
+        time.sleep(0)       # yields the interpreter lock, as the engines do
+        return [points[0]["omega_drive"]]
+
+    monkeypatch.setattr(sweep, "_rows", rows)
+    omegas = tuple(float(k) for k in range(2000))
+    spec = SweepSpec(base=base_params(), axes=(("omega_drive", omegas),),
+                     grid=weak_grid(BUDGET))    # one point per chunk
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        result = run_sweep(spec, threads=min(64, 2 * (os.cpu_count() or 1) + 1))
+    finally:
+        sys.setswitchinterval(interval)
+    assert result.rows == omegas
+    assert sorted(calls) == list(omegas)
 
 
 def test_a_later_failure_on_another_worker_does_not_mask_an_earlier_one(monkeypatch):
