@@ -64,6 +64,12 @@ COMMANDS = (
     + [["sweep"] + threads
        + _set("axes", [["omega_drive", OMEGAS], ["delta_L", [0.5 * k for k in range(16)]]])
        for threads in ([], ["--threads", "3"])]
+    # 2 x 33 pseudomode points at unequal detunings in 5 chunks, evaluated
+    # serially and by two workers: the pseudomode's buffers are reused
+    # across chunks.
+    + [["sweep", "--engine", "pseudomode"] + threads
+       + _set("axes", [["delta_B", [0.0, 2.0]], ["omega_drive", OMEGAS]])
+       for threads in ([], ["--threads", "2"])]
     + [["oracle-check"] + _set("n_modes", 400) + _set("span", 10.0),
        ["oracle-check"] + _set("n_modes", 400) + _set("span", 10.0)
        + _set("R", 10.0) + _set("delta_B", 4.0)]

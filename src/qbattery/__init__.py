@@ -9,8 +9,8 @@ from .dynamics import (AmplitudeTrajectory, IntegrationError, KernelParams,
                        trajectory)
 from .oracle import DiscretizedBath, build_bath, propagate, window_fraction
 from .metrics import (Extremum, MetricsSeries, battery_hamiltonian,
-                      charging_power, compute_metrics, ergotropy_closed,
-                      ergotropy_spectral, maxima)
+                      compute_metrics, ergotropy_closed, ergotropy_spectral,
+                      maxima)
 from .sweep import (FIGURES, SweepPointError, SweepResult, SweepRow, SweepSpec,
                     figure_pipeline, run_sweep, write_sweep_csv)
 
@@ -19,7 +19,7 @@ __all__ = [
     "FIGURES", "IntegrationError", "KernelParams", "MetricsSeries",
     "SweepPointError", "SweepResult", "SweepRow", "SweepSpec",
     "SystemParams", "TimeGrid", "battery_hamiltonian", "build_bath",
-    "charging_power", "compute_metrics", "default_grid", "dressed_frame",
+    "compute_metrics", "default_grid", "dressed_frame",
     "equal_frequency_trajectory", "ergotropy_closed", "ergotropy_spectral",
     "figure_pipeline", "general_trajectory", "kernel_params", "maxima",
     "propagate", "run_sweep", "survival_amplitude",

@@ -349,13 +349,11 @@ def general_trajectory(params, frame, grid: TimeGrid,
     y = _empty(workspace, "y", (3, len(points), grid.n_points))
     y[0, :, 0], y[1, :, 0], y[2, :, 0] = _values(points, "c01"), _values(points, "c02"), 0.0
     _fill_by_doubling(y.transpose(1, 0, 2), _squarings(step), np.matmul)
-    c1, c2 = y[0], y[1]
-    # One slot serves both phase factors: c1 has taken its factor before
-    # c2's overwrites it.
-    c1 *= _exp_on_grid(1.0, 1j * (chi_A - chi)[:, None], t,
-                       _empty(workspace, "phase", c1.shape))
-    c2 *= _exp_on_grid(1.0, 1j * (chi_B - chi)[:, None], t,
-                       _empty(workspace, "phase", c2.shape))
+    c1, c2, phase = y
+    # The pseudomode amplitude b is not returned, so its block holds each
+    # phase factor in turn: c1 has taken its factor before c2's overwrites it.
+    c1 *= _exp_on_grid(1.0, 1j * (chi_A - chi)[:, None], t, phase)
+    c2 *= _exp_on_grid(1.0, 1j * (chi_B - chi)[:, None], t, phase)
     return _trajectory(params, grid, c1, c2, ENGINE_PSEUDOMODE)
 
 

@@ -6,15 +6,15 @@ splitting chi_B.  The spectral (eigenvalue-overlap) ergotropy is kept
 alongside the two-level closed form as an independent route.
 
 The series functions accept one trajectory, or a batch of them with a
-leading points axis and one chi_B per point.  Each series is computed in
-place in one array, fresh or a view of a sweep worker's Workspace: on a
-batch, every fresh (points x time) temporary costs page faults that
-outweigh the arithmetic.
+leading points axis and one chi_B per point.  The three series are
+computed in place as the rows of one array, fresh or a view of a sweep
+worker's Workspace: on a batch, every fresh (points x time) temporary
+costs page faults that outweigh the arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -23,7 +23,8 @@ from .dynamics import AmplitudeTrajectory, IntegrationError, TimeGrid, Workspace
 
 
 class Extremum(NamedTuple):
-    """Peak value and its time; arrays along the points axis for a batch."""
+    """Peak value and its time: numpy floats for one trajectory, arrays
+    along the points axis for a batch."""
 
     value: float
     time: float
@@ -34,7 +35,7 @@ class MetricsSeries:
     """Energy, power and ergotropy sampled on a time grid.
 
     A batch of points holds (points, time) arrays.  The max_* records are
-    None until filled in by maxima().
+    None when compute_metrics ran without maxima.
     """
 
     grid: TimeGrid
@@ -59,46 +60,9 @@ def _splitting(traj: AmplitudeTrajectory, chi_B) -> np.ndarray:
     return chi_B[..., None] if traj.c2.ndim > 1 else chi_B
 
 
-def _energy_and_ergotropy(traj: AmplitudeTrajectory, chi_B,
-                          workspace: Workspace | None = None):
-    """Stored energy and two-level ergotropy from one |C2|^2 pass.
-
-    E_B = |C2|^2 chi_B and W_B = max(2|C2|^2 - 1, 0) chi_B, which is
-    (2|C2|^2 - 1) theta(|C2|^2 - 1/2) chi_B: the prefactor vanishes at the
-    threshold, so the series is continuous there.
-    """
-    chi_B = _splitting(traj, chi_B)
-    shape = traj.c2.shape
-    population = np.abs(traj.c2, out=_empty(workspace, "energy", shape, float))
-    population *= population
-    ergotropy = np.multiply(population, 2.0,
-                            out=_empty(workspace, "ergotropy", shape, float))
-    ergotropy -= 1.0
-    np.maximum(ergotropy, 0.0, out=ergotropy)
-    ergotropy *= chi_B
-    energy = np.multiply(population, chi_B, out=population)
-    return energy, ergotropy
-
-
-def charging_power(energy: np.ndarray, grid: TimeGrid,
-                   workspace: Workspace | None = None) -> np.ndarray:
-    """P_B(t) = E_B(t)/t, with P_B(0) = 0; IntegrationError if it overflows."""
-    energy = np.asarray(energy, dtype=float)
-    if energy.shape[-1:] != grid.samples.shape:
-        raise ValueError("energy series does not match the time grid")
-    power = _empty(workspace, "power", energy.shape, float)
-    power[..., 0] = 0.0
-    with np.errstate(over="ignore"):
-        np.divide(energy[..., 1:], grid.samples[1:], out=power[..., 1:])
-    # The power is non-negative, so its maximum is finite only if every sample is.
-    if not np.isfinite(np.max(power)):
-        raise IntegrationError("charging power overflows the float range")
-    return power
-
-
 def ergotropy_closed(traj: AmplitudeTrajectory, chi_B) -> np.ndarray:
     """Two-level ergotropy (2|C2|^2 - 1) theta(|C2|^2 - 1/2) chi_B."""
-    return _energy_and_ergotropy(traj, chi_B)[1]
+    return compute_metrics(traj, chi_B, with_maxima=False).ergotropy
 
 
 def ergotropy_spectral(rho_eigenvalues, hamiltonian_eigenvalues, rho_state) -> float:
@@ -165,28 +129,40 @@ def _refine_peak(t: np.ndarray, y: np.ndarray) -> Extremum:
     return Extremum(value, time)
 
 
-def maxima(series: MetricsSeries) -> MetricsSeries:
-    """Fill the (value, argmax time) records for all three metrics."""
-    t = series.grid.samples
-    return replace(
-        series,
-        max_energy=_refine_peak(t, series.energy),
-        max_power=_refine_peak(t, series.power),
-        max_ergotropy=_refine_peak(t, series.ergotropy),
-    )
+def maxima(grid: TimeGrid, series: np.ndarray) -> tuple[Extremum, Extremum, Extremum]:
+    """The (value, argmax time) records of the stacked energy, power and
+    ergotropy rows of series, from one refinement of all three."""
+    peak = _refine_peak(grid.samples, series)
+    return tuple(map(Extremum, peak.value, peak.time))
 
 
 def compute_metrics(traj: AmplitudeTrajectory, chi_B, with_maxima: bool = True,
                     workspace: Workspace | None = None) -> MetricsSeries:
-    """Full metrics pipeline for one trajectory or a batch of them.
+    """Energy, power and ergotropy of one trajectory or a batch of them.
 
-    With a workspace, the series are views of its slots.
+    E_B = |C2|^2 chi_B, P_B(t) = E_B(t)/t with P_B(0) = 0, and
+    W_B = max(2|C2|^2 - 1, 0) chi_B, which is
+    (2|C2|^2 - 1) theta(|C2|^2 - 1/2) chi_B: the prefactor vanishes at the
+    threshold, so the series is continuous there.  The three series are the
+    rows of one (3,) + c2.shape array, fresh or the workspace's metrics
+    slot.  IntegrationError if the power overflows.
     """
-    energy, ergotropy = _energy_and_ergotropy(traj, chi_B, workspace)
-    series = MetricsSeries(
-        grid=traj.grid,
-        energy=energy,
-        power=charging_power(energy, traj.grid, workspace),
-        ergotropy=ergotropy,
-    )
-    return maxima(series) if with_maxima else series
+    chi_B = _splitting(traj, chi_B)
+    t = traj.grid.samples
+    series = _empty(workspace, "metrics", (3,) + traj.c2.shape, float)
+    energy, power, ergotropy = series
+    np.abs(traj.c2, out=energy)
+    energy *= energy                       # |C2|^2 until it is scaled below
+    np.multiply(energy, 2.0, out=ergotropy)
+    ergotropy -= 1.0
+    np.maximum(ergotropy, 0.0, out=ergotropy)
+    ergotropy *= chi_B
+    energy *= chi_B
+    power[..., 0] = 0.0
+    with np.errstate(over="ignore"):
+        np.divide(energy[..., 1:], t[1:], out=power[..., 1:])
+    # The power is non-negative, so its maximum is finite only if every sample is.
+    if not np.isfinite(np.max(power)):
+        raise IntegrationError("charging power overflows the float range")
+    peaks = maxima(traj.grid, series) if with_maxima else ()
+    return MetricsSeries(traj.grid, energy, power, ergotropy, *peaks)

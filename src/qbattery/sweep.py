@@ -35,6 +35,11 @@ MAXIMA_FIELDS = ("E_max", "t_E", "P_max", "t_P", "W_max", "t_W")
 # Time samples per chunk: keeps each (points x time) temporary near 0.5 MB.
 BUDGET = 2 ** 15
 
+# Largest Cartesian product of sweep axes: a sweep holds one point dict, one
+# row and one CSV line per point, about 0.75 KB, so one at the cap peaks near
+# 0.8 GB.
+MAX_SWEEP_POINTS = 2 ** 20
+
 # The CSV float format: 17 significant digits, so values round-trip.
 FLOAT_FORMAT = "%.17g"
 
@@ -68,6 +73,10 @@ class SweepSpec:
                 raise ValueError(f"empty value list for axis {name!r}")
             if not all(math.isfinite(v) for v in values):
                 raise ValueError(f"non-finite value on axis {name!r}")
+        count = math.prod(len(values) for _, values in axes)
+        if count > MAX_SWEEP_POINTS:
+            raise ValueError(f"sweep of {count} points exceeds MAX_SWEEP_POINTS "
+                             f"= {MAX_SWEEP_POINTS}")
         object.__setattr__(self, "axes", axes)
 
 

@@ -350,6 +350,9 @@ def test_set_flag_rejects_malformed_pairs(tmp_path, capsys):
     (["sweep", "--set", 'axes=[["omega_drive", [0.5]], ["omega_drive", [1.0]]]'], 2,
      "repeated sweep axis: 'omega_drive'"),
     (["sweep", "--set", 'axes=[["omega_drive", [true]]]'], 2, "'axes'"),
+    (["sweep", "--set", "axes=" + json.dumps([[name, list(range(1024))] for name in
+                                              ("omega_drive", "delta_L", "R")])], 2,
+     f"sweep of {1024 ** 3} points exceeds MAX_SWEEP_POINTS"),
     (["maxima", "--engine", "pseudomode", "--set", "delta_B=-7.9e32"], 3,
      "pseudomode engine"),
     (["maxima", "--engine", "pseudomode", "--set", "delta_A=1e308", "--set", "delta_B=1e308"],

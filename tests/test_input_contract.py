@@ -9,7 +9,11 @@ command lines to that contract with wrongly typed input added: c01/c02 as
 numbers, pairs of any length, strings and bools, threads from 0 to 65, and
 config files whose JSON has the wrong type.  Grids stay at 64 samples and
 the oracle on a 400-mode bath, so one example takes milliseconds; a sweep
-then has one chunk, so no thread count starts a thread.
+then has one chunk, so no thread count starts a thread.  The second test
+also draws sweeps of 2 or 3 points of at least BUDGET samples on either
+engine, so each point is its own chunk, shared by 1 to 4 workers, and sweep
+axes whose product exceeds MAX_SWEEP_POINTS, which must exit 2 without
+expanding their points.
 """
 
 import contextlib
@@ -25,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbattery.cli import COMMANDS, RunConfig, main
-from qbattery.sweep import AXIS_NAMES, FIGURES
+from qbattery.sweep import AXIS_NAMES, BUDGET, FIGURES, MAX_SWEEP_POINTS
 
 NUMERIC_KEYS = ("delta_A", "delta_B", "delta_L", "omega_drive", "lambda",
                 "alpha_T", "r1", "R", "t_max")
@@ -79,7 +83,33 @@ def wrongly_typed_command_lines(draw):
         argv += draw(st.sampled_from([["--threads"], ["--set", "threads="]]))
         argv[-1] += str(draw(thread_counts))
     config = draw(st.none() | wrong_configs.map(json.dumps))
-    return argv, config
+    return argv, config, (0, 2, 3, 4)
+
+
+@st.composite
+def multi_chunk_sweeps(draw):
+    """A sweep of 2 or 3 points of at least BUDGET samples, so each point is
+    its own chunk, on 1 to 4 workers and either engine."""
+    axis = [draw(st.sampled_from(AXIS_NAMES)),
+            draw(st.lists(numbers, min_size=2, max_size=3))]
+    argv = ["sweep", "--set", f"n_points={draw(st.integers(BUDGET, 2 * BUDGET))}",
+            "--set", f"axes={json.dumps([axis])}",
+            "--threads", str(draw(st.integers(1, 4))),
+            "--engine", draw(st.sampled_from(["closed_form", "pseudomode"]))]
+    pairs = draw(st.dictionaries(st.sampled_from(NUMERIC_KEYS), numbers, max_size=4))
+    for key, value in pairs.items():
+        argv += ["--set", f"{key}={value!r}"]
+    return argv, None, (0, 2, 3)
+
+
+@st.composite
+def oversized_sweeps(draw):
+    """A sweep whose 2 or 3 distinct axes hold more than MAX_SWEEP_POINTS
+    points, from just above the cap to about 8 times it: a config error."""
+    names = draw(st.lists(st.sampled_from(AXIS_NAMES), min_size=2, max_size=3, unique=True))
+    smallest = math.floor(MAX_SWEEP_POINTS ** (1.0 / len(names))) + 1
+    axes = [[name, list(range(draw(st.integers(smallest, 2 * smallest))))] for name in names]
+    return ["sweep", "--set", f"axes={json.dumps(axes)}"], None, (2,)
 
 
 def _numbers(value):
@@ -103,14 +133,14 @@ def _non_finite(path: Path) -> list[str]:
     return [f"{path.name}: {cell}" for cell in cells if not math.isfinite(cell)]
 
 
-def _assert_documented_exit(argv):
+def _assert_documented_exit(argv, codes=(0, 2, 3, 4)):
     with tempfile.TemporaryDirectory() as tmp, \
             warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()) as err:
         warnings.simplefilter("always")
         code = main(argv + ["--out", tmp])
-        assert code in (0, 2, 3, 4), err.getvalue()
+        assert code in codes, err.getvalue()
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         if code == 0:
             assert not [bad for path in sorted(Path(tmp).iterdir())
@@ -123,13 +153,14 @@ def test_every_input_ends_in_a_documented_exit_code(argv):
     _assert_documented_exit(argv)
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(drawn=wrongly_typed_command_lines())
+@settings(max_examples=140, derandomize=True, deadline=None)
+@given(drawn=st.one_of(wrongly_typed_command_lines(), multi_chunk_sweeps(),
+                       oversized_sweeps()))
 def test_wrongly_typed_input_ends_in_a_documented_exit_code(drawn):
-    argv, config = drawn
+    argv, config, codes = drawn
     with tempfile.TemporaryDirectory() as tmp:
         if config is not None:
             path = Path(tmp) / "config.json"
             path.write_text(config)
             argv = argv + ["--config", str(path)]
-        _assert_documented_exit(argv)
+        _assert_documented_exit(argv, codes)

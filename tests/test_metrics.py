@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 
@@ -8,12 +9,13 @@ from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
 from qbattery import (SystemParams, TimeGrid, battery_hamiltonian,
-                      charging_power, compute_metrics, dressed_frame,
+                      compute_metrics, dressed_frame,
                       equal_frequency_trajectory, ergotropy_closed,
                       ergotropy_spectral, kernel_params, maxima,
                       survival_amplitude)
+from qbattery import metrics
 from qbattery.dynamics import AmplitudeTrajectory
-from qbattery.metrics import MetricsSeries, _refine_peak
+from qbattery.metrics import _refine_peak
 
 
 def synthetic_trajectory(grid: TimeGrid, c2: np.ndarray) -> AmplitudeTrajectory:
@@ -67,26 +69,22 @@ def test_resonant_energy_equals_survival_offset_identity():
 # --- charging power ----------------------------------------------------------
 
 def test_linear_charging_has_constant_power():
+    # |C2|^2 = t / t_max stores E_B = 3 t with chi_B = 3 t_max.
     g = TimeGrid.uniform(4.0, 9)
-    power = charging_power(3.0 * g.samples, g)
+    traj = synthetic_trajectory(g, np.sqrt(g.samples / 4.0))
+    power = compute_metrics(traj, 12.0).power
     assert power[0] == 0.0
     np.testing.assert_allclose(power[1:], 3.0)
 
 
 def test_power_time_product_recovers_energy():
     _, f, traj = resonant_run()
-    energy = compute_metrics(traj, f.chi_B).energy
-    power = charging_power(energy, traj.grid)
+    series = compute_metrics(traj, f.chi_B)
+    energy, power = series.energy, series.power
     np.testing.assert_allclose(power * traj.grid.samples, energy,
                                rtol=0, atol=1e-15)
     i2 = int(np.argmin(np.abs(traj.grid.samples - 2.0)))
     assert energy[i2] == pytest.approx(traj.grid.samples[i2] * power[i2])
-
-
-def test_power_rejects_misaligned_series():
-    g = TimeGrid.uniform(1.0, 10)
-    with pytest.raises(ValueError):
-        charging_power(np.zeros(7), g)
 
 
 # --- ergotropy ---------------------------------------------------------------
@@ -175,12 +173,11 @@ def test_spectral_ergotropy_bounds_random_unitary_extractions():
 
 def test_monotone_series_peaks_at_window_end():
     g = TimeGrid.uniform(3.0, 50)
-    series = MetricsSeries(grid=g, energy=g.samples.copy(),
-                           power=np.ones(50), ergotropy=np.zeros(50))
-    done = maxima(series)
-    assert done.max_energy.time == 3.0
-    assert done.max_energy.value == 3.0
-    assert done.max_ergotropy.value == 0.0
+    energy, power, ergotropy = maxima(g, np.stack([g.samples, np.ones(50), np.zeros(50)]))
+    assert energy.time == 3.0
+    assert energy.value == 3.0
+    assert power.value == 1.0
+    assert ergotropy.value == 0.0
 
 
 def test_quadratic_refinement_recovers_analytic_peak():
@@ -212,6 +209,21 @@ def test_refinement_never_undershoots_grid_max(values):
     peak = _refine_peak(t, y)
     assert peak.value >= y.max()
     assert t[0] <= peak.time <= t[-1]
+
+
+def test_metrics_refine_all_three_peaks_in_one_pass(monkeypatch):
+    calls = collections.Counter()
+    for name in ("_refine_peak", "maxima", "MetricsSeries"):
+        def counting(*args, _name=name, _original=getattr(metrics, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(metrics, name, counting)
+    _, f, traj = resonant_run()
+    series = compute_metrics(traj, f.chi_B)
+    assert calls == {"_refine_peak": 1, "maxima": 1, "MetricsSeries": 1}
+    for name, values in (("max_energy", series.energy), ("max_power", series.power),
+                         ("max_ergotropy", series.ergotropy)):
+        assert getattr(series, name) == _refine_peak(traj.grid.samples, values)
 
 
 @pytest.mark.parametrize("n", [2, 3, 50])

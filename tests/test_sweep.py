@@ -112,6 +112,19 @@ def test_unknown_axis_rejected():
                   grid=weak_grid(10))
 
 
+def test_sweep_above_the_point_cap_is_rejected_before_expanding():
+    # 1024^3 points: expanded, their dicts alone would need about 1 TB.
+    axis = tuple(float(v) for v in range(1024))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"sweep of {1024 ** 3} points exceeds"):
+        SweepSpec(base=base_params(), grid=weak_grid(10),
+                  axes=(("omega_drive", axis), ("delta_L", axis), ("R", axis)))
+    assert time.perf_counter() - start < 0.5
+    assert sweep.MAX_SWEEP_POINTS == 2 ** 20
+    SweepSpec(base=base_params(), grid=weak_grid(10),
+              axes=(("omega_drive", axis), ("delta_L", axis)))
+
+
 def test_closed_form_failure_carries_the_point():
     spec = SweepSpec(base=base_params(), axes=(("delta_A", (0.0, 2.0)),),
                      grid=weak_grid(100), engine="closed_form")
@@ -465,6 +478,20 @@ def test_evaluations_outside_a_sweep_get_fresh_arrays(tmp_path, monkeypatch):
     spec = SweepSpec(base=base_params(), axes=(), grid=weak_grid(2000))
     points = [{"omega_drive": 0.5}, {"omega_drive": 1.0}]
     assert not _share_memory(evaluate(spec, points), evaluate(spec, points))
+
+
+@pytest.mark.parametrize("engine, slots", [
+    ("closed_form", {"ep", "em", "series", "metrics"}),
+    ("pseudomode", {"y", "metrics"}),
+])
+def test_a_chunk_holds_one_workspace_slot_per_live_array(engine, slots):
+    # The pseudomode's phase factors reuse the block of its amplitude b, and
+    # the three metric series are the rows of one array.
+    workspace = qbattery.dynamics.Workspace()
+    spec = SweepSpec(base=base_params(delta_B=2.0 if engine == "pseudomode" else 0.0),
+                     axes=(), grid=weak_grid(500), engine=engine)
+    evaluate(spec, [{"omega_drive": 0.5}, {"omega_drive": 1.0}], workspace)
+    assert set(workspace._slots) == slots
 
 
 def test_csv_rows_match_per_cell_format():
