@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DressedFrame, SystemParams
-from .dynamics import (AmplitudeTrajectory, ENGINE_ORACLE, IntegrationError,
-                       TimeGrid, _exp_on_grid)
+from .dynamics import AmplitudeTrajectory, ENGINE_ORACLE, IntegrationError, TimeGrid
 
 DEFAULT_N_MODES = 4000
 DEFAULT_SPAN = 50.0
@@ -40,8 +39,10 @@ NORM_ABORT = 1e-6
 # about six; a root still moving after MAX_PASSES is a numerical failure.
 MAX_PASSES = 40
 
-# Size caps.  The eigen-expansion fills (n_modes + 2) x n_points phases,
-# 8.0e6 at the certification points (4000 modes, 2000 samples).
+# Size caps.  The eigen-expansion sums (n_modes + 2) x n_points terms
+# e^{-i lam_k t_m}, 8.0e6 at the certification points (4000 modes, 2000
+# samples); _phase_sum never stores them, so MAX_STATES bounds the work of
+# a propagation, and its memory is O(n_modes + n_points).
 MAX_N_MODES = 2 ** 16
 MAX_STATES = 2 ** 24
 
@@ -52,9 +53,6 @@ MAX_STATES = 2 ** 24
 # relative remainder below 1e-20.
 NEAR = 8
 TERMS = 16
-
-# Eigenvalues whose phases are filled at once: 512 x 2000 samples is 16 MB.
-CHUNK = 512
 
 # Relative stop of the root iteration: a root whose last step moved it by at
 # most STOP times its offset from its pole is done.  The steps shrink
@@ -141,8 +139,8 @@ def propagate(params: SystemParams, frame: DressedFrame, bath: DiscretizedBath,
     solved in units of lambda (see _eigenpairs); a completeness defect
     max |sum_k u_k u_k^T - I| above NORM_ABORT raises IntegrationError.
     Comparisons are only meaningful before bath revivals, so the grid must
-    end below half the recurrence time.  At most MAX_STATES phases
-    (n_modes + 2) x n_points are computed.
+    end below half the recurrence time, and the sum may have at most
+    MAX_STATES terms, (n_modes + 2) x n_points; _phase_sum evaluates it.
     """
     phases = (bath.n_modes + 2) * grid.n_points
     if phases > MAX_STATES:
@@ -172,7 +170,6 @@ def propagate(params: SystemParams, frame: DressedFrame, bath: DiscretizedBath,
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             energies, blocks = _eigenpairs(rates / lam, weights, bath.mode_detunings / lam,
                                            bath.couplings / lam)
-        energies *= lam
         defect = float(np.max(np.abs(blocks.T @ blocks - np.eye(2))))
         if not defect <= NORM_ABORT:
             raise IntegrationError(
@@ -181,15 +178,66 @@ def propagate(params: SystemParams, frame: DressedFrame, bath: DiscretizedBath,
         projections = blocks @ q0
         total_norm[1:] = np.sum(np.abs(projections) ** 2)
         coef = blocks * projections[:, None]
-        for start in range(0, energies.size, CHUNK):
-            stop = start + CHUNK
-            shifts = _exp_on_grid(1.0, -1j * energies[start:stop, None], t)
-            shifts -= 1.0
-            q += coef[start:stop].T @ shifts
+        # e^{-i lam_k t} in units of lambda: energies and times lam t.
+        q += _phase_sum(energies, coef, lam * t) - np.sum(coef, axis=0)[:, None]
+        q[:, 0] = q0
         q *= np.exp(1j * rates[:, None] * t)
     # Without coupling, q(t) = e^{-i E t} q0 and C(t) = q0.
     return AmplitudeTrajectory(grid=grid, c1=q[0], c2=q[1],
                                engine_tag=ENGINE_ORACLE, total_norm=total_norm)
+
+
+def _phase_sum(energies: np.ndarray, coef: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """S[:, m] = sum_k coef[k] e^{-i energies[k] s[m]} on uniform samples s from 0.
+
+    Each energy is rounded to the frequency grid of an FFT of length
+    L >= 2 (n - 1) over the n samples, spacing b = 2 pi / (L ds):
+    energies[k] = n_k b + tau_k with |tau_k| <= b/2, and e^{-i n_k b m ds}
+    = e^{-2 pi i n_k m / L} depends on n_k mod L alone.  So
+
+        S[:, m] = sum_p (-i s_m)^p / p! FFT(a_p)[m],
+        a_p[j] = sum over n_k = j mod L of coef[k] tau_k^p,
+
+    a Taylor-shifted FFT (Anderson & Dahleh, SIAM J. Sci. Comput. 17, 913
+    (1996)).  |tau s| <= pi (n - 1) / L <= pi/2, so the series is cut at the
+    first term whose bound falls below an eighth of a rounding unit, at most
+    22 terms; Horner's rule sums them from the highest, one FFT each, in
+    O(n_modes + n log n) memory and a fixed order of operations.  Energies
+    beyond 2^40 grid steps, far outside every comb (only a huge qubit energy
+    gets there), are summed directly, so no grid index overflows.
+    """
+    n = s.size
+    size = 1 << (2 * n - 3).bit_length()
+    b = 2.0 * math.pi * (n - 1) / (size * s[-1])
+    on_grid = np.abs(energies) <= 2.0 ** 40 * b
+    nearest = np.rint(energies[on_grid] / b)
+    # Offsets in units of b/2, so |tau| <= 1 and no power of it overflows.
+    tau = (energies[on_grid] - b * nearest) * (2.0 / b)
+    z = -0.5j * b * s
+    bound = float(np.max(np.abs(tau), initial=0.0) * np.abs(z[-1]))
+    order, term = 0, bound
+    while term > 0.125 * np.finfo(float).eps:
+        order += 1
+        term *= bound / (order + 1)
+    # a_p of both columns is one bincount over the float view of
+    # coef tau^p, whose rows (re, im, re, im) land in a (2, L) complex array.
+    bins = 2 * np.mod(nearest, size).astype(np.intp)
+    index = (bins[:, None] + [0, 1, 2 * size, 2 * size + 1]).ravel()
+    weights = coef[on_grid]
+    # tau^p as a product of the squarings tau^(2^j) over the bits of p.
+    squarings = [tau]
+    for _ in range(order.bit_length() - 1):
+        squarings.append(squarings[-1] ** 2)
+    out = np.zeros((2, n), dtype=complex)
+    for p in range(order, -1, -1):
+        power = math.prod((x for j, x in enumerate(squarings) if p >> j & 1),
+                          start=np.ones_like(tau))
+        a = np.bincount(index, (weights * power[:, None]).view(float).ravel(),
+                        minlength=4 * size)
+        out = np.fft.fft(a.view(complex).reshape(2, size))[:, :n] + out * (z / (p + 1))
+    for energy, c in zip(energies[~on_grid], coef[~on_grid]):
+        out += c[:, None] * np.exp(-1j * energy * s)
+    return out
 
 
 def _eigenpairs(rates: np.ndarray, weights: np.ndarray, d: np.ndarray,

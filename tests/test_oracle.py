@@ -1,13 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh
 
+import qbattery
 from qbattery import oracle
 from qbattery import (IntegrationError, SystemParams, TimeGrid, build_bath,
-                      dressed_frame, equal_frequency_trajectory, propagate,
-                      window_fraction)
+                      default_grid, dressed_frame, equal_frequency_trajectory,
+                      general_trajectory, propagate, window_fraction)
 
 
 def weak_frame(omega=1.0, R=1.0):
@@ -212,3 +217,60 @@ def test_doubling_modes_and_span_at_least_halves_the_gap():
     coarse = gap(4000, 50.0)
     fine = gap(8000, 100.0)
     assert fine <= coarse / 2.0
+
+
+# The phase sum rounds each eigenvalue to the frequency grid of an FFT over
+# the samples and expands the remainder in a Taylor series.  These windows
+# take the longest grid the 400-mode bath allows (t_rec / 2 = 62.8) with the
+# largest Taylor order (n_points - 1 a power of two fills half the FFT), the
+# shortest grid, outer roots far beyond the comb, and p* beyond the comb.
+@pytest.mark.parametrize("kwargs, t_max, n_points", [
+    (dict(delta_B=2.0, R=3.0), 62.0, 1025),
+    (dict(delta_B=2.0, R=3.0), 5.0, 2),
+    (dict(delta_B=1.0, R=300.0), 5.0, 100),
+    (dict(delta_A=10.0, delta_B=80.0, delta_L=5.0, R=5.0), 60.0, 600),
+])
+def test_phase_sum_matches_eigh_on_long_short_and_far_spectra(kwargs, t_max, n_points):
+    p = SystemParams(c01=0.6, c02=0.8j, **kwargs)
+    f = dressed_frame(p)
+    bath = build_bath(f, n_modes=400, span=10.0)
+    grid = TimeGrid.uniform(t_max, n_points)
+    c1, c2 = eigh_amplitudes(p, f, bath, grid)
+    traj = propagate(p, f, bath, grid)
+    assert max(np.abs(traj.c1 - c1).max(), np.abs(traj.c2 - c2).max()) <= 1e-10
+
+
+ORACLE_CHECK = """
+import sys
+from qbattery.cli import main
+sys.exit(main(["oracle-check", "--set", "n_modes=400", "--set", "span=10",
+               "--out", sys.argv[1]]))
+"""
+
+
+def test_oracle_check_bytes_do_not_depend_on_blas_threads(tmp_path):
+    src = str(Path(qbattery.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-c", ORACLE_CHECK, str(out)], env=env,
+                       timeout=120, capture_output=True, check=True)
+        reports.append((out / "oracle_check.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_pseudomode_matches_richardson_extrapolated_oracle():
+    # Not an acceptance gate.  The oracle's gap at unequal detunings is the
+    # Lorentzian tail cut off at +-span, which falls about 8x per doubling of
+    # the span; (8 ref(2 span) - ref(span)) / 7 removes its leading term.
+    p = SystemParams(R=10.0, delta_B=4.0)
+    f = dressed_frame(p)
+    grid = default_grid(p)
+    coarse = propagate(p, f, build_bath(f, 4000, 50.0), grid)
+    fine = propagate(p, f, build_bath(f, 8000, 100.0), grid)
+    pseudo = general_trajectory(p, f, grid)
+    gap = max(np.abs(pseudo.c1 - (8.0 * fine.c1 - coarse.c1) / 7.0).max(),
+              np.abs(pseudo.c2 - (8.0 * fine.c2 - coarse.c2) / 7.0).max())
+    assert gap <= 1e-5
