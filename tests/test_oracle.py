@@ -220,10 +220,10 @@ def test_doubling_modes_and_span_at_least_halves_the_gap():
 
 
 # The phase sum rounds each eigenvalue to the frequency grid of an FFT over
-# the samples and expands the remainder in a Taylor series.  These windows
-# take the longest grid the 400-mode bath allows (t_rec / 2 = 62.8) with the
-# largest Taylor order (n_points - 1 a power of two fills half the FFT), the
-# shortest grid, outer roots far beyond the comb, and p* beyond the comb.
+# the samples and expands the offset in a Taylor series.  The windows are:
+# the longest grid the 400-mode bath allows (t_rec / 2 = 62.8), on 1025
+# samples, where the FFT is exactly twice the grid and the Taylor order is
+# largest; the shortest grid; outer roots far beyond the comb; p* beyond it.
 @pytest.mark.parametrize("kwargs, t_max, n_points", [
     (dict(delta_B=2.0, R=3.0), 62.0, 1025),
     (dict(delta_B=2.0, R=3.0), 5.0, 2),
@@ -239,6 +239,21 @@ def test_phase_sum_matches_eigh_on_long_short_and_far_spectra(kwargs, t_max, n_p
     traj = propagate(p, f, bath, grid)
     assert max(np.abs(traj.c1 - c1).max(), np.abs(traj.c2 - c2).max()) <= 1e-10
 
+
+
+def test_phase_sum_matches_dense_sum_over_folded_and_far_energies():
+    # 257 samples on [0, 10]: an FFT of 512 points, grid step b = 0.314.
+    # Energies up to 500 fold several times around the FFT grid; 1e13 and
+    # -3e12, beyond 2^40 b, take the direct path.  Both sums round phases
+    # E s of up to 5000 rad by about 1e-12 rad, so they differ by a few
+    # 1e-14 of sum |coef| (1.2e-14 measured).
+    rng = np.random.default_rng(11)
+    energies = np.concatenate((rng.uniform(-500.0, 500.0, 300), [1e13, -3e12]))
+    coef = rng.normal(size=(302, 2)) + 1j * rng.normal(size=(302, 2))
+    s = np.linspace(0.0, 10.0, 257)
+    dense = np.einsum("kq,km->qm", coef, np.exp(-1j * np.outer(energies, s)))
+    scale = np.abs(coef).sum()
+    assert np.abs(oracle._phase_sum(energies, coef, s) - dense).max() <= 1e-13 * scale
 
 ORACLE_CHECK = """
 import sys
