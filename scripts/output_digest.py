@@ -7,10 +7,12 @@ Runs every command of COMMANDS in-process through `qbattery.cli.main`, each
 in a fresh output directory, and hashes its argv, its exit code and the name
 and bytes of every file it wrote (CSVs, *_metadata.json, oracle_check.json,
 run.json).  Prints the digest; with -v, also one line per command on
-standard error.  Two checkouts that print the same digest wrote the same
-bytes.  The digest depends on the host's floating-point rounding (numpy's
-SIMD kernels differ between CPUs), so compare two checkouts on one host and
-do not pin a digest.
+standard error and, below it, one line per file it wrote: the file's
+sha256 prefix, its size in bytes and its name.  Two checkouts that print
+the same digest wrote the same bytes; a diff of their -v output names the
+files that differ.  The digest depends on the host's floating-point
+rounding (numpy's SIMD kernels differ between CPUs), so compare two
+checkouts on one host and do not pin a digest.
 """
 
 import contextlib
@@ -74,7 +76,7 @@ COMMANDS = (
        ["oracle-check"] + _set("n_modes", 400) + _set("span", 10.0)
        + _set("R", 10.0) + _set("delta_B", 4.0)]
     # A numerical failure: exit 3 and no CSV.
-    + [["maxima"] + _set("omega_drive", 1e300)]
+    + [["maxima"] + _set("R", 1e308)]
 )
 
 
@@ -101,6 +103,9 @@ def main() -> int:
             if verbose:
                 print(f"{one.hexdigest()[:16]} exit {code} {len(files)} files: "
                       f"{' '.join(argv)}", file=sys.stderr)
+                for name in sorted(files):
+                    print(f"    {hashlib.sha256(files[name]).hexdigest()[:16]} "
+                          f"{len(files[name]):>9} {name}", file=sys.stderr)
     print(total.hexdigest())
     return 0
 

@@ -11,9 +11,9 @@ Two engines produce the same trajectories:
   of the Lorentzian cavity is traded for one auxiliary lossy amplitude b(t),
   giving a local 3-component ODE system:
 
-      dC_j/dt = -W a_j cos^2(eta_j/2) e^{+i chi_j t} b(t)
+      dC_j/dt = -W r_j cos^2(eta_j/2) e^{+i chi_j t} b(t)
       db/dt   = -(lambda - i delta_L) b(t)
-                + W sum_j a_j cos^2(eta_j/2) e^{-i chi_j t} C_j(t)
+                + W sum_j r_j cos^2(eta_j/2) e^{-i chi_j t} C_j(t)
 
   with b(0) = 0.  Eliminating b reproduces the kernel
   W^2 e^{-(lambda - i delta_L)(t-t')} e^{i chi_i t} e^{-i chi_j t'} exactly.
@@ -136,7 +136,7 @@ class AmplitudeTrajectory:
 class KernelParams:
     """Laplace-domain constants of the equal-frequency survival amplitude.
 
-    M = lambda - i(chi + delta_L); F = sqrt(M^2 - alpha_T^2 W^2 (1+cos eta)^2).
+    M = lambda - i(chi + delta_L); F = sqrt(M^2 - W^2 (1 + cos eta)^2).
     Z(t) depends on F only through F^2, so either branch of the square root
     gives the same amplitude.  M and F may be arrays along a points axis.
     """
@@ -146,13 +146,20 @@ class KernelParams:
 
 
 def kernel_params(params: SystemParams, frame: DressedFrame) -> KernelParams:
-    """Kernel constants for equal detunings (chi_A = chi_B, cos2_A = cos2_B)."""
+    """Kernel constants for equal detunings (chi_A = chi_B, cos2_A = cos2_B).
+
+    M and the coupling are squared in units of s, the power of two just below
+    the larger of them: exact, and neither square underflows or overflows.
+    """
     if not params.equal_detunings():
         raise ValueError(
             f"kernel requires delta_A == delta_B, got {params.delta_A} != {params.delta_B}")
     M = frame.lambda_ - 1j * (frame.chi_A + frame.delta_L)
-    coupling = params.alpha_T * frame.W * 2.0 * frame.cos2_A  # alpha_T W (1 + cos eta)
-    F = np.sqrt(complex(M * M - coupling * coupling))
+    coupling = frame.W * 2.0 * frame.cos2_A  # W (1 + cos eta)
+    # Components, as abs(M) may overflow; s is a normal float, as lambda is.
+    s = math.ldexp(1.0, math.frexp(max(abs(M.real), abs(M.imag), coupling))[1] - 1)
+    m, c = M / s, coupling / s
+    F = s * complex(np.sqrt(complex(m * m - c * c)))  # overflows to inf silently
     return KernelParams(M=M, F=F)
 
 
@@ -208,15 +215,13 @@ def survival_amplitude(kernel: KernelParams, t, workspace: Workspace | None = No
 
 
 def _exp_on_grid(scale: np.ndarray, rate: np.ndarray, t: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
+                 out: np.ndarray) -> np.ndarray:
     """scale e^{rate t} over uniform samples t, for rates shaped (..., 1).
 
     The factor for a shift of m samples is taken directly as e^{rate t_m},
-    so rounding grows with the log2(n) doubling levels, not with n.  out,
-    when given, is a complex array of the result's shape.
+    so rounding grows with the log2(n) doubling levels, not with n.  out is
+    a complex array of the result's shape, which it returns filled.
     """
-    if out is None:
-        out = np.empty(rate.shape[:-1] + t.shape, dtype=complex)
     out[..., :1] = scale
     shifts = (np.exp(rate * t[2 ** k]) for k in itertools.count())
     return _fill_by_doubling(out, shifts, np.multiply)
@@ -335,8 +340,8 @@ def general_trajectory(params, frame, grid: TimeGrid,
         _values(frames, name) for name in
         ("chi_A", "chi_B", "lambda_", "delta_L", "W", "cos2_A", "cos2_B"))
     chi = (chi_A + chi_B) / 2.0
-    w_A = W * _values(points, "alpha_A") * cos2_A
-    w_B = W * _values(points, "alpha_B") * cos2_B
+    w_A = W * _values(points, "r1") * cos2_A
+    w_B = W * _values(points, "r2") * cos2_B
     generator = np.zeros((len(points), 3, 3), dtype=complex)
     generator[:, 0, 0] = -1j * (chi_A - chi)
     generator[:, 1, 1] = -1j * (chi_B - chi)

@@ -24,9 +24,9 @@ class SystemParams:
     delta_L: detuning of the drive from the cavity center frequency.
     omega_drive: classical drive strength (real, >= 0).
     lambda_: cavity loss rate; the default 1.0 fixes the unit system.
-    alpha_T: collective cavity-coupling constant sqrt(alpha_A^2 + alpha_B^2).
-    r1: relative coupling of the charger, alpha_A / alpha_T; the battery's
-        share is r2 = sqrt(1 - r1^2).
+    r1: the charger's share of the collective cavity coupling; the
+        battery's share is r2 = sqrt(1 - r1^2).  The collective coupling
+        itself enters only through R, so it is not a parameter.
     R: coupling-regime ratio (vacuum Rabi frequency over loss rate); R > 1
        is the strong-coupling regime.
     c01, c02: initial dressed-state amplitudes of |charger excited> and
@@ -38,7 +38,6 @@ class SystemParams:
     delta_L: float = 0.0
     omega_drive: float = 1.0
     lambda_: float = 1.0
-    alpha_T: float = 1.0
     r1: float = INV_SQRT2
     R: float = 0.5
     c01: complex = 1.0 + 0.0j
@@ -47,14 +46,6 @@ class SystemParams:
     @property
     def r2(self) -> float:
         return math.sqrt(max(0.0, 1.0 - self.r1 * self.r1))
-
-    @property
-    def alpha_A(self) -> float:
-        return self.r1 * self.alpha_T
-
-    @property
-    def alpha_B(self) -> float:
-        return self.r2 * self.alpha_T
 
     def equal_detunings(self) -> bool:
         return self.delta_A == self.delta_B
@@ -67,7 +58,7 @@ class DressedFrame:
     chi_A, chi_B: dressed splittings sqrt(delta^2 + 4 omega_drive^2).
     cos2_A, cos2_B: coupling weights cos^2(eta/2) = (1 + cos eta)/2 of the
         mixing angles eta of the driven qubits.
-    W: cavity coupling scale, R * lambda_ / alpha_T.
+    W: vacuum Rabi frequency of the pair, R * lambda_.
     lambda_, delta_L: copied from the parameters; every kernel consumer
         (closed form, pseudomode, bath discretization) needs them alongside
         the dressed quantities.
@@ -97,8 +88,6 @@ def validate(params: SystemParams) -> SystemParams:
         # lost its precision, and its inverse overflows.
         raise ValueError(f"subnormal lambda_: {params.lambda_} is below the smallest "
                          f"normal float {sys.float_info.min}")
-    if not (params.alpha_T > 0.0):
-        raise ValueError(f"non-positive alpha_T: {params.alpha_T}")
     if not (0.0 <= params.r1 <= 1.0):
         raise ValueError(f"r1 out of [0,1]: {params.r1}")
     if not (params.omega_drive >= 0.0):
@@ -131,7 +120,7 @@ def dressed_frame(params: SystemParams) -> DressedFrame:
         chi_B=math.hypot(params.delta_B, two_omega),
         cos2_A=(1.0 + math.cos(math.atan2(two_omega, params.delta_A))) / 2.0,
         cos2_B=(1.0 + math.cos(math.atan2(two_omega, params.delta_B))) / 2.0,
-        W=params.R * params.lambda_ / params.alpha_T,
+        W=params.R * params.lambda_,
         lambda_=params.lambda_,
         delta_L=params.delta_L,
     )

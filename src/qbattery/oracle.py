@@ -129,7 +129,7 @@ def propagate(params: SystemParams, frame: DressedFrame, bath: DiscretizedBath,
 
         H_jj = e_j = chi_j + delta_L,  H_kk = dw_k,  H_jk = H_kj = w_j g_k,
 
-    w_j = alpha_j cos^2(eta_j/2), and every a_k(0) = 0.  With the eigenvalues
+    w_j = r_j cos^2(eta_j/2), and every a_k(0) = 0.  With the eigenvalues
     lam_k of H and the qubit blocks u_k of its eigenvectors,
 
         q(t) = q0 + sum_k (e^{-i lam_k t} - 1) u_k (u_k . q0),
@@ -152,8 +152,8 @@ def propagate(params: SystemParams, frame: DressedFrame, bath: DiscretizedBath,
         raise ValueError(
             f"grid reaches t = {grid.t_max:g}, past half the bath recurrence "
             f"time {bath.recurrence_time:g}; enlarge n_modes/span")
-    weights = np.array([params.alpha_A * frame.cos2_A,
-                        params.alpha_B * frame.cos2_B])
+    weights = np.array([params.r1 * frame.cos2_A,
+                        params.r2 * frame.cos2_B])
     rates = np.array([frame.chi_A, frame.chi_B]) + frame.delta_L
     q0 = np.array([params.c01, params.c02])
     t = grid.samples

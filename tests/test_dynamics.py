@@ -290,7 +290,7 @@ def volterra_reference(params, frame, grid):
     integro-differential amplitude equations with the exponential memory
     kernel written out explicitly.  Quadratic accuracy; independent of the
     pseudomode reduction."""
-    alpha = np.array([params.alpha_A, params.alpha_B])
+    alpha = np.array([params.r1, params.r2])
     cth = np.array([frame.cos2_A, frame.cos2_B])
     chi = np.array([frame.chi_A, frame.chi_B])
     decay = frame.lambda_ - 1j * frame.delta_L

@@ -11,9 +11,10 @@ config files whose JSON has the wrong type.  Grids stay at 64 samples and
 the oracle on a 400-mode bath, so one example takes milliseconds; a sweep
 then has one chunk, so no thread count starts a thread.  The second test
 also draws sweeps of 2 or 3 points of at least BUDGET samples on either
-engine, so each point is its own chunk, shared by 1 to 4 workers, and sweep
+engine, so each point is its own chunk, shared by 1 to 4 workers, sweep
 axes whose product exceeds MAX_SWEEP_POINTS, which must exit 2 without
-expanding their points.
+expanding their points, and oracle-check on a drawn bath: n_modes and span
+inside their bounds, with at most 2000 modes, or outside them.
 """
 
 import contextlib
@@ -29,10 +30,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbattery.cli import COMMANDS, RunConfig, main
+from qbattery.oracle import MAX_N_MODES
 from qbattery.sweep import AXIS_NAMES, BUDGET, FIGURES, MAX_SWEEP_POINTS
 
 NUMERIC_KEYS = ("delta_A", "delta_B", "delta_L", "omega_drive", "lambda",
-                "alpha_T", "r1", "R", "t_max")
+                "r1", "R", "t_max")
+POINT_KEYS = ("delta_A", "delta_B", "delta_L", "omega_drive", "R")
 
 # Log-uniform magnitudes; 10^308.25 is below the largest double.
 magnitudes = st.floats(min_value=-320.0, max_value=308.25).map(lambda e: 10.0 ** e)
@@ -51,6 +54,11 @@ wrong_configs = st.one_of(
     wrong_values,
     st.dictionaries(st.sampled_from(sorted(f.name for f in fields(RunConfig))),
                     wrong_values, min_size=1, max_size=2))
+# Out-of-range bath sizes of oracle-check, which needs 100 <= n_modes <=
+# MAX_N_MODES, span >= 10 and n_modes >= 40 span: just and far outside.
+bad_mode_counts = st.sampled_from([0, 99, MAX_N_MODES + 1, 1e15])
+bad_spans = st.one_of(st.floats(max_value=10.0, exclude_max=True, allow_nan=False,
+                                allow_infinity=False), st.just(1e308))
 
 
 @st.composite
@@ -100,6 +108,23 @@ def multi_chunk_sweeps(draw):
     for key, value in pairs.items():
         argv += ["--set", f"{key}={value!r}"]
     return argv, None, (0, 2, 3)
+
+
+@st.composite
+def oracle_baths(draw):
+    """oracle-check on a drawn bath size, at a point drawn from [0, 10] on
+    up to two physical keys, so that most in-range baths are built and
+    propagated.  An in-range bath has at most 2000 modes, so an example
+    stays in milliseconds."""
+    n_modes = draw(st.integers(400, 2000) | bad_mode_counts)
+    span = draw(st.floats(10.0, max(10.0, n_modes / 40.0)) | bad_spans)
+    argv = ["oracle-check", "--set", f"n_points={draw(st.integers(2, 64))}",
+            "--set", f"n_modes={n_modes!r}", "--set", f"span={span!r}"]
+    pairs = draw(st.dictionaries(st.sampled_from(POINT_KEYS), st.floats(0.0, 10.0),
+                                 max_size=2))
+    for key, value in pairs.items():
+        argv += ["--set", f"{key}={value!r}"]
+    return argv, None, (0, 2, 3, 4)
 
 
 @st.composite
@@ -153,9 +178,9 @@ def test_every_input_ends_in_a_documented_exit_code(argv):
     _assert_documented_exit(argv)
 
 
-@settings(max_examples=140, derandomize=True, deadline=None)
+@settings(max_examples=180, derandomize=True, deadline=None)
 @given(drawn=st.one_of(wrongly_typed_command_lines(), multi_chunk_sweeps(),
-                       oversized_sweeps()))
+                       oversized_sweeps(), oracle_baths()))
 def test_wrongly_typed_input_ends_in_a_documented_exit_code(drawn):
     argv, config, codes = drawn
     with tempfile.TemporaryDirectory() as tmp:

@@ -26,7 +26,7 @@ def test_validate_returns_default_params_unchanged():
     (dict(c01=1.0, c02=1.0), "not normalized"),
     (dict(lambda_=0.0), "lambda_"),
     (dict(lambda_=-1.0), "lambda_"),
-    (dict(alpha_T=0.0), "alpha_T"),
+    (dict(lambda_=1e-320), "subnormal lambda_"),
     (dict(omega_drive=-0.5), "omega_drive"),
     (dict(R=-1.0), "R"),
     (dict(delta_A=math.inf), "delta_A"),
@@ -46,7 +46,7 @@ def test_validate_names_first_violated_invariant(kwargs, fragment):
 @pytest.mark.parametrize("kwargs, name", [
     (dict(omega_drive=1e308), "chi_A"),
     (dict(delta_B=1.5e308, omega_drive=5e307), "chi_B"),
-    (dict(R=1e300, alpha_T=1e-10), "W"),
+    (dict(R=1e300, lambda_=1e10), "W"),
 ])
 def test_dressed_frame_rejects_overflowing_scales(kwargs, name):
     with pytest.raises(ValueError, match=f"non-finite {name}"):
@@ -78,8 +78,8 @@ def test_dressed_frame_pythagorean_triple():
 
 
 def test_dressed_frame_coupling_scale():
-    f = dressed_frame(SystemParams(R=10.0, alpha_T=2.0, lambda_=0.5))
-    assert f.W == pytest.approx(10.0 * 0.5 / 2.0)
+    f = dressed_frame(SystemParams(R=10.0, lambda_=0.5))
+    assert f.W == 10.0 * 0.5
 
 
 @given(delta=finite, omega=nonneg)
@@ -131,11 +131,13 @@ def _scaled(p: SystemParams, s: float) -> SystemParams:
     return SystemParams(
         delta_A=s * p.delta_A, delta_B=s * p.delta_B, delta_L=s * p.delta_L,
         omega_drive=s * p.omega_drive, lambda_=s * p.lambda_,
-        alpha_T=p.alpha_T, r1=p.r1, R=p.R, c01=p.c01, c02=p.c02)
+        r1=p.r1, R=p.R, c01=p.c01, c02=p.c02)
 
 
-def test_common_frequency_rescaling_leaves_populations_invariant():
-    s = 2.0
+# Far from 1, the closed form's squares of M and the coupling would
+# underflow or overflow without kernel_params' power-of-two scaling.
+@pytest.mark.parametrize("s", [2.0, 1e-250, 1e-200, 1e-100, 1e100, 1e200])
+def test_common_frequency_rescaling_leaves_populations_invariant(s):
     p = SystemParams(delta_A=1.5, delta_B=1.5, delta_L=0.7, omega_drive=0.8,
                      R=0.5, r1=0.6)
     q = _scaled(p, s)

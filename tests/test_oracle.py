@@ -21,7 +21,7 @@ def weak_frame(omega=1.0, R=1.0):
 
 
 def test_bath_weight_matches_truncated_lorentzian():
-    # R = alpha_T = 1 makes W = lambda
+    # R = 1 makes W = lambda
     _, f = weak_frame(R=1.0)
     assert f.W == 1.0
     bath = build_bath(f)  # 4000 modes, span 50
@@ -106,7 +106,7 @@ def test_propagation_matches_exact_propagator_of_its_hamiltonian():
     bath = build_bath(f, n_modes=400, span=10.0)
     grid = TimeGrid.uniform(5.0, 100)
     rates = np.array([f.chi_A, f.chi_B]) + f.delta_L
-    weights = np.array([p.alpha_A * f.cos2_A, p.alpha_B * f.cos2_B])
+    weights = np.array([p.r1 * f.cos2_A, p.r2 * f.cos2_B])
     H = np.diag(np.concatenate((rates, bath.mode_detunings)))
     H[:2, 2:] = np.outer(weights, bath.couplings)
     H[2:, :2] = H[:2, 2:].T
@@ -153,7 +153,7 @@ def test_propagation_stops_at_its_evaluation_budget(monkeypatch):
 def eigh_amplitudes(p, f, bath, grid):
     """Qubit amplitudes from the dense eigendecomposition of H."""
     rates = np.array([f.chi_A, f.chi_B]) + f.delta_L
-    weights = np.array([p.alpha_A * f.cos2_A, p.alpha_B * f.cos2_B])
+    weights = np.array([p.r1 * f.cos2_A, p.r2 * f.cos2_B])
     H = np.diag(np.concatenate((rates, bath.mode_detunings)))
     H[:2, 2:] = np.outer(weights, bath.couplings)
     H[2:, :2] = H[:2, 2:].T

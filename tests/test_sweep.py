@@ -190,8 +190,8 @@ def _reference_c2(params, frame, grid, engine):
         beta_plus = params.r1 * params.c01 + params.r2 * params.c02
         beta_minus = params.r2 * params.c01 - params.r1 * params.c02
         return -params.r1 * beta_minus + params.r2 * Z * beta_plus
-    w_A = frame.W * params.alpha_A * frame.cos2_A
-    w_B = frame.W * params.alpha_B * frame.cos2_B
+    w_A = frame.W * params.r1 * frame.cos2_A
+    w_B = frame.W * params.r2 * frame.cos2_B
     step = expm(t[1] * np.array([
         [-1j * frame.chi_A, 0.0, -w_A], [0.0, -1j * frame.chi_B, -w_B],
         [w_A, w_B, -(frame.lambda_ - 1j * frame.delta_L)]]))
@@ -266,14 +266,14 @@ def test_failure_in_a_later_chunk_names_the_first_failing_point():
     # Point 33 overflows in the engine, point 35 fails validation; both lie
     # in the third chunk of 16 points.
     omegas = [0.05 * k for k in range(40)]
-    omegas[33], omegas[35] = 1e300, -1.0
+    omegas[33], omegas[35] = 5e307, -1.0
     spec = SweepSpec(base=base_params(), axes=(("omega_drive", tuple(omegas)),),
                      grid=weak_grid(2000))
     assert BUDGET // spec.grid.n_points == 16
     for threads in (1, 3):
         with pytest.raises(SweepPointError) as err:
             run_sweep(spec, threads=threads)
-        assert err.value.point == {"omega_drive": 1e300}
+        assert err.value.point == {"omega_drive": 5e307}
         assert isinstance(err.value.cause, IntegrationError)
 
 
