@@ -20,6 +20,7 @@ pseudomode.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -53,6 +54,12 @@ MAX_STATES = 2 ** 24
 # relative remainder below 1e-20.
 NEAR = 8
 TERMS = 16
+
+# Roots per block of the comb's near sums.  A block's (roots, 2 NEAR)
+# temporaries then take 64 KB, below the C allocator's default 128 KB
+# mmap threshold, so every pass of the root iteration reuses heap memory
+# instead of mapping and faulting in fresh pages.
+COMB_BLOCK = 512
 
 # Relative stop of the root iteration: a root whose last step moved it by at
 # most STOP times its offset from its pole is done.  The steps shrink
@@ -316,16 +323,20 @@ def _secular_roots(c: float, d: np.ndarray, z2: np.ndarray, extra):
 
     def comb(o, tau):
         """(f, f') at d[o] + tau, |tau| <= h/2, without the terms of pole o."""
-        idx = o[:, None] + offsets
-        gap = tau[:, None] - (d_pad[idx] - d[o][:, None])
-        near = z_pad[idx] / gap
-        coef = far[:, o]
-        value, slope = coef[-1], np.zeros_like(tau)
+        near, near_slope = np.empty_like(tau), np.empty_like(tau)
+        for k in range(0, tau.size, COMB_BLOCK):
+            block = slice(k, k + COMB_BLOCK)
+            idx = o[block, None] + offsets
+            gap = tau[block, None] - (d_pad[idx] - d[o[block]][:, None])
+            terms = z_pad[idx] / gap
+            near[block] = np.sum(terms, axis=1)
+            near_slope[block] = np.sum(terms / gap, axis=1)
+        value, slope = far[-1, o], np.zeros_like(tau)
         for j in range(TERMS - 2, -1, -1):
             slope = slope * tau + value
-            value = value * tau + coef[j]
-        rest = (d[o] - c) + tau - np.sum(near, axis=1) + value
-        slope += 1.0 + np.sum(near / gap, axis=1)
+            value = value * tau + far[j, o]
+        rest = (d[o] - c) + tau - near + value
+        slope += 1.0 + near_slope
         if extra:
             gap = tau - (p_star - d[o])
             rest -= eps2 / gap
@@ -468,14 +479,23 @@ def _far_field(z2: np.ndarray, h: float) -> np.ndarray:
     For a root at d[o] + tau these give the comb's far sum
     sum z2[k] / (tau - (d[k] - d[o])) = -sum_j tau^j F[j, o].  Each row is a
     linear convolution of z2 with the kernel (m h)^-(j+1), taken by FFT over
-    at least 2n - 1 points, so the outputs kept see no wrap-around.
+    at least 2n - 1 points, so the outputs kept see no wrap-around.  The
+    rows are built, transformed and kept one at a time, so memory beyond the
+    result stays at one kernel and its spectrum.
     """
     n = z2.size
     m = np.arange(n - 1, -n, -1)
     inverse = np.zeros(m.size)
     far = np.abs(m) > NEAR
     inverse[far] = 1.0 / (m[far] * h)
-    kernels = np.cumprod(np.broadcast_to(inverse, (TERMS, m.size)), axis=0)
     size = 1 << (2 * n - 2).bit_length()
-    spectrum = np.fft.rfft(z2, size) * np.fft.rfft(kernels, size)
-    return np.fft.irfft(spectrum, size)[:, n - 1:2 * n - 1]
+    signal = np.fft.rfft(z2, size)
+    result = np.empty((TERMS, n))
+    kernels = itertools.accumulate(itertools.repeat(inverse, TERMS), np.multiply)
+    for row, kernel in zip(result, kernels):
+        # signal stays the first factor: numpy's complex product rounds
+        # a * b and b * a differently.
+        spectrum = np.fft.rfft(kernel, size)
+        np.multiply(signal, spectrum, out=spectrum)
+        row[:] = np.fft.irfft(spectrum, size)[n - 1:2 * n - 1]
+    return result

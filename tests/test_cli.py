@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qbattery
 import qbattery.cli as cli
 import qbattery.sweep as sweep
 from qbattery import (IntegrationError, SystemParams, dressed_frame,
@@ -323,8 +327,9 @@ def test_set_flag_rejects_malformed_pairs(tmp_path, capsys):
     (["maxima", "--set", "n_points=2.5"], 2, "'n_points'"),
     (["sweep", "--set", 'axes=[["R"]]'], 2, "'axes'"),
     (["maxima", "--set", "out_dir=5"], 2, "'out_dir'"),
-    (["oracle-check", "--set", "omega_drive=1e300", "--set", "n_modes=400",
-      "--set", "span=10"], 3, "pseudomode engine"),
+    # The engines run before the bath is built: a step A dt that overflows.
+    (["oracle-check", "--set", "omega_drive=1e300", "--set", "t_max=1e100",
+      "--set", "n_modes=400", "--set", "span=10"], 3, "pseudomode engine"),
     (["maxima", "--set", "n_points=1000000000000000"], 2, "n_points <="),
     (["sweep", "--set", "n_points=1000000000000000"], 2, "n_points <="),
     (["reproduce", "--figure", "fig5", "--set", "n_points=1000000000000000"], 2,
@@ -350,8 +355,8 @@ def test_set_flag_rejects_malformed_pairs(tmp_path, capsys):
     (["sweep", "--set", 'axes=[["omega_drive", [0.5]], ["omega_drive", [1.0]]]'], 2,
      "repeated sweep axis: 'omega_drive'"),
     (["sweep", "--set", 'axes=[["omega_drive", [true]]]'], 2, "'axes'"),
-    (["maxima", "--engine", "pseudomode", "--set", "delta_B=-7.9e32"], 3,
-     "pseudomode engine"),
+    (["maxima", "--engine", "pseudomode", "--set", "delta_B=1e308", "--set", "t_max=1e10"],
+     3, "pseudomode engine"),
     (["maxima", "--engine", "pseudomode", "--set", "delta_A=1e308", "--set", "delta_B=1e308"],
      3, "pseudomode engine"),
     (["maxima", "--engine", "pseudomode", "--set", "n_points=2", "--set", "lambda=1e308",
@@ -370,6 +375,9 @@ def test_set_flag_rejects_malformed_pairs(tmp_path, capsys):
     (["maxima", "--config", str(Path(__file__).parent / "data" / "no_such_config.json")], 2,
      "cannot read config"),
     (["sweep", "--set", 'axes=[["R", []]]'], 2, "empty value list for axis 'R'"),
+    # Both engines run at this drive; the bath, far below the qubits, cannot.
+    (["oracle-check", "--set", "omega_drive=1e300", "--set", "n_modes=400", "--set", "span=10"],
+     3, "completeness defect"),
 ])
 def test_bad_input_exits_with_code_and_writes_no_csv(tmp_path, capsys, argv, code,
                                                       fragment):
@@ -379,6 +387,19 @@ def test_bad_input_exits_with_code_and_writes_no_csv(tmp_path, capsys, argv, cod
     assert fragment in err
     assert ("numerical failure" if code == 3 else "config error") in err
     assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_pseudomode_battery_decoupled_by_huge_detuning_stores_nothing(tmp_path):
+    # cos^2(eta_B/2) rounds to 0 at delta_B = -7.9e32, so w_B = 0 and the
+    # battery amplitude is exactly c02 = 0 at every time, however large the
+    # step's phases: every peak is 0 at t = 0.
+    assert dressed_frame(SystemParams(delta_B=-7.9e32)).cos2_B == 0.0
+    out = tmp_path / "o"
+    assert main(["maxima", "--engine", "pseudomode", "--set", "delta_B=-7.9e32",
+                 "--out", str(out)]) == 0
+    header, data = load_csv(out / "maxima.csv")
+    assert header == ["E_max", "t_E", "P_max", "t_P", "W_max", "t_W"]
+    assert np.array_equal(data, np.zeros((1, 6)))
 
 
 # Valid inputs at the edges of the float range that both engines handle:
@@ -398,6 +419,32 @@ def test_oracle_check_runs_at_extreme_scales(tmp_path, pairs):
     report = json.loads((tmp_path / "oracle_check.json").read_text())
     assert np.isfinite(report["norm_drift"])
     assert all(engine["pass"] for engine in report["engines"].values())
+
+
+NO_SCIPY_PROBE = """
+import json, sys, tempfile
+from qbattery.cli import main
+
+with tempfile.TemporaryDirectory() as out:
+    codes = [main(argv + ["--out", out]) for argv in (
+        ["maxima", "--engine", "pseudomode"],
+        ["sweep", "--engine", "pseudomode", "--set", 'axes=[["delta_B", [0.0, 2.0]]]'],
+        ["oracle-check", "--set", "n_modes=400", "--set", "span=10"])]
+scipy = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "scipy": scipy}))
+"""
+
+
+def test_engines_and_oracle_run_without_importing_scipy():
+    # numpy is the only runtime dependency: a fresh interpreter that runs
+    # the pseudomode and the oracle never imports scipy.
+    src = str(Path(qbattery.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = subprocess.run([sys.executable, "-c", NO_SCIPY_PROBE],
+                           env=dict(os.environ, PYTHONPATH=path), timeout=120,
+                           capture_output=True, text=True, check=True)
+    result = json.loads(probe.stdout.splitlines()[-1])
+    assert result == {"codes": [0, 0, 0], "scipy": []}
 
 
 def test_command_line_rejected_by_argparse_returns_2_and_help_returns_0(capsys):

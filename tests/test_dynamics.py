@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from qbattery import (IntegrationError, KernelParams, SystemParams, TimeGrid,
                       default_grid, dressed_frame, equal_frequency_trajectory,
                       general_trajectory, kernel_params, survival_amplitude,
                       trajectory)
-from qbattery.dynamics import MAX_N_POINTS, AmplitudeTrajectory
+from qbattery.dynamics import MAX_N_POINTS, AmplitudeTrajectory, _expm
 
 # Oracle-certified survival amplitude at t = 2/lambda for
 # (R=0.5, Omega=0.5, Delta=Delta_L=0, r1=1/sqrt2, alpha_T=1), obtained by
@@ -226,7 +227,7 @@ def test_pseudomode_matches_closed_form():
         assert gap <= 1e-6
 
 
-@pytest.mark.parametrize("omega_drive", [1e6, 1e9, 1e12, 1e15])
+@pytest.mark.parametrize("omega_drive", [1e6, 1e9, 1e12, 1e15, 1e18])
 def test_pseudomode_matches_closed_form_at_large_splittings(omega_drive):
     # The generator is shifted by the mean splitting, so no rotation by the
     # huge common phase is needed to recover the amplitudes.
@@ -237,6 +238,65 @@ def test_pseudomode_matches_closed_form_at_large_splittings(omega_drive):
     pseudo = general_trajectory(p, f, g)
     gap = max(np.abs(closed.c1 - pseudo.c1).max(), np.abs(closed.c2 - pseudo.c2).max())
     assert gap <= 1e-8
+
+
+def pseudomode_steps(points):
+    """The (points, 3, 3) stack A dt of the pseudomode's co-rotating generator
+    on each point's default grid, written out as in README."""
+    steps = []
+    for p in points:
+        f = dressed_frame(p)
+        chi = (f.chi_A + f.chi_B) / 2.0
+        w_A, w_B = f.W * p.r1 * f.cos2_A, f.W * p.r2 * f.cos2_B
+        steps.append(default_grid(p).samples[1] * np.array(
+            [[-1j * (f.chi_A - chi), 0.0, -w_A], [0.0, -1j * (f.chi_B - chi), -w_B],
+             [w_A, w_B, -(f.lambda_ - 1j * (f.delta_L + chi))]]))
+    return np.array(steps)
+
+
+def propagator_points(drives=(1e6, 1e9, 1e12, 1e15, 1e18)):
+    """Random sweep points, then R = 100, critical damping and large drives."""
+    rng = np.random.default_rng(13)
+    points = [SystemParams(omega_drive=rng.uniform(0.0, 5.0), delta_A=rng.uniform(-5.0, 5.0),
+                           delta_B=rng.uniform(-5.0, 5.0), delta_L=rng.uniform(-5.0, 5.0),
+                           R=10.0 ** rng.uniform(-2.0, 2.0), r1=rng.uniform(0.0, 1.0))
+              for _ in range(200)]
+    points += [SystemParams(R=100.0), SystemParams(R=100.0, delta_B=3.0, omega_drive=2.0),
+               SystemParams(omega_drive=0.0, R=0.5)]
+    points += [SystemParams(omega_drive=w, R=R, delta_B=d)
+               for w in drives for R in (0.5, 100.0) for d in (0.0, 3.0)]
+    return points
+
+
+def test_propagator_matches_scipy_expm():
+    # The exponential's condition number grows like |A|, so the error is
+    # measured against the larger of max|A| and max|e^A| (about 1).
+    steps = pseudomode_steps(propagator_points())
+    reference = np.array([expm(a) for a in steps])
+    error = np.abs(_expm(steps) - reference).max(axis=(1, 2))
+    scale = np.maximum(np.abs(steps).max(axis=(1, 2)), np.abs(reference).max(axis=(1, 2)))
+    assert np.all(error <= 1e-14 * scale), (error / scale).max()
+
+
+def test_propagator_rows_do_not_depend_on_the_stack():
+    # The stack mixes steps that need no squaring with steps that need up to
+    # 55, so the squarings run on row subsets.
+    steps = pseudomode_steps(propagator_points())
+    stack = _expm(steps)
+    for k, step in enumerate(steps):
+        np.testing.assert_array_equal(_expm(step[None])[0], stack[k])
+
+
+def test_propagator_step_is_a_contraction():
+    # In the co-rotating frame A + A^H = diag(0, 0, -2 lambda) dt <= 0, so
+    # the exact step has |P|_2 <= 1.  Above |A dt| ~ 1e14 the squarings
+    # amplify the rounding of the cavity entry's modulus (README), so the
+    # drives stop at 1e12.
+    steps = pseudomode_steps(propagator_points(drives=(1e6, 1e9, 1e12)))
+    hermitian = steps + steps.conj().transpose(0, 2, 1)
+    assert np.all(hermitian.real[:, :2] == 0.0) and np.all(hermitian.real[:, :, :2] == 0.0)
+    assert np.all(hermitian.real[:, 2, 2] < 0.0) and np.all(hermitian.imag == 0.0)
+    assert np.linalg.norm(_expm(steps), 2, axis=(1, 2)).max() <= 1.0 + 1e-15
 
 
 @pytest.mark.parametrize("engine, name", [(equal_frequency_trajectory, "closed_form"),
