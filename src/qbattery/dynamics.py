@@ -300,11 +300,8 @@ def _expm(A: np.ndarray) -> np.ndarray:
     E += blocks[:, 0]
     for k in range(int(s.max())):
         rows = s > k
-        if rows.all():
-            E = E @ E + 2.0 * E
-        else:
-            part = E[rows]
-            E[rows] = part @ part + 2.0 * part
+        part = E[rows]
+        E[rows] = part @ part + 2.0 * part
     return E + np.eye(3)
 
 
