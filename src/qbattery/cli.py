@@ -32,7 +32,7 @@ from .dynamics import (DEFAULT_N_POINTS, ENGINE_CLOSED, ENGINE_PSEUDOMODE,
 from .model import SystemParams, dressed_frame, validate
 from .oracle import DEFAULT_N_MODES, DEFAULT_SPAN, build_bath, propagate
 from .sweep import (SweepPointError, SweepSpec, csv_text, evaluate,
-                    figure_pipeline, run_sweep, write_sweep_csv)
+                    figure_pipeline, run_sweep, write_json, write_sweep_csv)
 
 ORACLE_TOLERANCE = 5e-3
 TIMESERIES_FIELDS = ("t", "re_C1", "im_C1", "re_C2", "im_C2", "E_B", "P_B", "W_B")
@@ -75,14 +75,17 @@ class RunConfig(SystemParams):
     n_modes: int = DEFAULT_N_MODES
     span: float = DEFAULT_SPAN
 
-    def params(self) -> SystemParams:
-        return validate(SystemParams(**{f.name: getattr(self, f.name)
-                                        for f in fields(SystemParams)}))
+    def spec(self, axes=()) -> SweepSpec:
+        """The configured point as the base of a sweep over axes.
 
-    def grid(self) -> TimeGrid:
-        if self.t_max is None:
-            return default_grid(self.params(), self.n_points)
-        return TimeGrid.uniform(self.t_max, self.n_points)
+        The base point is validated once, before its default window divides
+        by lambda.
+        """
+        base = validate(SystemParams(**{f.name: getattr(self, f.name)
+                                        for f in fields(SystemParams)}))
+        grid = (default_grid(base, self.n_points) if self.t_max is None
+                else TimeGrid.uniform(self.t_max, self.n_points))
+        return SweepSpec(base=base, axes=axes, grid=grid, engine=self.engine)
 
 
 _KEY_MAP = {"lambda": "lambda_"}
@@ -194,19 +197,11 @@ def _write_run_json(out: Path, command: str, config: RunConfig,
         "oracle_tolerance": ORACLE_TOLERANCE if command == "oracle-check" else None,
         "outputs": outputs,
     }
-    path = out / "run.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    newline="\n")
-    return path
-
-
-def _spec(config: RunConfig, axes=()) -> SweepSpec:
-    return SweepSpec(base=config.params(), axes=axes, grid=config.grid(),
-                     engine=config.engine)
+    return write_json(out / "run.json", payload)
 
 
 def cmd_timeseries(config: RunConfig, out: Path) -> tuple[list[Path], int]:
-    traj, series = evaluate(_spec(config), [{}])
+    traj, series = evaluate(config.spec(), [{}])
     table = np.concatenate((traj.grid.samples[None], traj.c1.real, traj.c1.imag,
                             traj.c2.real, traj.c2.imag, series.energy,
                             series.power, series.ergotropy))
@@ -217,11 +212,11 @@ def cmd_timeseries(config: RunConfig, out: Path) -> tuple[list[Path], int]:
 
 def cmd_maxima(config: RunConfig, out: Path) -> tuple[list[Path], int]:
     """The sweep without axes: the one row of the configured point."""
-    return [write_sweep_csv(run_sweep(_spec(config)), out / "maxima.csv")], 0
+    return [write_sweep_csv(run_sweep(config.spec()), out / "maxima.csv")], 0
 
 
 def cmd_sweep(config: RunConfig, out: Path) -> tuple[list[Path], int]:
-    result = run_sweep(_spec(config, config.axes), threads=config.threads)
+    result = run_sweep(config.spec(config.axes), threads=config.threads)
     return [write_sweep_csv(result, out / "sweep.csv")], 0
 
 
@@ -233,7 +228,7 @@ def cmd_reproduce(config: RunConfig, out: Path) -> tuple[list[Path], int]:
 
 def cmd_oracle_check(config: RunConfig, out: Path) -> tuple[list[Path], int]:
     """Compare the discretized-bath ground truth against both engines; 4 on a miss."""
-    spec = _spec(config)
+    spec = config.spec()
     params = spec.base
     names = ((ENGINE_PSEUDOMODE, ENGINE_CLOSED) if params.equal_detunings()
              else (ENGINE_PSEUDOMODE,))
@@ -255,9 +250,7 @@ def cmd_oracle_check(config: RunConfig, out: Path) -> tuple[list[Path], int]:
         "engines": {name: {"sup_norm_gap": gap, "pass": gap <= ORACLE_TOLERANCE}
                     for name, gap in gaps.items()},
     }
-    path = out / "oracle_check.json"
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                    newline="\n")
+    path = write_json(out / "oracle_check.json", report)
     ok = all(entry["pass"] for entry in report["engines"].values())
     for name, entry in sorted(report["engines"].items()):
         status = "PASS" if entry["pass"] else "FAIL"

@@ -19,13 +19,19 @@ Two engines produce the same trajectories:
   W^2 e^{-(lambda - i delta_L)(t-t')} e^{i chi_i t} e^{-i chi_j t'} exactly.
   In the co-rotating amplitudes C_j e^{-i chi_j t} the system has a
   constant 3x3 generator, so its matrix exponential solves it exactly.
+
+Both engines return fresh (points x time) arrays.  Importing this module
+sets the C allocator's policy (MALLOPT) once, so that the next sweep chunk
+reuses the memory of the last instead of faulting fresh pages in.
 """
 
 from __future__ import annotations
 
 import cmath
+import ctypes
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,35 +53,29 @@ class IntegrationError(RuntimeError):
     """A solve missed its tolerance, or amplitudes or metrics are not finite."""
 
 
-class Workspace:
-    """The (points x time) arrays that one sweep worker reuses across chunks.
-
-    Each fresh array of a batch costs its first-touch page faults, and the
-    allocator hands a freed one back to the OS, so a sweep that allocated
-    its arrays chunk by chunk paid those faults on every chunk.  A stage
-    asks for an array by slot name; each slot keeps one flat buffer, grown
-    to its largest request, and returns a view of it, which the next request
-    of the same slot overwrites.  Without a workspace (None) every call gets
-    fresh arrays.
-    """
-
-    def __init__(self):
-        self._slots: dict[str, np.ndarray] = {}
-
-    def empty(self, name: str, shape: tuple, dtype=complex) -> np.ndarray:
-        size = math.prod(shape)
-        slot = self._slots.get(name)
-        if slot is None or slot.size < size or slot.dtype != dtype:
-            slot = self._slots[name] = np.empty(size, dtype)
-        return slot[:size].reshape(shape)
+# glibc's M_MMAP_THRESHOLD and M_TRIM_THRESHOLD, set at import.  By default
+# glibc maps each block of 128 KB or more on its own and trims a freed heap
+# top, so the (points x time) arrays of every sweep chunk would fault their
+# pages in again.  32 MiB is glibc's ceiling for its dynamic mmap threshold
+# on 64-bit, and its dynamic rule trims above twice the threshold.
+MALLOPT = ((-3, 32 << 20), (-1, 64 << 20))
 
 
-def _empty(workspace: Workspace | None, name: str, shape: tuple,
-           dtype=complex) -> np.ndarray:
-    """A fresh array, or a view of the workspace's slot name."""
-    if workspace is None:
-        return np.empty(shape, dtype)
-    return workspace.empty(name, shape, dtype)
+def _keep_freed_heap() -> None:
+    """Set MALLOPT, best effort: on Linux only (musl ignores glibc's
+    parameters); elsewhere, or without a C library, only speed differs."""
+    if sys.platform != "linux":
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param, value in MALLOPT:
+        mallopt(param, value)
+
+
+_keep_freed_heap()
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,7 +163,7 @@ def kernel_params(params: SystemParams, frame: DressedFrame) -> KernelParams:
     return KernelParams(M=M, F=F)
 
 
-def survival_amplitude(kernel: KernelParams, t, workspace: Workspace | None = None):
+def survival_amplitude(kernel: KernelParams, t):
     """Survival amplitude Z(t) of the super-radiant component.
 
     Z(t) = e^{-Mt/2} (cosh(Ft/2) + (M/F) sinh(Ft/2)), evaluated with the
@@ -181,8 +181,7 @@ def survival_amplitude(kernel: KernelParams, t, workspace: Workspace | None = No
     exponentials are filled over the uniform samples by doubling, which
     agrees with the direct np.exp form to about 1e-14.  kernel.M and
     kernel.F may be arrays with a leading points axis; the result then has
-    shape M.shape + t.shape.  With a workspace, the result and its
-    temporaries are views of its slots.
+    shape M.shape + t.shape.
     """
     on_grid = isinstance(t, TimeGrid)
     t = t.samples if on_grid else np.asarray(t, dtype=float)
@@ -198,14 +197,13 @@ def survival_amplitude(kernel: KernelParams, t, workspace: Workspace | None = No
                  ((1.0 - ratio) / 2.0, -(F_safe + M) / 2.0))
         if on_grid:
             shape = M.shape[:-1] + t.shape
-            ep, em = (_exp_on_grid(scale, rate, t, _empty(workspace, name, shape))
-                      for name, (scale, rate) in zip(("ep", "em"), terms))
+            ep, em = (_exp_on_grid(scale, rate, t, np.empty(shape, complex))
+                      for scale, rate in terms)
             out = np.add(ep, em, out=ep)
         else:
             ep, em = (scale * np.exp(rate * t) for scale, rate in terms)
             out = np.asarray(ep + em)
-        series = np.less(t, 1e-6 / np.abs(F_safe),
-                         out=_empty(workspace, "series", out.shape, bool))
+        series = np.less(t, 1e-6 / np.abs(F_safe))
         series |= degenerate
         if series.any():
             M, F, t = (np.broadcast_to(x, out.shape)[series] for x in (M, F, t))
@@ -329,8 +327,7 @@ def _trajectory(params, grid: TimeGrid, c1: np.ndarray, c2: np.ndarray,
     return AmplitudeTrajectory(grid=grid, c1=c1, c2=c2, engine_tag=engine_tag)
 
 
-def equal_frequency_trajectory(params, frame, grid: TimeGrid,
-                               workspace: Workspace | None = None) -> AmplitudeTrajectory:
+def equal_frequency_trajectory(params, frame, grid: TimeGrid) -> AmplitudeTrajectory:
     """Closed-form amplitudes for identical qubit detunings.
 
     The initial state is decomposed into the constant sub-radiant amplitude
@@ -341,20 +338,18 @@ def equal_frequency_trajectory(params, frame, grid: TimeGrid,
         C2(t) = -r1 beta_minus + r2 Z(t) beta_plus
 
     params and frame are one point, or equal-length sequences of points;
-    a batch gives amplitudes shaped (points, time).  With a workspace, the
-    amplitudes are views of its slots.
+    a batch gives amplitudes shaped (points, time).
     """
     points, frames = _batch(params, frame)
     kernels = [kernel_params(p, f) for p, f in zip(points, frames)]
     Z = survival_amplitude(KernelParams(M=np.array([k.M for k in kernels]),
                                         F=np.array([k.F for k in kernels])),
-                           grid, workspace)
+                           grid)
     r1, r2, c01, c02 = (_values(points, name)[:, None]
                         for name in ("r1", "r2", "c01", "c02"))
     beta_plus = r1 * c01 + r2 * c02
     beta_minus = r2 * c01 - r1 * c02
-    # In place, in the dead em slot: a batch holds three (points x time) arrays.
-    c2 = np.multiply(Z, r2 * beta_plus, out=_empty(workspace, "em", Z.shape))
+    c2 = Z * (r2 * beta_plus)
     c2 -= r1 * beta_minus
     c1 = np.multiply(Z, r1 * beta_plus, out=Z)
     c1 += r2 * beta_minus
@@ -364,8 +359,7 @@ def equal_frequency_trajectory(params, frame, grid: TimeGrid,
 # As in survival_amplitude, AmplitudeTrajectory rejects overflowed samples, so
 # numpy need not warn anywhere in the engine.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def general_trajectory(params, frame, grid: TimeGrid,
-                       workspace: Workspace | None = None) -> AmplitudeTrajectory:
+def general_trajectory(params, frame, grid: TimeGrid) -> AmplitudeTrajectory:
     """Exact pseudomode amplitudes, valid for unequal detunings.
 
     The co-rotating state y = (C_A, C_B, b) e^{i chi t} with the mean
@@ -376,8 +370,7 @@ def general_trajectory(params, frame, grid: TimeGrid,
     products, and C_j = y_j e^{i (chi_j - chi) t}.
 
     params and frame are one point, or equal-length sequences of points;
-    a batch gives amplitudes shaped (points, time).  With a workspace, the
-    amplitudes are views of its slots.
+    a batch gives amplitudes shaped (points, time).
     """
     points, frames = _batch(params, frame)
     chi_A, chi_B, lambda_, delta_L, W, cos2_A, cos2_B = (
@@ -395,7 +388,7 @@ def general_trajectory(params, frame, grid: TimeGrid,
     t = grid.samples
     step = _expm(generator * t[1])
     # Stored component-major, so C_A and C_B are contiguous (points, time) blocks.
-    y = _empty(workspace, "y", (3, len(points), grid.n_points))
+    y = np.empty((3, len(points), grid.n_points), dtype=complex)
     y[0, :, 0], y[1, :, 0], y[2, :, 0] = _values(points, "c01"), _values(points, "c02"), 0.0
     _fill_by_doubling(y.transpose(1, 0, 2), _squarings(step), np.matmul)
     c1, c2, phase = y
@@ -406,11 +399,11 @@ def general_trajectory(params, frame, grid: TimeGrid,
     return _trajectory(params, grid, c1, c2, ENGINE_PSEUDOMODE)
 
 
-def trajectory(params, frame, grid: TimeGrid, engine: str = ENGINE_CLOSED,
-               workspace: Workspace | None = None) -> AmplitudeTrajectory:
+def trajectory(params, frame, grid: TimeGrid,
+               engine: str = ENGINE_CLOSED) -> AmplitudeTrajectory:
     """Dispatch one point or a batch of points to the requested engine."""
     if engine == ENGINE_CLOSED:
-        return equal_frequency_trajectory(params, frame, grid, workspace)
+        return equal_frequency_trajectory(params, frame, grid)
     if engine == ENGINE_PSEUDOMODE:
-        return general_trajectory(params, frame, grid, workspace)
+        return general_trajectory(params, frame, grid)
     raise ValueError(f"unknown engine: {engine!r}")

@@ -7,9 +7,7 @@ alongside the two-level closed form as an independent route.
 
 The series functions accept one trajectory, or a batch of them with a
 leading points axis and one chi_B per point.  The three series are
-computed in place as the rows of one array, fresh or a view of a sweep
-worker's Workspace: on a batch, every fresh (points x time) temporary
-costs page faults that outweigh the arithmetic.
+computed in place as the rows of one array.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import AmplitudeTrajectory, IntegrationError, TimeGrid, Workspace, _empty
+from .dynamics import AmplitudeTrajectory, IntegrationError, TimeGrid
 
 
 class Extremum(NamedTuple):
@@ -136,20 +134,20 @@ def maxima(grid: TimeGrid, series: np.ndarray) -> tuple[Extremum, Extremum, Extr
     return tuple(map(Extremum, peak.value, peak.time))
 
 
-def compute_metrics(traj: AmplitudeTrajectory, chi_B, with_maxima: bool = True,
-                    workspace: Workspace | None = None) -> MetricsSeries:
+def compute_metrics(traj: AmplitudeTrajectory, chi_B,
+                    with_maxima: bool = True) -> MetricsSeries:
     """Energy, power and ergotropy of one trajectory or a batch of them.
 
     E_B = |C2|^2 chi_B, P_B(t) = E_B(t)/t with P_B(0) = 0, and
     W_B = max(2|C2|^2 - 1, 0) chi_B, which is
     (2|C2|^2 - 1) theta(|C2|^2 - 1/2) chi_B: the prefactor vanishes at the
     threshold, so the series is continuous there.  The three series are the
-    rows of one (3,) + c2.shape array, fresh or the workspace's metrics
-    slot.  IntegrationError if the power overflows.
+    rows of one (3,) + c2.shape array.  IntegrationError if the power
+    overflows.
     """
     chi_B = _splitting(traj, chi_B)
     t = traj.grid.samples
-    series = _empty(workspace, "metrics", (3,) + traj.c2.shape, float)
+    series = np.empty((3,) + traj.c2.shape)
     energy, power, ergotropy = series
     np.abs(traj.c2, out=energy)
     energy *= energy                       # |C2|^2 until it is scaled below

@@ -56,9 +56,8 @@ NEAR = 8
 TERMS = 16
 
 # Roots per block of the comb's near sums.  A block's (roots, 2 NEAR)
-# temporaries then take 64 KB, below the C allocator's default 128 KB
-# mmap threshold, so every pass of the root iteration reuses heap memory
-# instead of mapping and faulting in fresh pages.
+# temporaries then take 64 KB, however many roots there are, which bounds
+# the comb's share of the peak memory of a propagation.
 COMB_BLOCK = 512
 
 # Relative stop of the root iteration: a root whose last step moved it by at

@@ -2,11 +2,13 @@
 
 Sweep points are evaluated in chunks of at most BUDGET time samples, each
 chunk as one (points x time) batch through the engines and metrics, by
-workers that each take the next chunk when free and reuse one Workspace;
-the calling thread is one of them.  The chunk boundaries depend only on the
-grid, so rows are bit-identical and come back in lexicographic axis order
-for every thread count, and CSV payloads are byte-reproducible
-(17-significant-digit floats, no timestamps).
+workers that each take the next chunk when free; the calling thread is one
+of them.  A chunk's arrays are freed when it ends, and the allocator policy
+set at import of dynamics lets the next chunk reuse their memory.  The
+chunk boundaries depend only on the grid, so rows are bit-identical and
+come back in lexicographic axis order for every thread count, and CSV
+payloads are byte-reproducible (17-significant-digit floats, no
+timestamps).
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import (ENGINE_CLOSED, AmplitudeTrajectory, TimeGrid, Workspace,
-                       default_grid, trajectory)
+from .dynamics import (ENGINE_CLOSED, AmplitudeTrajectory, TimeGrid, default_grid,
+                       trajectory)
 from .metrics import MetricsSeries, compute_metrics
 from .model import SystemParams, dressed_frame
 
@@ -109,38 +111,33 @@ def apply_point(base: SystemParams, point: dict[str, float]) -> SystemParams:
     return replace(base, **updates)
 
 
-def evaluate(spec: SweepSpec, points: list[dict[str, float]],
-             workspace: Workspace | None = None) -> tuple[AmplitudeTrajectory, MetricsSeries]:
+def evaluate(spec: SweepSpec,
+             points: list[dict[str, float]]) -> tuple[AmplitudeTrajectory, MetricsSeries]:
     """Trajectories and metrics of a batch of points, as (points x time) arrays.
 
     Each point overrides spec.base; the axes of spec are not used.  This is
     the one path from parameters through the engines to the metrics, with
-    their peaks, that sweeps, figures and single runs share.  Without a
-    workspace the arrays are fresh; with one they are views of its slots,
-    which the next evaluation in that workspace overwrites.
+    their peaks, that sweeps, figures and single runs share.
     """
     params = [apply_point(spec.base, point) for point in points]
     frames = [dressed_frame(p) for p in params]
-    traj = trajectory(params, frames, spec.grid, spec.engine, workspace)
-    return traj, compute_metrics(traj, [f.chi_B for f in frames], workspace=workspace)
+    traj = trajectory(params, frames, spec.grid, spec.engine)
+    return traj, compute_metrics(traj, [f.chi_B for f in frames])
 
 
-def _rows(spec: SweepSpec, points: list[dict[str, float]],
-          workspace: Workspace) -> list[SweepRow]:
-    """The rows of one chunk of points, evaluated in the worker's workspace.
+def _rows(spec: SweepSpec, points: list[dict[str, float]]) -> list[SweepRow]:
+    """The rows of one chunk of points, as Python floats.
 
-    The rows hold Python floats, so nothing of the workspace is read after
-    the next chunk starts.  A failure names the first failing point in row
-    order: the chunk is then evaluated again point by point until that
-    point raises.
+    A failure names the first failing point in row order: the chunk is then
+    evaluated again point by point until that point raises.
     """
     try:
-        _, series = evaluate(spec, points, workspace)
+        _, series = evaluate(spec, points)
     except Exception as exc:
         if len(points) == 1:
             raise SweepPointError(points[0], exc) from exc
         for point in points:
-            _rows(spec, [point], workspace)
+            _rows(spec, [point])
         raise
     peaks = np.stack([series.max_energy.value, series.max_energy.time,
                       series.max_power.value, series.max_power.time,
@@ -150,13 +147,12 @@ def _rows(spec: SweepSpec, points: list[dict[str, float]],
 
 
 def _drain(spec: SweepSpec, chunks: list, todo: deque, results: list) -> None:
-    """Evaluate the chunks popped from `todo` in one Workspace; results[i] gets
-    chunk i's rows or exception.  A failure empties `todo`: no later chunk starts."""
-    workspace = Workspace()
+    """Evaluate the chunks popped from `todo`; results[i] gets chunk i's rows
+    or exception.  A failure empties `todo`: no later chunk starts."""
     with contextlib.suppress(IndexError):        # popleft on an empty deque
         for index in iter(todo.popleft, None):
             try:
-                results[index] = _rows(spec, chunks[index], workspace)
+                results[index] = _rows(spec, chunks[index])
             except Exception as exc:
                 results[index] = exc
                 todo.clear()
@@ -167,8 +163,8 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
 
     The points go in chunks of max(1, BUDGET // n_points).  Up to `threads`
     workers, the calling thread and a pool, each take the next chunk when
-    free into a Workspace of their own.  A failure names the first failing
-    point in row order.  An empty axis list gives the base-parameter row.
+    free.  A failure names the first failing point in row order.  An empty
+    axis list gives the base-parameter row.
     """
     names = [name for name, _ in spec.axes]
     points = [dict(zip(names, combo))
@@ -196,6 +192,13 @@ def csv_text(header, rows) -> str:
     """
     line = ",".join([FLOAT_FORMAT] * len(header))
     return "\n".join([",".join(header)] + [line % tuple(row) for row in rows]) + "\n"
+
+
+def write_json(path, payload) -> Path:
+    """Write payload as indented JSON with sorted keys and a final newline."""
+    path = Path(path)
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", newline="\n")
+    return path
 
 
 def sweep_csv_text(result: SweepResult) -> str:
@@ -316,8 +319,5 @@ def figure_pipeline(figure_id: str, out_dir, n_points: int = 2000) -> list[Path]
         "engine": spec.engine,
         "files": [p.name for p in written],
     }
-    meta_path = out / f"{figure_id}_metadata.json"
-    meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n",
-                         newline="\n")
-    written.append(meta_path)
+    written.append(write_json(out / f"{figure_id}_metadata.json", meta))
     return written

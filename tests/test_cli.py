@@ -57,9 +57,9 @@ def test_config_rejects_unknown_keys():
 
 
 def test_default_grid_tracks_coupling_regime():
-    assert RunConfig(R=0.5).grid().t_max == 10.0
-    assert RunConfig(R=10.0).grid().t_max == 5.0
-    assert RunConfig(R=10.0, t_max=2.0).grid().t_max == 2.0
+    assert RunConfig(R=0.5).spec().grid.t_max == 10.0
+    assert RunConfig(R=10.0).spec().grid.t_max == 5.0
+    assert RunConfig(R=10.0, t_max=2.0).spec().grid.t_max == 2.0
 
 
 # --- timeseries --------------------------------------------------------------
@@ -279,7 +279,7 @@ def test_unknown_engine_exits_2(tmp_path, capsys):
 
 
 def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
-    def exploding(spec, points, workspace=None):
+    def exploding(spec, points):
         raise IntegrationError("step budget exhausted")
 
     # Every single-run command reaches the engines through sweep.evaluate.
