@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .dynamics import (DEFAULT_N_POINTS, ENGINE_CLOSED, ENGINE_PSEUDOMODE,
                        IntegrationError, TimeGrid, default_grid)
-from .model import SystemParams, dressed_frame, validate
+from .model import SystemParams, dressed_frame
 from .oracle import DEFAULT_N_MODES, DEFAULT_SPAN, build_bath, propagate
 from .sweep import (SweepPointError, SweepSpec, csv_text, evaluate,
                     figure_pipeline, run_sweep, write_json, write_sweep_csv)
@@ -78,18 +78,15 @@ class RunConfig(SystemParams):
     def spec(self, axes=()) -> SweepSpec:
         """The configured point as the base of a sweep over axes.
 
-        The base point is validated once, before its default window divides
-        by lambda.
+        The base point is validated where its frame is built, like every
+        point of the sweep.
         """
-        base = validate(SystemParams(**{f.name: getattr(self, f.name)
-                                        for f in fields(SystemParams)}))
+        base = SystemParams(**{f.name: getattr(self, f.name) for f in fields(SystemParams)})
         grid = (default_grid(base, self.n_points) if self.t_max is None
                 else TimeGrid.uniform(self.t_max, self.n_points))
         return SweepSpec(base=base, axes=axes, grid=grid, engine=self.engine)
 
 
-_KEY_MAP = {"lambda": "lambda_"}
-_KEY_UNMAP = {"lambda_": "lambda"}
 _COMPLEX_KEYS = ("c01", "c02")
 
 
@@ -145,16 +142,15 @@ def config_from_dict(data: dict) -> RunConfig:
     defaults = {f.name: f.default for f in fields(RunConfig)}
     updates = {}
     for key, value in data.items():
-        name = _KEY_MAP.get(key, key)
-        if name not in defaults:
+        if key not in defaults:
             raise ConfigError(f"unknown config key: {key!r}")
-        if value is not None or defaults[name] is not None:
+        if value is not None or defaults[key] is not None:
             try:
-                value = _PARSERS.get(name, _number)(value)
+                value = _PARSERS.get(key, _number)(value)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(
                     f"invalid value for {key!r}: {value!r} ({exc})") from exc
-        updates[name] = value
+        updates[key] = value
     return RunConfig(**updates)
 
 
@@ -166,7 +162,7 @@ def config_to_dict(config: RunConfig) -> dict:
             value = [value.real, value.imag]
         elif f.name == "axes":
             value = [[name, list(vals)] for name, vals in value]
-        out[_KEY_UNMAP.get(f.name, f.name)] = value
+        out[f.name] = value
     return out
 
 
@@ -315,7 +311,7 @@ def _resolve_config(args) -> RunConfig:
         key, sep, raw = pair.partition("=")
         if not sep:
             raise ConfigError(f"--set expects key=value, got {pair!r}")
-        data.pop(key, None)  # parsed last, also after its other spelling
+        data.pop(key, None)  # parsed last
         try:
             data[key] = json.loads(raw)
         except json.JSONDecodeError:

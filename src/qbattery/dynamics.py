@@ -9,14 +9,14 @@ Two engines produce the same trajectories:
 * ``general_trajectory``: exact pseudomode reduction of the memory-kernel
   equations, valid for arbitrary detunings.  The exponential memory kernel
   of the Lorentzian cavity is traded for one auxiliary lossy amplitude b(t),
-  giving a local 3-component ODE system:
+  giving a local 3-component ODE system (in units of the loss rate):
 
       dC_j/dt = -W r_j cos^2(eta_j/2) e^{+i chi_j t} b(t)
-      db/dt   = -(lambda - i delta_L) b(t)
+      db/dt   = -(1 - i delta_L) b(t)
                 + W sum_j r_j cos^2(eta_j/2) e^{-i chi_j t} C_j(t)
 
   with b(0) = 0.  Eliminating b reproduces the kernel
-  W^2 e^{-(lambda - i delta_L)(t-t')} e^{i chi_i t} e^{-i chi_j t'} exactly.
+  W^2 e^{-(1 - i delta_L)(t-t')} e^{i chi_i t} e^{-i chi_j t'} exactly.
   In the co-rotating amplitudes C_j e^{-i chi_j t} the system has a
   constant 3x3 generator, so its matrix exponential solves it exactly.
 
@@ -101,9 +101,8 @@ class TimeGrid:
 
 
 def default_grid(params: SystemParams, n_points: int = DEFAULT_N_POINTS) -> TimeGrid:
-    """Default window: 10/lambda in weak coupling, 5/lambda in strong."""
-    t_max = (10.0 if params.R <= 1.0 else 5.0) / params.lambda_
-    return TimeGrid.uniform(t_max, n_points)
+    """Default window: 10 in weak coupling, 5 in strong."""
+    return TimeGrid.uniform(10.0 if params.R <= 1.0 else 5.0, n_points)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,7 +135,7 @@ class AmplitudeTrajectory:
 class KernelParams:
     """Laplace-domain constants of the equal-frequency survival amplitude.
 
-    M = lambda - i(chi + delta_L); F = sqrt(M^2 - W^2 (1 + cos eta)^2).
+    M = 1 - i(chi + delta_L); F = sqrt(M^2 - W^2 (1 + cos eta)^2).
     Z(t) depends on F only through F^2, so either branch of the square root
     gives the same amplitude.  M and F may be arrays along a points axis.
     """
@@ -149,14 +148,15 @@ def kernel_params(params: SystemParams, frame: DressedFrame) -> KernelParams:
     """Kernel constants for equal detunings (chi_A = chi_B, cos2_A = cos2_B).
 
     M and the coupling are squared in units of s, the power of two just below
-    the larger of them: exact, and neither square underflows or overflows.
+    the largest of Re M = 1, |Im M| and the coupling: exact, and no square
+    overflows, however large R or the splitting.
     """
     if not params.equal_detunings():
         raise ValueError(
             f"kernel requires delta_A == delta_B, got {params.delta_A} != {params.delta_B}")
-    M = frame.lambda_ - 1j * (frame.chi_A + frame.delta_L)
+    M = 1.0 - 1j * (frame.chi_A + frame.delta_L)
     coupling = frame.W * 2.0 * frame.cos2_A  # W (1 + cos eta)
-    # Components, as abs(M) may overflow; s is a normal float, as lambda is.
+    # Components, as abs(M) may overflow; s >= 1, as Re M = 1.
     s = math.ldexp(1.0, math.frexp(max(abs(M.real), abs(M.imag), coupling))[1] - 1)
     m, c = M / s, coupling / s
     F = s * complex(np.sqrt(complex(m * m - c * c)))  # overflows to inf silently
@@ -187,7 +187,7 @@ def survival_amplitude(kernel: KernelParams, t):
     t = t.samples if on_grid else np.asarray(t, dtype=float)
     M, F = (np.asarray(x, dtype=complex) for x in (kernel.M, kernel.F))
     M, F = (x.reshape(x.shape + (1,) * t.ndim) for x in (M, F))
-    # Overflowing inputs (huge splittings or loss rates) give non-finite
+    # Overflowing inputs (huge splittings or couplings) give non-finite
     # samples, which AmplitudeTrajectory rejects; numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         degenerate = np.abs(F) < 1e-10 * np.abs(M)
@@ -373,9 +373,9 @@ def general_trajectory(params, frame, grid: TimeGrid) -> AmplitudeTrajectory:
     a batch gives amplitudes shaped (points, time).
     """
     points, frames = _batch(params, frame)
-    chi_A, chi_B, lambda_, delta_L, W, cos2_A, cos2_B = (
+    chi_A, chi_B, delta_L, W, cos2_A, cos2_B = (
         _values(frames, name) for name in
-        ("chi_A", "chi_B", "lambda_", "delta_L", "W", "cos2_A", "cos2_B"))
+        ("chi_A", "chi_B", "delta_L", "W", "cos2_A", "cos2_B"))
     chi = (chi_A + chi_B) / 2.0
     w_A = W * _values(points, "r1") * cos2_A
     w_B = W * _values(points, "r2") * cos2_B
@@ -384,7 +384,7 @@ def general_trajectory(params, frame, grid: TimeGrid) -> AmplitudeTrajectory:
     generator[:, 1, 1] = -1j * (chi_B - chi)
     generator[:, 0, 2], generator[:, 1, 2] = -w_A, -w_B
     generator[:, 2, 0], generator[:, 2, 1] = w_A, w_B
-    generator[:, 2, 2] = -(lambda_ - 1j * (delta_L + chi))
+    generator[:, 2, 2] = -(1.0 - 1j * (delta_L + chi))
     t = grid.samples
     step = _expm(generator * t[1])
     # Stored component-major, so C_A and C_B are contiguous (points, time) blocks.

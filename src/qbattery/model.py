@@ -1,16 +1,15 @@
 """Physical parameters and the dressed-frame quantities derived from them.
 
 Two driven qubits (a charger and a battery) share a lossy cavity whose
-spectral density is a Lorentzian of width ``lambda_`` centered on the cavity
-frequency.  All frequencies are measured in units of the cavity loss rate,
-all times in its inverse.
+spectral density is a Lorentzian of width lambda centered on the cavity
+frequency.  The loss rate lambda is the unit: all frequencies are measured
+in units of it, all times in its inverse, so lambda itself is 1.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -23,7 +22,6 @@ class SystemParams:
     delta_A, delta_B: detuning of charger / battery qubit from the drive.
     delta_L: detuning of the drive from the cavity center frequency.
     omega_drive: classical drive strength (real, >= 0).
-    lambda_: cavity loss rate; the default 1.0 fixes the unit system.
     r1: the charger's share of the collective cavity coupling; the
         battery's share is r2 = sqrt(1 - r1^2).  The collective coupling
         itself enters only through R, so it is not a parameter.
@@ -37,7 +35,6 @@ class SystemParams:
     delta_B: float = 0.0
     delta_L: float = 0.0
     omega_drive: float = 1.0
-    lambda_: float = 1.0
     r1: float = INV_SQRT2
     R: float = 0.5
     c01: complex = 1.0 + 0.0j
@@ -58,10 +55,10 @@ class DressedFrame:
     chi_A, chi_B: dressed splittings sqrt(delta^2 + 4 omega_drive^2).
     cos2_A, cos2_B: coupling weights cos^2(eta/2) = (1 + cos eta)/2 of the
         mixing angles eta of the driven qubits.
-    W: vacuum Rabi frequency of the pair, R * lambda_.
-    lambda_, delta_L: copied from the parameters; every kernel consumer
-        (closed form, pseudomode, bath discretization) needs them alongside
-        the dressed quantities.
+    W: vacuum Rabi frequency of the pair, R in units of lambda.
+    delta_L: copied from the parameters; every kernel consumer (closed
+        form, pseudomode, bath discretization) needs it alongside the
+        dressed quantities.
     """
 
     chi_A: float
@@ -69,7 +66,6 @@ class DressedFrame:
     cos2_A: float
     cos2_B: float
     W: float
-    lambda_: float
     delta_L: float
 
 
@@ -81,13 +77,6 @@ def validate(params: SystemParams) -> SystemParams:
     for name, value in vars(params).items():
         if not cmath.isfinite(value):
             raise ValueError(f"non-finite {name}: {value}")
-    if not (params.lambda_ > 0.0):
-        raise ValueError(f"non-positive lambda_: {params.lambda_}")
-    if params.lambda_ < sys.float_info.min:
-        # lambda_ is the unit of every rate and time: a subnormal one has
-        # lost its precision, and its inverse overflows.
-        raise ValueError(f"subnormal lambda_: {params.lambda_} is below the smallest "
-                         f"normal float {sys.float_info.min}")
     if not (0.0 <= params.r1 <= 1.0):
         raise ValueError(f"r1 out of [0,1]: {params.r1}")
     if not (params.omega_drive >= 0.0):
@@ -111,7 +100,7 @@ def dressed_frame(params: SystemParams) -> DressedFrame:
     delta), so eta lies in [0, pi] for omega_drive >= 0 and negative
     detunings are handled unambiguously.  The fully degenerate point
     omega_drive = delta = 0 resolves to eta = 0 (bare basis, cos2 = 1) with
-    a vanishing splitting chi = 0.  An overflowing chi or W raises ValueError.
+    a vanishing splitting chi = 0.  An overflowing chi raises ValueError.
     """
     validate(params)
     two_omega = 2.0 * params.omega_drive
@@ -120,11 +109,10 @@ def dressed_frame(params: SystemParams) -> DressedFrame:
         chi_B=math.hypot(params.delta_B, two_omega),
         cos2_A=(1.0 + math.cos(math.atan2(two_omega, params.delta_A))) / 2.0,
         cos2_B=(1.0 + math.cos(math.atan2(two_omega, params.delta_B))) / 2.0,
-        W=params.R * params.lambda_,
-        lambda_=params.lambda_,
+        W=params.R,
         delta_L=params.delta_L,
     )
-    for name in ("chi_A", "chi_B", "W"):
+    for name in ("chi_A", "chi_B"):
         if not math.isfinite(getattr(frame, name)):
             raise ValueError(f"non-finite {name}: {getattr(frame, name)}")
     return frame

@@ -96,30 +96,29 @@ def window_fraction(span: float) -> float:
 
 def build_bath(frame: DressedFrame, n_modes: int = DEFAULT_N_MODES,
                span: float = DEFAULT_SPAN) -> DiscretizedBath:
-    """Midpoint-sample the Lorentzian J on [-span*lambda, +span*lambda].
+    """Midpoint-sample the Lorentzian J on [-span, +span] loss rates.
 
     Requires 100 <= n_modes <= MAX_N_MODES, span >= 10, and a mode spacing
-    of at most lambda/20 so the Lorentzian width is resolved.
+    of at most 1/20 so the Lorentzian's unit width is resolved.
     """
     if not 100 <= n_modes <= MAX_N_MODES:
         raise ValueError(f"n_modes must be in [100, {MAX_N_MODES}], got {n_modes}")
     if span < 10.0:
         raise ValueError(f"span must be >= 10, got {span}")
-    # In units of lambda, the weight J(dw) d_omega / W^2 of a mode depends
-    # on x = dw/lambda alone, so neither W nor lambda is squared.
+    # The weight J(dw) d_omega / W^2 of a mode depends on its detuning dw
+    # alone, so W is not squared.
     step = 2.0 * span / n_modes
     if step > 1.0 / 20.0 + 1e-15:
         raise ValueError(
-            f"mode spacing {step:g} lambda exceeds lambda/20; "
+            f"mode spacing {step:g} exceeds 1/20 of the loss rate; "
             f"need n_modes >= {40.0 * span:g} for span {span:g}")
-    x = -span + (np.arange(n_modes) + 0.5) * step
-    shape = step / math.pi / (x * x + 1.0)
+    detunings = -span + (np.arange(n_modes) + 0.5) * step
+    shape = step / math.pi / (detunings * detunings + 1.0)
     weight = float(np.sum(shape))
     if abs(weight - window_fraction(span)) > 0.01:
         raise ValueError(
             f"discretized weight {weight:g} W^2 misses the truncated-window "
             f"fraction {window_fraction(span):g} by more than 1%")
-    detunings = frame.lambda_ * x
     couplings = frame.W * np.sqrt(shape)
     return DiscretizedBath(n_modes=n_modes, span=span,
                            mode_detunings=detunings, couplings=couplings)
@@ -141,9 +140,9 @@ def propagate(params: SystemParams, frame: DressedFrame, bath: DiscretizedBath,
         q(t) = q0 + sum_k (e^{-i lam_k t} - 1) u_k (u_k . q0),
 
     exact at t = 0, and C_j = q_j e^{i e_j t}.  total_norm, the norm of y,
-    is |q0|^2 at t = 0 and sum_k |u_k . q0|^2 after.  The eigenpairs are
-    solved in units of lambda (see _eigenpairs); a completeness defect
-    max |sum_k u_k u_k^T - I| above NORM_ABORT raises IntegrationError.
+    is |q0|^2 at t = 0 and sum_k |u_k . q0|^2 after.  A completeness
+    defect max |sum_k u_k u_k^T - I| above NORM_ABORT raises
+    IntegrationError.
     Comparisons are only meaningful before bath revivals, so the grid must
     end below half the recurrence time, and the sum may have at most
     MAX_STATES terms, (n_modes + 2) x n_points; _phase_sum evaluates it.
@@ -170,12 +169,11 @@ def propagate(params: SystemParams, frame: DressedFrame, bath: DiscretizedBath,
     # at most |w| |g| t_max; below a rounding unit it is dropped.
     coupling = math.hypot(*weights) * float(np.hypot.reduce(bath.couplings))
     if coupling * grid.t_max > np.finfo(float).eps:
-        lam = frame.lambda_
-        # Past the float range in units of lambda the eigenpairs are not
-        # finite, which _eigenpairs reports; numpy need not warn.
+        # Past the float range the eigenpairs are not finite, which
+        # _eigenpairs reports; numpy need not warn.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            energies, blocks = _eigenpairs(rates / lam, weights, bath.mode_detunings / lam,
-                                           bath.couplings / lam)
+            energies, blocks = _eigenpairs(rates, weights, bath.mode_detunings,
+                                           bath.couplings)
         defect = float(np.max(np.abs(blocks.T @ blocks - np.eye(2))))
         if not defect <= NORM_ABORT:
             raise IntegrationError(
@@ -184,8 +182,7 @@ def propagate(params: SystemParams, frame: DressedFrame, bath: DiscretizedBath,
         projections = blocks @ q0
         total_norm[1:] = np.sum(np.abs(projections) ** 2)
         coef = blocks * projections[:, None]
-        # e^{-i lam_k t} in units of lambda: energies and times lam t.
-        q += _phase_sum(energies, coef, lam * t) - np.sum(coef, axis=0)[:, None]
+        q += _phase_sum(energies, coef, t) - np.sum(coef, axis=0)[:, None]
         q[:, 0] = q0
         q *= np.exp(1j * rates[:, None] * t)
     # Without coupling, q(t) = e^{-i E t} q0 and C(t) = q0.
@@ -251,8 +248,7 @@ def _eigenpairs(rates: np.ndarray, weights: np.ndarray, d: np.ndarray,
     """Eigenvalues of H and the qubit blocks (eigenvalues x 2) of its eigenvectors.
 
     H has the diagonal rates and mode frequencies d and the couplings
-    weights_j g_k; propagate passes them in units of lambda, so that no
-    huge or tiny scale is squared, and the eigenvalues come in that unit.
+    weights_j g_k.
 
     In the qubit basis w_hat = w/|w|, w_perp = (w_B, -w_A)/|w| only w_hat
     couples to the modes, with spikes |w| g_k, and w_perp couples to w_hat

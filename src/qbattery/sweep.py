@@ -311,7 +311,7 @@ def figure_pipeline(figure_id: str, out_dir, n_points: int = 2000) -> list[Path]
         "family_axis": family_name,
         "family_values": list(family_values),
         "fixed": dict(fig.fixed),
-        "defaults": {"r1": base.r1, "lambda": base.lambda_,
+        "defaults": {"r1": base.r1,
                      "c01": [base.c01.real, base.c01.imag],
                      "c02": [base.c02.real, base.c02.imag],
                      "omega_axis": list(OMEGA_AXIS) if fig.kind == "maxima" else None},

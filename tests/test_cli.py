@@ -35,7 +35,7 @@ def load_csv(path):
 # --- config handling ---------------------------------------------------------
 
 def test_config_round_trip_is_lossless():
-    config = RunConfig(delta_A=0.25, omega_drive=1.5, lambda_=2.0,
+    config = RunConfig(delta_A=0.25, omega_drive=1.5,
                        c01=0.6 + 0.0j, c02=0.8j, t_max=7.5,
                        axes=(("omega_drive", (0.5, 1.0)),), engine="pseudomode",
                        out_dir="/tmp/x", figure="fig3", threads=4)
@@ -45,15 +45,18 @@ def test_config_round_trip_is_lossless():
     assert twice == config
 
 
-def test_config_accepts_lambda_alias():
-    config = config_from_dict({"lambda": 2.5})
-    assert config.lambda_ == 2.5
-    assert config_to_dict(config)["lambda"] == 2.5
-
-
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config key"):
         config_from_dict({"volume": 11})
+
+
+def test_run_json_with_a_lambda_key_exits_2(tmp_path, capsys):
+    # The loss rate is the unit, not a key: a run.json config that still
+    # records lambda is rejected, naming the key.
+    config = write_config(tmp_path, **config_to_dict(RunConfig()), **{"lambda": 1.0})
+    assert main(["maxima", "--config", config, "--out", str(tmp_path / "o")]) == 2
+    assert "unknown config key: 'lambda'" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_default_grid_tracks_coupling_regime():
@@ -255,7 +258,7 @@ def test_out_root_env_var(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("data", [
-    {"r1": 1.2}, {"c01": [1.0, 0.0], "c02": [1.0, 0.0]}, {"lambda": -1.0}])
+    {"r1": 1.2}, {"c01": [1.0, 0.0], "c02": [1.0, 0.0]}, {"R": -1.0}])
 def test_invalid_physics_exits_2(tmp_path, data, capsys):
     config = write_config(tmp_path, **data)
     assert main(["timeseries", "--config", config,
@@ -359,13 +362,13 @@ def test_set_flag_rejects_malformed_pairs(tmp_path, capsys):
      3, "pseudomode engine"),
     (["maxima", "--engine", "pseudomode", "--set", "delta_A=1e308", "--set", "delta_B=1e308"],
      3, "pseudomode engine"),
-    (["maxima", "--engine", "pseudomode", "--set", "n_points=2", "--set", "lambda=1e308",
-      "--set", "omega_drive=1000"], 3, "charging power overflows"),
-    # A subnormal lambda cannot be the unit of rates; validate names it
-    # before the bath is built or the default window overflows.
-    (["oracle-check", "--set", "n_modes=400", "--set", "span=10", "--set", "lambda=1e-320",
-      "--set", "t_max=1e30", "--set", "R=1e300"], 2, "subnormal lambda_"),
-    (["maxima", "--set", "lambda=1e-320"], 2, "subnormal lambda_"),
+    # A filled battery over the first, tiny time step.
+    (["maxima", "--engine", "pseudomode", "--set", "n_points=2", "--set", "t_max=1e-308",
+      "--set", "c01=0", "--set", "c02=1"], 3, "charging power overflows"),
+    (["maxima", "--set", "n_points=2", "--set", "t_max=1e-308", "--set", "c01=0",
+      "--set", "c02=1"], 3, "charging power overflows"),
+    # The loss rate is the unit of every rate, not a config key.
+    (["maxima", "--set", "lambda=1"], 2, "unknown config key: 'lambda'"),
     # Amplitudes whose squares overflow are not normalized, not an OverflowError.
     (["maxima", "--set", "c01=1e155"], 2, "not normalized"),
     (["maxima", "--set", "c02=[1e308, 1e308]"], 2, "not normalized"),
@@ -402,14 +405,15 @@ def test_pseudomode_battery_decoupled_by_huge_detuning_stores_nothing(tmp_path):
     assert np.array_equal(data, np.zeros((1, 6)))
 
 
-# Valid inputs at the edges of the float range that both engines handle:
-# the bath is built and solved in units of lambda, so none of them squares
-# W, lambda or a mode frequency.
+# Valid inputs at the edges of the float range that the engines and the
+# bath handle: a coupling whose square underflows, a tiny drive, a window
+# so short that the coupling moves nothing, and detunings far below the
+# loss rate.
 @pytest.mark.parametrize("pairs", [
     ["R=1e-161"],
-    ["lambda=1e-200", "omega_drive=1e-200"],
-    ["lambda=1.27e-252", "t_max=0.0656"],
-    ["lambda=7.1e212", "delta_A=1.6", "delta_B=-2.39", "t_max=1.4e-212", "n_points=64"],
+    ["omega_drive=1e-200"],
+    ["t_max=8.3e-254"],
+    ["delta_A=2.25e-213", "delta_B=-3.37e-213", "t_max=0.994", "n_points=64"],
 ])
 def test_oracle_check_runs_at_extreme_scales(tmp_path, pairs):
     argv = ["oracle-check", "--set", "n_modes=400", "--set", "span=10"]
@@ -455,12 +459,12 @@ def test_command_line_rejected_by_argparse_returns_2_and_help_returns_0(capsys):
     assert "--threads" in capsys.readouterr().out
 
 
-def test_tiny_loss_rate_runs_without_floating_point_warnings(tmp_path):
-    # lambda = 1e-300 stretches the default window to t = 1e301; the F -> 0
-    # series of the survival amplitude must not be evaluated where unused.
+def test_huge_window_runs_without_floating_point_warnings(tmp_path):
+    # On a window to t = 1e301 the F -> 0 series of the survival amplitude
+    # must not be evaluated where unused.
     out = tmp_path / "o"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["timeseries", "--set", "lambda=1e-300", "--out", str(out)]) == 0
+        assert main(["timeseries", "--set", "t_max=1e301", "--out", str(out)]) == 0
     _, data = load_csv(out / "timeseries.csv")
     assert data.shape == (2000, 8) and np.all(np.isfinite(data))

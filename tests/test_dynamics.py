@@ -123,6 +123,21 @@ def test_survival_amplitude_takes_a_batch_of_kernels():
         np.testing.assert_array_equal(row, survival_amplitude(k, t))
 
 
+def test_kernel_params_squares_huge_rates_without_overflow():
+    # Near 1e200 the plain squares of M and of the coupling W (1 + cos eta)
+    # overflow; F is the same formula evaluated on the inputs over 1e200.
+    p = SystemParams(delta_A=3e200, delta_B=3e200, omega_drive=2e200, delta_L=1e200,
+                     R=1e200)
+    f = dressed_frame(p)
+    kernel = kernel_params(p, f)
+    coupling = f.W * 2.0 * f.cos2_A
+    assert not cmath.isfinite(kernel.M * kernel.M) and not math.isfinite(coupling * coupling)
+    m, c = kernel.M / 1e200, coupling / 1e200
+    expected = 1e200 * complex(np.sqrt(complex(m * m - c * c)))
+    assert cmath.isfinite(kernel.F)
+    assert abs(kernel.F - expected) <= 1e-15 * abs(expected)
+
+
 def test_survival_amplitude_continuous_across_degeneracy():
     t = np.linspace(0.0, 20.0, 200)
     z0 = survival_amplitude(make_kernel(omega=0.0, R=0.5), t)
@@ -253,7 +268,7 @@ def pseudomode_steps(points):
         w_A, w_B = f.W * p.r1 * f.cos2_A, f.W * p.r2 * f.cos2_B
         steps.append(default_grid(p).samples[1] * np.array(
             [[-1j * (f.chi_A - chi), 0.0, -w_A], [0.0, -1j * (f.chi_B - chi), -w_B],
-             [w_A, w_B, -(f.lambda_ - 1j * (f.delta_L + chi))]]))
+             [w_A, w_B, -(1.0 - 1j * (f.delta_L + chi))]]))
     return np.array(steps)
 
 
@@ -292,7 +307,7 @@ def test_propagator_rows_do_not_depend_on_the_stack():
 
 
 def test_propagator_step_is_a_contraction():
-    # In the co-rotating frame A + A^H = diag(0, 0, -2 lambda) dt <= 0, so
+    # In the co-rotating frame A + A^H = diag(0, 0, -2) dt <= 0, so
     # the exact step has |P|_2 <= 1.  Above |A dt| ~ 1e14 the squarings
     # amplify the rounding of the cavity entry's modulus (README), so the
     # drives stop at 1e12.
@@ -364,7 +379,7 @@ def volterra_reference(params, frame, grid):
     alpha = np.array([params.r1, params.r2])
     cth = np.array([frame.cos2_A, frame.cos2_B])
     chi = np.array([frame.chi_A, frame.chi_B])
-    decay = frame.lambda_ - 1j * frame.delta_L
+    decay = 1.0 - 1j * frame.delta_L
     W2 = frame.W ** 2
     t = grid.samples
     h = t[1] - t[0]

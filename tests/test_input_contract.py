@@ -33,8 +33,7 @@ from qbattery.cli import COMMANDS, RunConfig, main
 from qbattery.oracle import MAX_N_MODES
 from qbattery.sweep import AXIS_NAMES, BUDGET, FIGURES, MAX_SWEEP_POINTS
 
-NUMERIC_KEYS = ("delta_A", "delta_B", "delta_L", "omega_drive", "lambda",
-                "r1", "R", "t_max")
+NUMERIC_KEYS = ("delta_A", "delta_B", "delta_L", "omega_drive", "r1", "R", "t_max")
 POINT_KEYS = ("delta_A", "delta_B", "delta_L", "omega_drive", "R")
 
 # Log-uniform magnitudes; 10^308.25 is below the largest double.

@@ -21,7 +21,7 @@ def weak_frame(omega=1.0, R=1.0):
 
 
 def test_bath_weight_matches_truncated_lorentzian():
-    # R = 1 makes W = lambda
+    # R = 1 makes W = 1, the loss rate
     _, f = weak_frame(R=1.0)
     assert f.W == 1.0
     bath = build_bath(f)  # 4000 modes, span 50
@@ -58,7 +58,7 @@ def test_bath_mode_grid_is_midpoint_uniform():
 @pytest.mark.parametrize("kwargs, fragment", [
     (dict(n_modes=99), "n_modes"),
     (dict(span=9.0), "span"),
-    (dict(n_modes=400, span=50.0), "spacing"),  # d_omega = 0.25 > lambda/20
+    (dict(n_modes=400, span=50.0), "spacing"),  # d_omega = 0.25 > 1/20
     (dict(n_modes=oracle.MAX_N_MODES + 1), "n_modes"),
 ])
 def test_bath_rejects_unresolved_discretizations(kwargs, fragment):

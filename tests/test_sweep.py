@@ -24,7 +24,7 @@ from qbattery.sweep import (BUDGET, apply_point, csv_text, evaluate, sweep_csv_t
 # Peak records computed by the closed-form engine on the default windows and
 # frozen as regression values.  The trends they encode are discussed in the
 # README: the energy peak is NOT monotone in the drive strength on the
-# [0, 10/lambda] window, and the detuning family turns over at delta = 5.
+# [0, 10] window, and the detuning family turns over at delta = 5.
 OMEGA_FAMILY_E_MAX = {0.0: 0.0, 0.5: 0.032694459987604035,
                       1.0: 0.03246968134251445, 2.0: 0.021666372472290596}
 DELTA_L_FAMILY_P_MAX = {0.0: 0.003246968134251445, 2.0: 0.0010833186236145298,
@@ -195,7 +195,7 @@ def _reference_c2(params, frame, grid, engine):
     w_B = frame.W * params.r2 * frame.cos2_B
     step = expm(t[1] * np.array([
         [-1j * frame.chi_A, 0.0, -w_A], [0.0, -1j * frame.chi_B, -w_B],
-        [w_A, w_B, -(frame.lambda_ - 1j * frame.delta_L)]]))
+        [w_A, w_B, -(1.0 - 1j * frame.delta_L)]]))
     y = np.array([params.c01, params.c02, 0.0])
     c2 = [y[1]]
     for _ in range(grid.n_points - 1):
@@ -386,7 +386,6 @@ def test_each_point_is_validated_once(monkeypatch, tmp_path):
         return real_validate(params)
 
     monkeypatch.setattr(model, "validate", counting)
-    monkeypatch.setattr(cli, "validate", counting)
     omegas = tuple(0.05 * k for k in range(40))
     spec = SweepSpec(base=base_params(), axes=(("omega_drive", omegas),),
                      grid=weak_grid(2000))
@@ -394,11 +393,10 @@ def test_each_point_is_validated_once(monkeypatch, tmp_path):
     assert len(run_sweep(spec).rows) == 40
     assert [p.omega_drive for p in calls] == list(omegas)
 
-    # The CLI validates its base point once more, before the default window
-    # divides by lambda.
+    # The CLI's base point is validated once too, where its frame is built.
     calls.clear()
     assert cli.main(["maxima", "--set", "omega_drive=0.5", "--out", str(tmp_path)]) == 0
-    assert calls == [base_params(omega_drive=0.5)] * 2
+    assert calls == [base_params(omega_drive=0.5)]
 
 
 # Minor page faults of each of five repeats of a 32-chunk sweep after a
