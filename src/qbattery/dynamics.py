@@ -17,8 +17,8 @@ Two engines produce the same trajectories:
 
   with b(0) = 0.  Eliminating b reproduces the kernel
   W^2 e^{-(1 - i delta_L)(t-t')} e^{i chi_i t} e^{-i chi_j t'} exactly.
-  In the co-rotating amplitudes C_j e^{-i chi_j t} the system has a
-  constant 3x3 generator, so its matrix exponential solves it exactly.
+  In the battery's rotating frame, (C_A, C_B, b) e^{i chi_B t}, the system
+  has a constant 3x3 generator, so its matrix exponential solves it exactly.
 
 Both engines return fresh (points x time) arrays.  Importing this module
 sets the C allocator's policy (MALLOPT) once, so that the next sweep chunk
@@ -362,12 +362,11 @@ def equal_frequency_trajectory(params, frame, grid: TimeGrid) -> AmplitudeTrajec
 def general_trajectory(params, frame, grid: TimeGrid) -> AmplitudeTrajectory:
     """Exact pseudomode amplitudes, valid for unequal detunings.
 
-    The co-rotating state y = (C_A, C_B, b) e^{i chi t} with the mean
-    splitting chi = (chi_A + chi_B)/2, which takes the common phase out of
-    the fast rotation, obeys y' = A y with the constant generator below,
-    so on the uniform grid y_k = P^k y_0 with P = e^{A dt} (_expm).  Doubling
-    (y[m:2m] = P^m y[:m]) fills the grid with about log2(n_points) 3x3
-    products, and C_j = y_j e^{i (chi_j - chi) t}.
+    In the battery's rotating frame, y = (C_A, C_B, b) e^{i chi_B t} obeys
+    y' = A y with the constant generator below, so C_B = y_B needs no
+    rotation back, and on the uniform grid y_k = P^k y_0 with P = e^{A dt}
+    (_expm).  Doubling (y[m:2m] = P^m y[:m]) fills the grid with about
+    log2(n_points) 3x3 products, and C_A = y_A e^{i (chi_A - chi_B) t}.
 
     params and frame are one point, or equal-length sequences of points;
     a batch gives amplitudes shaped (points, time).
@@ -376,15 +375,13 @@ def general_trajectory(params, frame, grid: TimeGrid) -> AmplitudeTrajectory:
     chi_A, chi_B, delta_L, W, cos2_A, cos2_B = (
         _values(frames, name) for name in
         ("chi_A", "chi_B", "delta_L", "W", "cos2_A", "cos2_B"))
-    chi = (chi_A + chi_B) / 2.0
     w_A = W * _values(points, "r1") * cos2_A
     w_B = W * _values(points, "r2") * cos2_B
     generator = np.zeros((len(points), 3, 3), dtype=complex)
-    generator[:, 0, 0] = -1j * (chi_A - chi)
-    generator[:, 1, 1] = -1j * (chi_B - chi)
+    generator[:, 0, 0] = -1j * (chi_A - chi_B)
     generator[:, 0, 2], generator[:, 1, 2] = -w_A, -w_B
     generator[:, 2, 0], generator[:, 2, 1] = w_A, w_B
-    generator[:, 2, 2] = -(1.0 - 1j * (delta_L + chi))
+    generator[:, 2, 2] = -(1.0 - 1j * (delta_L + chi_B))
     t = grid.samples
     step = _expm(generator * t[1])
     # Stored component-major, so C_A and C_B are contiguous (points, time) blocks.
@@ -392,10 +389,8 @@ def general_trajectory(params, frame, grid: TimeGrid) -> AmplitudeTrajectory:
     y[0, :, 0], y[1, :, 0], y[2, :, 0] = _values(points, "c01"), _values(points, "c02"), 0.0
     _fill_by_doubling(y.transpose(1, 0, 2), _squarings(step), np.matmul)
     c1, c2, phase = y
-    # The pseudomode amplitude b is not returned, so its block holds each
-    # phase factor in turn: c1 has taken its factor before c2's overwrites it.
-    c1 *= _exp_on_grid(1.0, 1j * (chi_A - chi)[:, None], t, phase)
-    c2 *= _exp_on_grid(1.0, 1j * (chi_B - chi)[:, None], t, phase)
+    # The pseudomode amplitude b is not returned, so its block holds the phase.
+    c1 *= _exp_on_grid(1.0, 1j * (chi_A - chi_B)[:, None], t, phase)
     return _trajectory(params, grid, c1, c2, ENGINE_PSEUDOMODE)
 
 

@@ -360,7 +360,7 @@ def test_set_flag_rejects_malformed_pairs(tmp_path, capsys):
     (["sweep", "--set", 'axes=[["omega_drive", [true]]]'], 2, "'axes'"),
     (["maxima", "--engine", "pseudomode", "--set", "delta_B=1e308", "--set", "t_max=1e10"],
      3, "pseudomode engine"),
-    (["maxima", "--engine", "pseudomode", "--set", "delta_A=1e308", "--set", "delta_B=1e308"],
+    (["maxima", "--engine", "pseudomode", "--set", "delta_A=1e308", "--set", "t_max=1e10"],
      3, "pseudomode engine"),
     # A filled battery over the first, tiny time step.
     (["maxima", "--engine", "pseudomode", "--set", "n_points=2", "--set", "t_max=1e-308",
@@ -402,6 +402,17 @@ def test_pseudomode_battery_decoupled_by_huge_detuning_stores_nothing(tmp_path):
                  "--out", str(out)]) == 0
     header, data = load_csv(out / "maxima.csv")
     assert header == ["E_max", "t_E", "P_max", "t_P", "W_max", "t_W"]
+    assert np.array_equal(data, np.zeros((1, 6)))
+
+
+def test_pseudomode_at_huge_equal_detunings_stores_nothing(tmp_path):
+    # In the battery's frame no sum chi_A + chi_B is formed, so splittings of
+    # 1e308 do not overflow.  The battery's population, of order
+    # (W / chi_B)^2, underflows to 0, and so does every peak.
+    out = tmp_path / "o"
+    assert main(["maxima", "--engine", "pseudomode", "--set", "delta_A=1e308",
+                 "--set", "delta_B=1e308", "--out", str(out)]) == 0
+    _, data = load_csv(out / "maxima.csv")
     assert np.array_equal(data, np.zeros((1, 6)))
 
 

@@ -244,8 +244,8 @@ def test_pseudomode_matches_closed_form():
 
 @pytest.mark.parametrize("omega_drive", [1e6, 1e9, 1e12, 1e15])
 def test_pseudomode_matches_closed_form_at_large_splittings(omega_drive):
-    # The generator is shifted by the mean splitting, so no rotation by the
-    # huge common phase is needed to recover the amplitudes.  Drives stop at
+    # The generator is shifted by the battery's splitting, so no rotation by
+    # the huge common phase is needed to recover the amplitudes.  Drives stop at
     # 1e15: above |A dt| ~ 1e14 (a drive of about 1e16 here) the squarings amplify the
     # rounding of the cavity entry's modulus, and whether the peaks come out
     # right depends on the host's rounding (README).
@@ -259,16 +259,15 @@ def test_pseudomode_matches_closed_form_at_large_splittings(omega_drive):
 
 
 def pseudomode_steps(points):
-    """The (points, 3, 3) stack A dt of the pseudomode's co-rotating generator
-    on each point's default grid, written out as in README."""
+    """The (points, 3, 3) stack A dt of the pseudomode's generator in the
+    battery's frame on each point's default grid, written out as in README."""
     steps = []
     for p in points:
         f = dressed_frame(p)
-        chi = (f.chi_A + f.chi_B) / 2.0
         w_A, w_B = f.W * p.r1 * f.cos2_A, f.W * p.r2 * f.cos2_B
         steps.append(default_grid(p).samples[1] * np.array(
-            [[-1j * (f.chi_A - chi), 0.0, -w_A], [0.0, -1j * (f.chi_B - chi), -w_B],
-             [w_A, w_B, -(1.0 - 1j * (f.delta_L + chi))]]))
+            [[-1j * (f.chi_A - f.chi_B), 0.0, -w_A], [0.0, 0.0, -w_B],
+             [w_A, w_B, -(1.0 - 1j * (f.delta_L + f.chi_B))]]))
     return np.array(steps)
 
 
@@ -307,7 +306,7 @@ def test_propagator_rows_do_not_depend_on_the_stack():
 
 
 def test_propagator_step_is_a_contraction():
-    # In the co-rotating frame A + A^H = diag(0, 0, -2) dt <= 0, so
+    # In the battery's frame A + A^H = diag(0, 0, -2) dt <= 0, so
     # the exact step has |P|_2 <= 1.  Above |A dt| ~ 1e14 the squarings
     # amplify the rounding of the cavity entry's modulus (README), so the
     # drives stop at 1e12.
