@@ -30,13 +30,12 @@ class Extremum(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class MetricsSeries:
-    """Energy, power and ergotropy sampled on a time grid.
+    """Energy, power and ergotropy sampled on the trajectory's time grid.
 
     A batch of points holds (points, time) arrays.  The max_* records are
     None when compute_metrics ran without maxima.
     """
 
-    grid: TimeGrid
     energy: np.ndarray
     power: np.ndarray
     ergotropy: np.ndarray
@@ -163,4 +162,4 @@ def compute_metrics(traj: AmplitudeTrajectory, chi_B,
     if not np.isfinite(np.max(power)):
         raise IntegrationError("charging power overflows the float range")
     peaks = maxima(traj.grid, series) if with_maxima else ()
-    return MetricsSeries(traj.grid, energy, power, ergotropy, *peaks)
+    return MetricsSeries(energy, power, ergotropy, *peaks)
