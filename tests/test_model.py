@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -122,4 +121,3 @@ def test_degenerate_point_resolves_to_bare_basis():
     f = dressed_frame(SystemParams(delta_A=0.0, omega_drive=0.0))
     assert f.cos2_A == 1.0
     assert f.chi_A == 0.0
-
