@@ -198,9 +198,8 @@ def _write_run_json(out: Path, command: str, config: RunConfig,
 
 def cmd_timeseries(config: RunConfig, out: Path) -> tuple[list[Path], int]:
     traj, series = evaluate(config.spec(), [{}])
-    table = np.concatenate((traj.grid.samples[None], traj.c1.real, traj.c1.imag,
-                            traj.c2.real, traj.c2.imag, series.energy,
-                            series.power, series.ergotropy))
+    table = np.stack((traj.grid.samples, traj.c1.real, traj.c1.imag, traj.c2.real,
+                      traj.c2.imag, series.energy, series.power, series.ergotropy))
     path = out / "timeseries.csv"
     path.write_text(csv_text(TIMESERIES_FIELDS, table.T.tolist()), newline="\n")
     return [path], 0

@@ -20,7 +20,8 @@ Two engines produce the same trajectories:
   In the battery's rotating frame, (C_A, C_B, b) e^{i chi_B t}, the system
   has a constant 3x3 generator, so its matrix exponential solves it exactly.
 
-Both engines return fresh (points x time) arrays.  Importing this module
+Both engines take one point, or a batch whose fields are (points,) arrays,
+and return fresh (time,) or (points, time) arrays.  Importing this module
 sets the C allocator's policy (MALLOPT) once, so that the next sweep chunk
 reuses the memory of the last instead of faulting fresh pages in.
 """
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import DressedFrame, SystemParams
+from .model import DressedFrame, SystemParams, require, unbatched
 
 DEFAULT_N_POINTS = 2000
 
@@ -147,20 +148,24 @@ class KernelParams:
 def kernel_params(params: SystemParams, frame: DressedFrame) -> KernelParams:
     """Kernel constants for equal detunings (chi_A = chi_B, cos2_A = cos2_B).
 
-    M and the coupling are squared in units of s, the power of two just below
-    the largest of Re M = 1, |Im M| and the coupling: exact, and no square
-    overflows, however large R or the splitting.
+    At each point, M and the coupling are squared in units of s, the power
+    of two just below the largest of Re M = 1, |Im M| and the coupling:
+    exact, and no square overflows, however large R or the splitting.
     """
-    if not params.equal_detunings():
-        raise ValueError(
-            f"kernel requires delta_A == delta_B, got {params.delta_A} != {params.delta_B}")
-    M = 1.0 - 1j * (frame.chi_A + frame.delta_L)
-    coupling = frame.W * 2.0 * frame.cos2_A  # W (1 + cos eta)
-    # Components, as abs(M) may overflow; s >= 1, as Re M = 1.
-    s = math.ldexp(1.0, math.frexp(max(abs(M.real), abs(M.imag), coupling))[1] - 1)
-    m, c = M / s, coupling / s
-    F = s * complex(np.sqrt(complex(m * m - c * c)))  # overflows to inf silently
-    return KernelParams(M=M, F=F)
+    require(params.equal_detunings(), "kernel requires delta_A == delta_B, got {} != {}",
+            params.delta_A, params.delta_B)
+    shape, (chi, delta_L, W, cos2) = _columns(frame.chi_A, frame.delta_L, frame.W,
+                                              frame.cos2_A)
+    # Overflows give non-finite constants, which AmplitudeTrajectory rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = 1.0 - 1j * (chi + delta_L)
+        coupling = W * 2.0 * cos2  # W (1 + cos eta)
+        # Components, as abs(M) may overflow; s >= 1, as Re M = 1.
+        largest = np.maximum(np.maximum(np.abs(M.real), np.abs(M.imag)), coupling)
+        s = np.ldexp(1.0, np.frexp(largest)[1] - 1)
+        m, c = M / s, coupling / s
+        F = s * np.sqrt(m * m - c * c)  # overflows to inf silently
+    return KernelParams(M=unbatched(M.reshape(shape)), F=unbatched(F.reshape(shape)))
 
 
 def survival_amplitude(kernel: KernelParams, t):
@@ -303,28 +308,12 @@ def _expm(A: np.ndarray) -> np.ndarray:
     return E + np.eye(3)
 
 
-def _batch(params, frame) -> tuple[list[SystemParams], list[DressedFrame]]:
-    """The points of a single point or of a batch, as lists."""
-    if isinstance(params, SystemParams):
-        params, frame = [params], [frame]
-    params, frame = list(params), list(frame)
-    if len(params) != len(frame) or not params:
-        raise ValueError(f"need one frame per point, got {len(params)} points "
-                         f"and {len(frame)} frames")
-    return params, frame
-
-
-def _values(items, name: str) -> np.ndarray:
-    """One attribute of every point of a batch, along the points axis."""
-    return np.array([getattr(x, name) for x in items])
-
-
-def _trajectory(params, grid: TimeGrid, c1: np.ndarray, c2: np.ndarray,
-                engine_tag: str) -> AmplitudeTrajectory:
-    """A batch's trajectory, or row 0 of it when params is one point."""
-    if isinstance(params, SystemParams):
-        c1, c2 = c1[0], c2[0]
-    return AmplitudeTrajectory(grid=grid, c1=c1, c2=c2, engine_tag=engine_tag)
+def _columns(*values) -> tuple[tuple[int, ...], list[np.ndarray]]:
+    """The points shape of the values, () for a single point, and each value
+    as one fresh array along a points axis: a single point is a batch of
+    one, whose array operations are those of every batch."""
+    shape = max(np.shape(v) for v in values)
+    return shape, [np.full(math.prod(shape), v) for v in values]
 
 
 def equal_frequency_trajectory(params, frame, grid: TimeGrid) -> AmplitudeTrajectory:
@@ -337,23 +326,22 @@ def equal_frequency_trajectory(params, frame, grid: TimeGrid) -> AmplitudeTrajec
         C1(t) = r2 beta_minus + r1 Z(t) beta_plus
         C2(t) = -r1 beta_minus + r2 Z(t) beta_plus
 
-    params and frame are one point, or equal-length sequences of points;
-    a batch gives amplitudes shaped (points, time).
+    params and frame are one point, or a batch whose fields are (points,)
+    arrays; a batch gives amplitudes shaped (points, time).
     """
-    points, frames = _batch(params, frame)
-    kernels = [kernel_params(p, f) for p, f in zip(points, frames)]
-    Z = survival_amplitude(KernelParams(M=np.array([k.M for k in kernels]),
-                                        F=np.array([k.F for k in kernels])),
-                           grid)
-    r1, r2, c01, c02 = (_values(points, name)[:, None]
-                        for name in ("r1", "r2", "c01", "c02"))
+    kernel = kernel_params(params, frame)
+    shape, (M, F, r1, r2, c01, c02) = _columns(kernel.M, kernel.F, params.r1, params.r2,
+                                               params.c01, params.c02)
+    Z = survival_amplitude(KernelParams(M=M, F=F), grid)
+    r1, r2, c01, c02 = (x[:, None] for x in (r1, r2, c01, c02))
     beta_plus = r1 * c01 + r2 * c02
     beta_minus = r2 * c01 - r1 * c02
     c2 = Z * (r2 * beta_plus)
     c2 -= r1 * beta_minus
     c1 = np.multiply(Z, r1 * beta_plus, out=Z)
     c1 += r2 * beta_minus
-    return _trajectory(params, grid, c1, c2, ENGINE_CLOSED)
+    c1, c2 = (c.reshape(shape + (-1,)) for c in (c1, c2))
+    return AmplitudeTrajectory(grid, c1, c2, ENGINE_CLOSED)
 
 
 # As in survival_amplitude, AmplitudeTrajectory rejects overflowed samples, so
@@ -368,16 +356,15 @@ def general_trajectory(params, frame, grid: TimeGrid) -> AmplitudeTrajectory:
     (_expm).  Doubling (y[m:2m] = P^m y[:m]) fills the grid with about
     log2(n_points) 3x3 products, and C_A = y_A e^{i (chi_A - chi_B) t}.
 
-    params and frame are one point, or equal-length sequences of points;
-    a batch gives amplitudes shaped (points, time).
+    params and frame are one point, or a batch whose fields are (points,)
+    arrays; a batch gives amplitudes shaped (points, time).
     """
-    points, frames = _batch(params, frame)
-    chi_A, chi_B, delta_L, W, cos2_A, cos2_B = (
-        _values(frames, name) for name in
-        ("chi_A", "chi_B", "delta_L", "W", "cos2_A", "cos2_B"))
-    w_A = W * _values(points, "r1") * cos2_A
-    w_B = W * _values(points, "r2") * cos2_B
-    generator = np.zeros((len(points), 3, 3), dtype=complex)
+    shape, (chi_A, chi_B, delta_L, W, cos2_A, cos2_B, r1, r2, c01, c02) = _columns(
+        frame.chi_A, frame.chi_B, frame.delta_L, frame.W, frame.cos2_A, frame.cos2_B,
+        params.r1, params.r2, params.c01, params.c02)
+    w_A = W * r1 * cos2_A
+    w_B = W * r2 * cos2_B
+    generator = np.zeros((len(w_A), 3, 3), dtype=complex)
     generator[:, 0, 0] = -1j * (chi_A - chi_B)
     generator[:, 0, 2], generator[:, 1, 2] = -w_A, -w_B
     generator[:, 2, 0], generator[:, 2, 1] = w_A, w_B
@@ -385,13 +372,14 @@ def general_trajectory(params, frame, grid: TimeGrid) -> AmplitudeTrajectory:
     t = grid.samples
     step = _expm(generator * t[1])
     # Stored component-major, so C_A and C_B are contiguous (points, time) blocks.
-    y = np.empty((3, len(points), grid.n_points), dtype=complex)
-    y[0, :, 0], y[1, :, 0], y[2, :, 0] = _values(points, "c01"), _values(points, "c02"), 0.0
+    y = np.empty((3, len(w_A), grid.n_points), dtype=complex)
+    y[0, :, 0], y[1, :, 0], y[2, :, 0] = c01, c02, 0.0
     _fill_by_doubling(y.transpose(1, 0, 2), _squarings(step), np.matmul)
     c1, c2, phase = y
     # The pseudomode amplitude b is not returned, so its block holds the phase.
     c1 *= _exp_on_grid(1.0, 1j * (chi_A - chi_B)[:, None], t, phase)
-    return _trajectory(params, grid, c1, c2, ENGINE_PSEUDOMODE)
+    c1, c2 = (c.reshape(shape + (-1,)) for c in (c1, c2))
+    return AmplitudeTrajectory(grid, c1, c2, ENGINE_PSEUDOMODE)
 
 
 def trajectory(params, frame, grid: TimeGrid,

@@ -6,8 +6,8 @@ splitting chi_B.  The spectral (eigenvalue-overlap) ergotropy is kept
 alongside the two-level closed form as an independent route.
 
 The series functions accept one trajectory, or a batch of them with a
-leading points axis and one chi_B per point.  The three series are
-computed in place as the rows of one array.
+leading points axis and chi_B a number or one per point.  The three
+series are computed in place as the rows of one array.
 """
 
 from __future__ import annotations
@@ -47,14 +47,6 @@ class MetricsSeries:
 def battery_hamiltonian(chi_B: float) -> np.ndarray:
     """(chi_B/2) (excited projector - ground projector), basis (g, e)."""
     return np.diag([-chi_B / 2.0, chi_B / 2.0])
-
-
-def _splitting(traj: AmplitudeTrajectory, chi_B) -> np.ndarray:
-    """chi_B shaped to multiply the trajectory's (points, time) samples."""
-    chi_B = np.asarray(chi_B, dtype=float)
-    if not np.all(np.isfinite(chi_B) & (chi_B >= 0.0)):
-        raise ValueError(f"chi_B must be finite and non-negative: {chi_B}")
-    return chi_B[..., None] if traj.c2.ndim > 1 else chi_B
 
 
 def ergotropy_closed(traj: AmplitudeTrajectory, chi_B) -> np.ndarray:
@@ -99,9 +91,10 @@ def _refine_peak(t: np.ndarray, y: np.ndarray) -> Extremum:
     """Grid argmax plus the vertex of the parabola through it and its neighbors.
 
     y holds one series, or one per row, sampled at the times t along its
-    last axis.  A peak on the window edge, or without downward curvature,
-    stays at the grid point.  The refined value is clamped from below by the
-    grid maximum, so refinement can only improve on the sampled peak.
+    last axis; the peak's value and time are arrays over its other axes.  A
+    peak on the window edge, or without downward curvature, stays at the
+    grid point.  The refined value is clamped from below by the grid
+    maximum, so refinement can only improve on the sampled peak.
     """
     n = y.shape[-1]
     rows = y.reshape(-1, n)
@@ -121,8 +114,6 @@ def _refine_peak(t: np.ndarray, y: np.ndarray) -> Extremum:
     refined = (i > 0) & (i < n - 1) & (a < 0.0) & (value >= peak)
     value = np.where(refined, value, peak).reshape(y.shape[:-1])
     time = np.where(refined, time, t[i]).reshape(y.shape[:-1])
-    if y.ndim == 1:
-        return Extremum(float(value), float(time))
     return Extremum(value, time)
 
 
@@ -144,7 +135,9 @@ def compute_metrics(traj: AmplitudeTrajectory, chi_B,
     rows of one (3,) + c2.shape array.  IntegrationError if the power
     overflows.
     """
-    chi_B = _splitting(traj, chi_B)
+    chi_B = np.asarray(chi_B, dtype=float)
+    if not np.all(np.isfinite(chi_B) & (chi_B >= 0.0)):
+        raise ValueError(f"chi_B must be finite and non-negative: {chi_B}")
     t = traj.grid.samples
     series = np.empty((3,) + traj.c2.shape)
     energy, power, ergotropy = series
@@ -153,8 +146,8 @@ def compute_metrics(traj: AmplitudeTrajectory, chi_B,
     np.multiply(energy, 2.0, out=ergotropy)
     ergotropy -= 1.0
     np.maximum(ergotropy, 0.0, out=ergotropy)
-    ergotropy *= chi_B
-    energy *= chi_B
+    ergotropy *= chi_B[..., None]
+    energy *= chi_B[..., None]
     power[..., 0] = 0.0
     with np.errstate(over="ignore"):
         np.divide(energy[..., 1:], t[1:], out=power[..., 1:])

@@ -3,21 +3,23 @@
 Two driven qubits (a charger and a battery) share a lossy cavity whose
 spectral density is a Lorentzian of width lambda centered on the cavity
 frequency.  The loss rate lambda is the unit: all frequencies are measured
-in units of it, all times in its inverse, so lambda itself is 1.
+in units of it, all times in its inverse, so lambda itself is 1.  A batch
+of points is one SystemParams whose fields are (points,) arrays or numbers.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Inputs of a single run, in cavity-loss units.
+    """Inputs of a point, or of a batch of points, in cavity-loss units.
 
     delta_A, delta_B: detuning of charger / battery qubit from the drive.
     delta_L: detuning of the drive from the cavity center frequency.
@@ -41,16 +43,17 @@ class SystemParams:
     c02: complex = 0.0 + 0.0j
 
     @property
-    def r2(self) -> float:
-        return math.sqrt(max(0.0, 1.0 - self.r1 * self.r1))
+    def r2(self):
+        return unbatched(np.sqrt(np.maximum(0.0, 1.0 - self.r1 * self.r1)))
 
-    def equal_detunings(self) -> bool:
-        return self.delta_A == self.delta_B
+    def equal_detunings(self):
+        return np.equal(self.delta_A, self.delta_B)
 
 
 @dataclass(frozen=True)
 class DressedFrame:
-    """Per-qubit dressed-basis quantities plus the shared kernel scales.
+    """Per-qubit dressed-basis quantities plus the shared kernel scales,
+    arrays where their inputs vary across a batch.
 
     chi_A, chi_B: dressed splittings sqrt(delta^2 + 4 omega_drive^2).
     cos2_A, cos2_B: coupling weights cos^2(eta/2) = (1 + cos eta)/2 of the
@@ -69,31 +72,42 @@ class DressedFrame:
     delta_L: float
 
 
+def unbatched(value):
+    """A single point's value as a Python number; a batch's array unchanged."""
+    return value.item() if np.ndim(value) == 0 else value
+
+
+def require(ok, message: str, *values) -> None:
+    """Raise ValueError unless ok holds at every point; message is formatted
+    with each of values at the first point where ok fails."""
+    ok = np.asarray(ok)
+    if not ok.all():
+        raise ValueError(message.format(*(np.broadcast_to(v, ok.shape)[~ok][0].item()
+                                          for v in values)))
+
+
 def validate(params: SystemParams) -> SystemParams:
     """Check every parameter invariant; return the params unchanged.
 
-    Raises ValueError naming the first violated invariant.
+    Raises ValueError naming the first violated invariant, at its first point.
     """
     for name, value in vars(params).items():
-        if not cmath.isfinite(value):
-            raise ValueError(f"non-finite {name}: {value}")
-    if not (0.0 <= params.r1 <= 1.0):
-        raise ValueError(f"r1 out of [0,1]: {params.r1}")
-    if not (params.omega_drive >= 0.0):
-        raise ValueError(f"negative omega_drive: {params.omega_drive}")
-    if not (params.R >= 0.0):
-        raise ValueError(f"negative R: {params.R}")
+        require(np.isfinite(value), f"non-finite {name}: {{}}", value)
+    require((0.0 <= params.r1) & (params.r1 <= 1.0), "r1 out of [0,1]: {}", params.r1)
+    require(params.omega_drive >= 0.0, "negative omega_drive: {}", params.omega_drive)
+    require(params.R >= 0.0, "negative R: {}", params.R)
     # Products, so a huge amplitude gives norm inf, not an OverflowError.
-    norm = sum(x * x for c in (params.c01, params.c02) for x in (c.real, c.imag))
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError(f"initial state not normalized: |c01|^2+|c02|^2 = {norm}")
+    with np.errstate(over="ignore"):
+        norm = sum(x * x for c in (params.c01, params.c02) for x in (c.real, c.imag))
+    require(np.abs(norm - 1.0) <= 1e-12,
+            "initial state not normalized: |c01|^2+|c02|^2 = {}", norm)
     return params
 
 
 def dressed_frame(params: SystemParams) -> DressedFrame:
     """Validate the parameters and derive their dressed-basis frame.
 
-    Every engine takes a point together with its frame, so the point is
+    Every engine takes its points together with their frame, so they are
     validated here, once, and nowhere downstream.
 
     The mixing angle is the two-argument arctangent of (2 omega_drive,
@@ -103,16 +117,13 @@ def dressed_frame(params: SystemParams) -> DressedFrame:
     a vanishing splitting chi = 0.  An overflowing chi raises ValueError.
     """
     validate(params)
-    two_omega = 2.0 * params.omega_drive
-    frame = DressedFrame(
-        chi_A=math.hypot(params.delta_A, two_omega),
-        chi_B=math.hypot(params.delta_B, two_omega),
-        cos2_A=(1.0 + math.cos(math.atan2(two_omega, params.delta_A))) / 2.0,
-        cos2_B=(1.0 + math.cos(math.atan2(two_omega, params.delta_B))) / 2.0,
-        W=params.R,
-        delta_L=params.delta_L,
-    )
-    for name in ("chi_A", "chi_B"):
-        if not math.isfinite(getattr(frame, name)):
-            raise ValueError(f"non-finite {name}: {getattr(frame, name)}")
-    return frame
+    dressed = {}
+    for qubit, delta in (("A", params.delta_A), ("B", params.delta_B)):
+        with np.errstate(over="ignore"):
+            two_omega = np.multiply(2.0, params.omega_drive)
+            chi = np.hypot(delta, two_omega)
+        require(np.isfinite(chi), f"non-finite chi_{qubit}: {{}}", chi)
+        eta = np.arctan2(two_omega, delta)
+        dressed[f"chi_{qubit}"] = unbatched(chi)
+        dressed[f"cos2_{qubit}"] = unbatched((1.0 + np.cos(eta)) / 2.0)
+    return DressedFrame(**dressed, W=params.R, delta_L=params.delta_L)

@@ -75,6 +75,9 @@ class SweepSpec:
                 raise ValueError(f"empty value list for axis {name!r}")
             if not all(math.isfinite(v) for v in values):
                 raise ValueError(f"non-finite value on axis {name!r}")
+            if name in ("delta_A", "delta_B") and "delta_common" in names:
+                raise ValueError(f"sweep axes 'delta_common' and {name!r} conflict: "
+                                 f"delta_common sets both delta_A and delta_B")
         count = math.prod(len(values) for _, values in axes)
         if count > MAX_SWEEP_POINTS:
             raise ValueError(f"sweep of {count} points exceeds MAX_SWEEP_POINTS "
@@ -99,9 +102,9 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
 
-def apply_point(base: SystemParams, point: dict[str, float]) -> SystemParams:
-    """Override base parameters with one Cartesian point."""
-    updates: dict[str, float] = {}
+def apply_point(base: SystemParams, point: dict) -> SystemParams:
+    """Override base parameters with one point, or a batch of (points,) arrays."""
+    updates = {}
     for name, value in point.items():
         if name == "delta_common":
             updates["delta_A"] = value
@@ -115,14 +118,17 @@ def evaluate(spec: SweepSpec,
              points: list[dict[str, float]]) -> tuple[AmplitudeTrajectory, MetricsSeries]:
     """Trajectories and metrics of a batch of points, as (points x time) arrays.
 
-    Each point overrides spec.base; the axes of spec are not used.  This is
-    the one path from parameters through the engines to the metrics, with
-    their peaks, that sweeps, figures and single runs share.
+    Each point overrides spec.base as one (points,) array per axis; points
+    that override nothing are the base point alone, with (time,) arrays.
+    The axes of spec are not used.  This is the one path from parameters
+    through the engines to the metrics, with their peaks, that sweeps,
+    figures and single runs share.
     """
-    params = [apply_point(spec.base, point) for point in points]
-    frames = [dressed_frame(p) for p in params]
-    traj = trajectory(params, frames, spec.grid, spec.engine)
-    return traj, compute_metrics(traj, [f.chi_B for f in frames])
+    params = apply_point(spec.base, {name: np.array([point[name] for point in points])
+                                     for name in points[0]})
+    frame = dressed_frame(params)
+    traj = trajectory(params, frame, spec.grid, spec.engine)
+    return traj, compute_metrics(traj, frame.chi_B)
 
 
 def _rows(spec: SweepSpec, points: list[dict[str, float]]) -> list[SweepRow]:
@@ -139,11 +145,10 @@ def _rows(spec: SweepSpec, points: list[dict[str, float]]) -> list[SweepRow]:
         for point in points:
             _rows(spec, [point])
         raise
-    peaks = np.stack([series.max_energy.value, series.max_energy.time,
-                      series.max_power.value, series.max_power.time,
-                      series.max_ergotropy.value, series.max_ergotropy.time],
-                     axis=1).tolist()
-    return [SweepRow(point, *peak) for point, peak in zip(points, peaks)]
+    peaks = np.column_stack([series.max_energy.value, series.max_energy.time,
+                             series.max_power.value, series.max_power.time,
+                             series.max_ergotropy.value, series.max_ergotropy.time])
+    return [SweepRow(point, *peak) for point, peak in zip(points, peaks.tolist())]
 
 
 def _drain(spec: SweepSpec, chunks: list, todo: deque, results: list) -> None:

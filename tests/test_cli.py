@@ -392,6 +392,18 @@ def test_bad_input_exits_with_code_and_writes_no_csv(tmp_path, capsys, argv, cod
     assert not list(tmp_path.rglob("*.csv"))
 
 
+@pytest.mark.parametrize("engine", ["closed_form", "pseudomode"])
+@pytest.mark.parametrize("axes", [[["delta_A", [1, 2]], ["delta_common", [0]]],
+                                  [["delta_common", [0]], ["delta_A", [1, 2]]]])
+def test_delta_common_with_a_single_detuning_axis_exits_2(tmp_path, capsys, engine, axes):
+    out = tmp_path / "o"
+    assert main(["sweep", "--engine", engine, "--set", f"axes={json.dumps(axes)}",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'delta_common' and 'delta_A' conflict" in err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_pseudomode_battery_decoupled_by_huge_detuning_stores_nothing(tmp_path):
     # cos^2(eta_B/2) rounds to 0 at delta_B = -7.9e32, so w_B = 0 and the
     # battery amplitude is exactly c02 = 0 at every time, however large the

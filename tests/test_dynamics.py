@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from qbattery import (IntegrationError, KernelParams, SystemParams, TimeGrid,
-                      default_grid, dressed_frame, equal_frequency_trajectory,
+                      compute_metrics, default_grid, dressed_frame,
+                      equal_frequency_trajectory,
                       general_trajectory, kernel_params, survival_amplitude,
                       trajectory)
 from qbattery.dynamics import MAX_N_POINTS, AmplitudeTrajectory, _expm
@@ -22,6 +23,12 @@ Z_AT_2_FROM_BATH = 0.9422808183895246 - 0.028785540342853074j
 
 def resonant_params(omega=1.0, R=0.5, delta_L=0.0, **kw):
     return SystemParams(omega_drive=omega, R=R, delta_L=delta_L, **kw)
+
+
+def batch_of(points):
+    """One SystemParams holding each field of the points along a points axis."""
+    return SystemParams(**{name: np.array([getattr(p, name) for p in points])
+                           for name in vars(points[0])})
 
 
 def make_kernel(omega=1.0, delta=0.0, delta_L=0.0, R=0.5):
@@ -330,14 +337,68 @@ def test_engines_take_a_batch_of_points(engine, name):
     points = [SystemParams(omega_drive=0.5, R=0.5),
               SystemParams(omega_drive=1.5, delta_A=1.0, delta_B=1.0, R=10.0, r1=0.3),
               SystemParams(omega_drive=0.0, R=0.5, c01=0.6, c02=0.8j)]
-    frames = [dressed_frame(p) for p in points]
+    params = batch_of(points)
     g = TimeGrid.uniform(5.0, 300)
-    batch = trajectory(points, frames, g, engine=name)
+    batch = trajectory(params, dressed_frame(params), g, engine=name)
     assert batch.c1.shape == batch.c2.shape == (3, 300)
-    for k, (p, f) in enumerate(zip(points, frames)):
-        single = engine(p, f, g)
+    for k, p in enumerate(points):
+        single = engine(p, dressed_frame(p), g)
         np.testing.assert_array_equal(batch.c1[k], single.c1)
         np.testing.assert_array_equal(batch.c2[k], single.c2)
+
+
+# Edge points of both engines: the critically damped point Omega = Delta = 0
+# (F = 0, the series path of Z), a decoupled cavity, a negative detuning, r1
+# of 0 and of 1, and complex initial amplitudes.
+MIXED_POINTS = [dict(omega_drive=0.0),
+                dict(R=0.0, c01=0.6, c02=0.8j),
+                dict(delta_A=-2.0, delta_B=-2.0, omega_drive=0.7, R=10.0),
+                dict(r1=0.0, c01=0.8j, c02=-0.6),
+                dict(r1=1.0, delta_L=-1.5, c01=0.6 + 0.48j, c02=0.64j),
+                dict(omega_drive=1.3, delta_A=0.5, delta_B=0.5, delta_L=2.0, R=10.0)]
+UNEQUAL_POINTS = [dict(delta_A=1.0, delta_B=3.0, omega_drive=0.5),
+                  dict(delta_A=-1.0, delta_B=2.0, delta_L=1.0, R=10.0, c01=0.6j, c02=0.8)]
+
+
+def assert_rows_match_single_runs(engine, params, points, g):
+    frame = dressed_frame(params)
+    batch = engine(params, frame, g)
+    series = compute_metrics(batch, frame.chi_B)
+    assert batch.c1.shape == batch.c2.shape == (len(points), g.n_points)
+    for k, p in enumerate(points):
+        f = dressed_frame(p)
+        single = engine(p, f, g)
+        single_series = compute_metrics(single, f.chi_B)
+        np.testing.assert_array_equal(batch.c1[k], single.c1)
+        np.testing.assert_array_equal(batch.c2[k], single.c2)
+        for name in ("energy", "power", "ergotropy"):
+            np.testing.assert_array_equal(getattr(series, name)[k],
+                                          getattr(single_series, name))
+        for name in ("max_energy", "max_power", "max_ergotropy"):
+            assert (getattr(series, name).value[k], getattr(series, name).time[k]) == \
+                getattr(single_series, name)
+
+
+@pytest.mark.parametrize("engine, extra", [(equal_frequency_trajectory, []),
+                                           (general_trajectory, UNEQUAL_POINTS)])
+def test_mixed_batch_rows_equal_single_point_runs(engine, extra):
+    points = [SystemParams(**kw) for kw in MIXED_POINTS + extra]
+    assert_rows_match_single_runs(engine, batch_of(points), points,
+                                  TimeGrid.uniform(5.0, 257))
+
+
+@pytest.mark.parametrize("engine", [equal_frequency_trajectory, general_trajectory])
+@pytest.mark.parametrize("name, values", [("R", (0.0, 0.5, 10.0)),
+                                          ("delta_L", (-1.0, 0.0, 2.5))])
+def test_batch_broadcasts_the_fields_it_does_not_vary(engine, name, values):
+    # Only R or delta_L varies, so the splittings and weights of the frame
+    # stay numbers and broadcast against the batch.
+    params = SystemParams(omega_drive=0.8, **{name: np.array(values)})
+    frame = dressed_frame(params)
+    assert all(np.ndim(getattr(frame, field)) == 0
+               for field in ("chi_A", "chi_B", "cos2_A", "cos2_B"))
+    points = [SystemParams(omega_drive=0.8, **{name: v}) for v in values]
+    assert_rows_match_single_runs(engine, params, points, TimeGrid.uniform(5.0, 300))
 
 
 def test_decoupled_cavity_keeps_amplitudes_constant():

@@ -238,11 +238,12 @@ def test_refinement_of_rows_matches_one_series_at_a_time(n):
 
 def test_batch_metrics_match_single_trajectories():
     points = [SystemParams(omega_drive=omega, R=R) for omega, R in ((0.5, 0.5), (1.0, 10.0))]
-    frames = [dressed_frame(p) for p in points]
+    params = SystemParams(omega_drive=np.array([0.5, 1.0]), R=np.array([0.5, 10.0]))
+    frame = dressed_frame(params)
     g = TimeGrid.uniform(5.0, 400)
-    batch = compute_metrics(equal_frequency_trajectory(points, frames, g),
-                            [f.chi_B for f in frames])
-    for k, (p, f) in enumerate(zip(points, frames)):
+    batch = compute_metrics(equal_frequency_trajectory(params, frame, g), frame.chi_B)
+    for k, p in enumerate(points):
+        f = dressed_frame(p)
         single = compute_metrics(equal_frequency_trajectory(p, f, g), f.chi_B)
         for name in ("energy", "power", "ergotropy"):
             np.testing.assert_array_equal(getattr(batch, name)[k], getattr(single, name))

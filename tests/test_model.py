@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -88,7 +89,7 @@ def test_splitting_reconstruction(delta, omega):
     assert 0.0 <= f.cos2_A <= 1.0
     # the weight identity of the mixing angle is how cos2 is computed; must
     # hold bit-exactly
-    assert f.cos2_A == (1.0 + math.cos(math.atan2(2 * omega, delta))) / 2.0
+    assert f.cos2_A == (1.0 + np.cos(np.arctan2(2 * omega, delta))) / 2.0
 
 
 @given(delta=finite, omega=st.floats(min_value=0.1, max_value=10.0))

@@ -107,6 +107,18 @@ def test_delta_common_sets_both_detunings():
     assert p.delta_A == 3.0 and p.delta_B == 3.0
 
 
+@pytest.mark.parametrize("axes", [
+    (("delta_A", (1.0, 2.0)), ("delta_common", (0.0,))),
+    (("delta_common", (0.0,)), ("delta_B", (1.0, 2.0))),
+])
+def test_delta_common_axis_conflicts_with_a_single_detuning_axis(axes):
+    # delta_common sets both detunings, so one of the two axes would
+    # overwrite the other's values in every row.
+    single = next(name for name, _ in axes if name != "delta_common")
+    with pytest.raises(ValueError, match=f"'delta_common' and '{single}' conflict"):
+        SweepSpec(base=base_params(), axes=axes, grid=weak_grid(10))
+
+
 def test_unknown_axis_rejected():
     with pytest.raises(ValueError, match="unknown sweep axis"):
         SweepSpec(base=base_params(), axes=(("volume", (1.0,)),),
@@ -377,7 +389,8 @@ def test_a_later_failure_on_another_worker_does_not_mask_an_earlier_one(monkeypa
 
 
 def test_each_point_is_validated_once(monkeypatch, tmp_path):
-    # dressed_frame validates its point; nothing downstream validates again.
+    # dressed_frame validates the points of a chunk together; nothing
+    # downstream validates again.
     calls = []
     real_validate = model.validate
 
@@ -391,7 +404,8 @@ def test_each_point_is_validated_once(monkeypatch, tmp_path):
                      grid=weak_grid(2000))
     assert BUDGET // spec.grid.n_points == 16    # three chunks
     assert len(run_sweep(spec).rows) == 40
-    assert [p.omega_drive for p in calls] == list(omegas)
+    assert len(calls) == 3
+    assert np.concatenate([p.omega_drive for p in calls]).tolist() == list(omegas)
 
     # The CLI's base point is validated once too, where its frame is built.
     calls.clear()
