@@ -148,7 +148,8 @@ def _rows(spec: SweepSpec, points: list[dict[str, float]]) -> list[SweepRow]:
     peaks = np.column_stack([series.max_energy.value, series.max_energy.time,
                              series.max_power.value, series.max_power.time,
                              series.max_ergotropy.value, series.max_ergotropy.time])
-    return [SweepRow(point, *peak) for point, peak in zip(points, peaks.tolist())]
+    rows = zip(points, peaks.tolist(), strict=True)
+    return [SweepRow(point, *peak) for point, peak in rows]
 
 
 def _drain(spec: SweepSpec, chunks: list, todo: deque, results: list) -> None:

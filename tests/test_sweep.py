@@ -119,6 +119,15 @@ def test_delta_common_axis_conflicts_with_a_single_detuning_axis(axes):
         SweepSpec(base=base_params(), axes=axes, grid=weak_grid(10))
 
 
+def test_points_that_override_nothing_are_one_point():
+    # Without an axis column the batch is the base point alone, so a chunk
+    # of several such points cannot be given one row each.
+    spec = SweepSpec(base=base_params(), axes=(), grid=weak_grid(200))
+    assert len(sweep._rows(spec, [{}])) == 1
+    with pytest.raises(ValueError):
+        sweep._rows(spec, [{}, {}])
+
+
 def test_unknown_axis_rejected():
     with pytest.raises(ValueError, match="unknown sweep axis"):
         SweepSpec(base=base_params(), axes=(("volume", (1.0,)),),
