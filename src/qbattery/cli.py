@@ -201,7 +201,7 @@ def cmd_timeseries(config: RunConfig, out: Path) -> tuple[list[Path], int]:
     table = np.stack((traj.grid.samples, traj.c1.real, traj.c1.imag, traj.c2.real,
                       traj.c2.imag, series.energy, series.power, series.ergotropy))
     path = out / "timeseries.csv"
-    path.write_text(csv_text(TIMESERIES_FIELDS, table.T.tolist()), newline="\n")
+    path.write_text(csv_text(TIMESERIES_FIELDS, table.T), newline="\n")
     return [path], 0
 
 
@@ -227,10 +227,11 @@ def cmd_oracle_check(config: RunConfig, out: Path) -> tuple[list[Path], int]:
     params = spec.base
     names = ((ENGINE_PSEUDOMODE, ENGINE_CLOSED) if params.equal_detunings()
              else (ENGINE_PSEUDOMODE,))
+    # One frame, built and validated once, serves both engines and the bath.
     # The engines run first, so an input that overflows them (exit 3) is
     # reported by the engine before the bath is built.
-    engines = {name: evaluate(replace(spec, engine=name), [{}])[0] for name in names}
     frame = dressed_frame(params)
+    engines = {name: evaluate(replace(spec, engine=name), [{}], frame)[0] for name in names}
     bath = build_bath(frame, n_modes=config.n_modes, span=config.span)
     reference = propagate(params, frame, bath, spec.grid)
     gaps = {name: float(max(np.max(np.abs(traj.c1 - reference.c1)),

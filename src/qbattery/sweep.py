@@ -28,7 +28,7 @@ from . import __version__
 from .dynamics import (ENGINE_CLOSED, AmplitudeTrajectory, TimeGrid, default_grid,
                        trajectory)
 from .metrics import MetricsSeries, compute_metrics
-from .model import SystemParams, dressed_frame
+from .model import DressedFrame, SystemParams, dressed_frame
 
 AXIS_NAMES = ("omega_drive", "delta_A", "delta_B", "delta_common", "delta_L", "R", "r1")
 
@@ -44,6 +44,12 @@ MAX_SWEEP_POINTS = 2 ** 20
 
 # The CSV float format: 17 significant digits, so values round-trip.
 FLOAT_FORMAT = "%.17g"
+
+# Cells per formatting block of csv_text, whose temporaries take about 0.3 KB
+# a cell.  Measured on the figure tables: blocks of 1024 to 4096 cells left
+# the peak memory of a run alike and 4096 was the fastest of them; 8192
+# cells raised the peak by about 1.2 MB.
+CSV_BLOCK = 4096
 
 
 class SweepPointError(RuntimeError):
@@ -114,19 +120,20 @@ def apply_point(base: SystemParams, point: dict) -> SystemParams:
     return replace(base, **updates)
 
 
-def evaluate(spec: SweepSpec,
-             points: list[dict[str, float]]) -> tuple[AmplitudeTrajectory, MetricsSeries]:
+def evaluate(spec: SweepSpec, points: list[dict[str, float]],
+             frame: DressedFrame | None = None) -> tuple[AmplitudeTrajectory, MetricsSeries]:
     """Trajectories and metrics of a batch of points, as (points x time) arrays.
 
     Each point overrides spec.base as one (points,) array per axis; points
     that override nothing are the base point alone, with (time,) arrays.
     The axes of spec are not used.  This is the one path from parameters
     through the engines to the metrics, with their peaks, that sweeps,
-    figures and single runs share.
+    figures and single runs share.  frame is the points' dressed frame
+    when the caller has already built, and so validated, it.
     """
     params = apply_point(spec.base, {name: np.array([point[name] for point in points])
                                      for name in points[0]})
-    frame = dressed_frame(params)
+    frame = dressed_frame(params) if frame is None else frame
     traj = trajectory(params, frame, spec.grid, spec.engine)
     return traj, compute_metrics(traj, frame.chi_B)
 
@@ -190,14 +197,182 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     return SweepResult(spec=spec, rows=tuple(itertools.chain.from_iterable(results)))
 
 
+# --- CSV float formatting -----------------------------------------------------
+#
+# csv_text writes every cell as FLOAT_FORMAT % cell, computed for a block of
+# cells at once.  A finite nonzero cell x with |x| in about [1e-29, 1e17)
+# gets p = 16 - floor(log10|x|), and |x| 10^p is formed as a double-double:
+# 10^p = 2^p 5^p is a double plus an exact remainder for p <= 45, the
+# product with the double is exact (Dekker), and only the remainder's
+# product rounds, by under 1e-14.  The nearest integer N of that number
+# holds the 17 significant digits, unless its fraction lies within 2^-30 of
+# 1/2, which covers exact ties (rounded half to even by dtoa), or N falls
+# outside [10^16, 10^17) because the log10 estimate was one off or the
+# digits carry to the next power of ten.  Those cells, and non-finite,
+# out-of-range and zero ones, are not certified; zeros are written as '0'
+# or '-0' and the rest go through FLOAT_FORMAT % cell itself.  The %g layout
+# is a 48-byte template per cell whose bytes are kept by a mask that
+# depends only on the decimal exponent, the trailing zeros and the sign;
+# one boolean compaction joins the kept bytes.  This is the idea of Grisu
+# (Loitsch, PLDI 2010): an exact fast path in machine arithmetic, and a
+# fallback wherever it cannot certify its result.
+
+_SPLIT = 134217729.0                  # 2^27 + 1: Dekker's splitter
+
+
+def _word(text: bytes) -> int:
+    return int.from_bytes(text, "little")
+
+
+def _halves(v):
+    """v as hi + lo with at most 26 significant bits each."""
+    c = v * _SPLIT
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+def _powers_of_ten():
+    """Rows hi, hi's halves and lo with 10^p = hi + lo exactly, p = 0..45."""
+    hi = np.array([float(5 ** p) * 2.0 ** p for p in range(46)])
+    lo = np.array([float(5 ** p - int(float(5 ** p))) * 2.0 ** p for p in range(46)])
+    return np.stack([hi, *_halves(hi), lo])
+
+
+def _digit_groups():
+    """The four ASCII digits of 0000 to 9999 as little-endian words, and
+    their trailing zeros (4 for 0000)."""
+    g = np.arange(10000)
+    words = sum((g // 10 ** (3 - k) - g // 10 ** (4 - k) * 10 + ord("0")) * 256 ** k
+                for k in range(4))
+    zeros = np.where(g == 0, 4, sum(g // 10 ** k * 10 ** k == g for k in (1, 2, 3)))
+    return words.astype("<u4"), zeros
+
+
+_TEN = _powers_of_ten()
+_GROUP_WORD, _GROUP_TZ = _digit_groups()
+# The first digit after '.  ' instead of '000'.
+_DOT_WORD = (_GROUP_WORD[:10] - _word(b"000") + _word(b".  ")).astype("<u4")
+# The decimal exponents of the fast path and their "e-29" to "e+16" words.
+_X_MIN = -29
+_EXPONENT = np.arange(_X_MIN, 17)
+_EXP_WORD = np.array([_word(b"e%+03d" % x) for x in _EXPONENT], dtype="<u4")
+
+
+def _keep_masks() -> np.ndarray:
+    """The kept bytes of the cell template, one row per cell code.
+
+    The template's twelve 4-byte words are: the separator and '-0.'; '000'
+    and the first digit; four words of the other 16 digits; '.', two unused
+    bytes and the first digit again; the other digits again; the exponent.
+    The first copy of the digits is written up to the dot, the second after
+    it.  A fast cell's code is ((X - X_MIN) 17 + zeros) 2 + sign, for the
+    decimal exponent X and the trailing zeros of its 17 digits; a fallback
+    text of length L sits after the separator and has the code
+    FAST_CODES + L.
+    """
+    x = _EXPONENT[:, None, None]
+    digits = 17 - np.arange(17)[:, None]
+    sci = x < -4
+    dot = np.where(sci, 0, np.where(x < 0, -1, x))       # index of the digit before '.'
+    kept = np.maximum(digits, dot + 1)                   # digits written
+    prefix = np.where(x < 0, 1 - x, 0) * ~sci            # bytes of '0.000'
+    j = np.arange(48)
+    unsigned = ((j == 0)
+                | ((2 <= j) & (j < 7) & (j - 2 < prefix))
+                | ((7 <= j) & (j < 24) & (j - 7 <= dot))
+                | ((j == 24) & (dot >= 0) & (kept > dot + 1))
+                | ((27 <= j) & (j < 44) & (j - 27 > dot) & (j - 27 < kept))
+                | ((44 <= j) & sci))
+    fast = np.repeat(unsigned.reshape(-1, 48), 2, axis=0)
+    fast[1::2, 1] = True                                 # '-'
+    slow = j <= np.arange(25)[:, None]
+    return np.concatenate([fast, slow])
+
+
+_KEEP = _keep_masks()
+_FAST_CODES = len(_EXPONENT) * 17 * 2
+
+
+def _format_cells(x: np.ndarray, first_words: np.ndarray) -> bytes:
+    """FLOAT_FORMAT % cell for each float64 in x, each after its separator.
+
+    first_words[i] is the template's first word for cell i: its separator
+    and '-0.'.
+    """
+    zero = x == 0
+    ax = np.abs(x)
+    fast = (ax >= 1.1e-29) & (ax <= 9.9e16)              # False for 0, nan and inf
+    ax[~fast] = 1.0
+    p = (16.0 - np.floor(np.log10(ax))).astype(np.intp)
+    hi, hi_hi, hi_lo, lo = np.take(_TEN, p, axis=1)
+    ph = ax * hi
+    ah, al = _halves(ax)
+    # ph + t = |x| 10^p; ph is an integer, t its rounded remainder.
+    t = (((ah * hi_hi - ph) + ah * hi_lo + al * hi_hi) + al * hi_lo) + ax * lo
+    floor_t = np.floor(t)
+    t -= floor_t
+    fast &= np.abs(t - 0.5) > 2.0 ** -30
+    low = ph.astype(np.int64) + floor_t.astype(np.int64)
+    N = low + (t > 0.5)
+    fast &= (low >= 10 ** 16) & (N < 10 ** 17)
+    N[~fast] = 0                                         # zeros among them
+    x_code = 16 - _X_MIN - p
+    x_code[zero] = -_X_MIN
+
+    # The first digit and four groups of four, each group's word and zeros.
+    groups = np.empty((5, x.size), np.int64)
+    np.floor_divide(N, 10 ** 16, out=groups[0])
+    N -= groups[0] * 10 ** 16
+    high = N // 10 ** 8
+    N -= high * 10 ** 8
+    np.floor_divide(high, 10 ** 4, out=groups[1])
+    np.subtract(high, groups[1] * 10 ** 4, out=groups[2])
+    np.floor_divide(N, 10 ** 4, out=groups[3])
+    np.subtract(N, groups[3] * 10 ** 4, out=groups[4])
+    group_words = _GROUP_WORD[groups]
+    tz = _GROUP_TZ[groups[1:]]
+    z = tz == 4
+    code = ((x_code * 17 + (tz[3] + z[3] * (tz[2] + z[2] * (tz[1] + z[1] * tz[0])))) * 2
+            + np.signbit(x))
+
+    cells = np.empty((x.size, 48), np.uint8)
+    words = cells.view("<u4")
+    words[:, 0] = first_words[:x.size]
+    words[:, 1:6] = group_words.T
+    words[:, 6] = _DOT_WORD[groups[0]]
+    words[:, 7:11] = group_words[1:].T
+    words[:, 11] = _EXP_WORD[x_code]
+    slow = np.flatnonzero(~(fast | zero))
+    for i, value in zip(slow.tolist(), x[slow].tolist()):
+        text = (FLOAT_FORMAT % value).encode()
+        cells[i, 1:1 + len(text)] = np.frombuffer(text, np.uint8)
+        code[i] = _FAST_CODES + len(text)
+    return cells[np.take(_KEEP, code, axis=0)].tobytes()
+
+
 def csv_text(header, rows) -> str:
     """A CSV file: the header, then one line per row of floats.
 
-    Each line is formatted in one step; every cell reads as
-    FLOAT_FORMAT % cell.
+    rows is a 2-D array of floats (or anything np.asarray turns into one)
+    with one column per header field; a row of another width raises
+    ValueError.  Every cell reads as FLOAT_FORMAT % cell.  The cells are
+    formatted CSV_BLOCK at a time by a certified fast path in numpy, with
+    FLOAT_FORMAT % cell itself wherever that path cannot vouch for its
+    digits.  It uses no numpy-2-only API.
     """
-    line = ",".join([FLOAT_FORMAT] * len(header))
-    return "\n".join([",".join(header)] + [line % tuple(row) for row in rows]) + "\n"
+    table = np.asarray(rows, dtype=np.float64)
+    width = len(header)
+    if len(table) and (table.ndim != 2 or table.shape[1] != width):
+        raise ValueError(f"a table of shape {table.shape} has rows of another "
+                         f"width than its {width} header fields")
+    step = max(1, CSV_BLOCK // width)
+    # Each cell's first word: ',' or, in the first column, '\n', then '-0.'.
+    separators = np.full(width, ord(","), "<u4")
+    separators[0] = ord("\n")
+    first_words = np.tile(separators | _word(b"\0-0."), step)
+    blocks = [_format_cells(table[k:k + step].ravel(), first_words)
+              for k in range(0, len(table), step)]
+    return b"".join([",".join(header).encode(), *blocks, b"\n"]).decode()
 
 
 def write_json(path, payload) -> Path:
@@ -210,9 +385,9 @@ def write_json(path, payload) -> Path:
 def sweep_csv_text(result: SweepResult) -> str:
     names = [name for name, _ in result.spec.axes]
     header = [f"param_{n}" for n in names] + list(MAXIMA_FIELDS)
-    return csv_text(header, ([row.point[n] for n in names]
-                             + [getattr(row, f) for f in MAXIMA_FIELDS]
-                             for row in result.rows))
+    return csv_text(header, np.array([[row.point[n] for n in names]
+                                      + [getattr(row, f) for f in MAXIMA_FIELDS]
+                                      for row in result.rows]))
 
 
 def write_sweep_csv(result: SweepResult, path) -> Path:
@@ -305,7 +480,7 @@ def figure_pipeline(figure_id: str, out_dir, n_points: int = 2000) -> list[Path]
     for panel, metric, _ in _PANELS:
         table = np.column_stack((first_column, panels[metric].T))
         path = out / f"{figure_id}{panel}_{metric}{suffix}.csv"
-        path.write_text(csv_text(header, table.tolist()), newline="\n")
+        path.write_text(csv_text(header, table), newline="\n")
         written.append(path)
 
     meta = {

@@ -10,6 +10,7 @@ import pytest
 
 import qbattery
 import qbattery.cli as cli
+import qbattery.model as model
 import qbattery.sweep as sweep
 from qbattery import (IntegrationError, SystemParams, dressed_frame,
                       kernel_params, survival_amplitude)
@@ -226,6 +227,25 @@ def test_oracle_check_fails_with_exit_4(tmp_path, monkeypatch, capsys):
     assert "tolerance failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pairs", [[], ["delta_B=4.0"]])
+def test_oracle_check_validates_its_point_once(tmp_path, monkeypatch, pairs):
+    # Both engines at equal detunings, the pseudomode alone at unequal
+    # ones, and the bath all take the one frame built for the point.
+    calls = []
+
+    def counting(params):
+        calls.append(params)
+        return real_validate(params)
+
+    real_validate = model.validate
+    monkeypatch.setattr(model, "validate", counting)
+    argv = ["oracle-check", "--set", "n_modes=400", "--set", "span=10"]
+    for pair in pairs:
+        argv += ["--set", pair]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
 # --- flag and error plumbing -------------------------------------------------
 
 def test_flags_override_config(tmp_path):
@@ -282,7 +302,7 @@ def test_unknown_engine_exits_2(tmp_path, capsys):
 
 
 def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
-    def exploding(spec, points):
+    def exploding(*args, **kwargs):
         raise IntegrationError("step budget exhausted")
 
     # Every single-run command reaches the engines through sweep.evaluate.

@@ -6,10 +6,13 @@ import sys
 import threading
 import time
 import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import qbattery
@@ -18,8 +21,8 @@ from qbattery import (FIGURES, IntegrationError, SweepPointError, SweepSpec,
                       SystemParams, TimeGrid, compute_metrics, default_grid,
                       dressed_frame, equal_frequency_trajectory, figure_pipeline,
                       kernel_params, run_sweep, survival_amplitude)
-from qbattery.sweep import (BUDGET, apply_point, csv_text, evaluate, sweep_csv_text,
-                            write_sweep_csv)
+from qbattery.sweep import (BUDGET, FLOAT_FORMAT, apply_point, csv_text, evaluate,
+                            sweep_csv_text, write_sweep_csv)
 
 # Peak records computed by the closed-form engine on the default windows and
 # frozen as regression values.  The trends they encode are discussed in the
@@ -551,13 +554,87 @@ def test_evaluations_outside_a_sweep_get_fresh_arrays(tmp_path, monkeypatch):
     assert not _share_memory(evaluate(spec, points), evaluate(spec, points))
 
 
+def _per_cell_csv(header, table) -> str:
+    """The CSV of a table with every cell formatted on its own."""
+    return "".join([",".join(header) + "\n"]
+                   + [",".join(FLOAT_FORMAT % x for x in row) + "\n" for row in table])
+
+
+def _neighbours(x: float, count: int) -> list[float]:
+    """x and its count nearest doubles on either side."""
+    out = [x]
+    for direction in (-np.inf, np.inf):
+        y = x
+        for _ in range(count):
+            y = float(np.nextafter(y, direction))
+            out.append(y)
+    return out
+
+
+def _ties() -> list[float]:
+    """Doubles q / 2^j whose decimal expansion has 18 significant digits
+    ending in 5: exactly halfway between two 17-digit numbers."""
+    ties = []
+    for j in range(2, 26):
+        lo, hi = -(-10 ** 17 // 5 ** j), min(2 ** 53, 10 ** 18 // 5 ** j)
+        ties += [q / 2 ** j for q in range(lo | 1, hi, 2 * max(1, (hi - lo) // 14))]
+    return ties
+
+
 def test_csv_rows_match_per_cell_format():
     specials = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 2.2250738585072014e-308,
-                0.1, 1.0 / 3.0, 123456789.12345678, 1e-5, 1e16, 1e17, 3.0, -7.25,
-                float("inf"), float("-inf"), float("nan")]
-    table = np.array([specials, specials[::-1]]).T
-    lines = ["a,b"] + [",".join(f"{x:.17g}" for x in row) for row in table]
-    assert csv_text(["a", "b"], table.tolist()) == "\n".join(lines) + "\n"
+                0.1, 1.0 / 3.0, 123456789.12345678, 3.0, -7.25, 0.5, 2.0 ** -1074 * 3,
+                float("inf"), float("-inf"), float("nan"), -float("nan")]
+    powers = [y for k in range(-30, 21) for y in _neighbours(float(f"1e{k}"), 1)]
+    switches = [y for x in (1e-5, 1e-4, 1e16, 1e17) for y in _neighbours(x, 4)]
+    # 9.99..95 and above rounds up to the next power of ten in 17 digits;
+    # 1e-14 is the double below 10^-14 that does.
+    carries = [1e-14, 9.99999999999999995e-15, 0.99999999999999999999]
+    ties = _ties()
+    assert all(len(Decimal(x).as_tuple().digits) == 18 and Decimal(x).as_tuple().digits[-1] == 5
+               for x in ties)
+    values = specials + powers + switches + carries + ties
+    values = np.array(values + [-x for x in values])
+    table = np.column_stack([values, values[::-1], values * 0.5])
+    assert csv_text(["a", "b", "c"], table) == _per_cell_csv(["a", "b", "c"], table.tolist())
+    assert csv_text(["a", "b", "c"], table.tolist()) == csv_text(["a", "b", "c"], table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                min_size=1, max_size=40), st.integers(1, 4))
+def test_csv_text_matches_per_cell_format_on_any_floats(values, width):
+    values += [0.0] * (-len(values) % width)
+    table = np.array(values).reshape(-1, width)
+    header = [f"c{k}" for k in range(width)]
+    assert csv_text(header, table) == _per_cell_csv(header, table.tolist())
+
+
+def test_csv_text_of_tables_spanning_several_blocks():
+    rng = np.random.default_rng(17)
+    for width in (1, 7, 10):
+        rows = 3 * sweep.CSV_BLOCK // width + 5
+        magnitudes = 10.0 ** rng.integers(-35, 25, (rows, width))
+        table = rng.standard_normal((rows, width)) * magnitudes
+        table[rng.random((rows, width)) < 0.1] = 0.0
+        table[::97, -1] = np.round(table[::97, -1], 3)
+        header = [f"c{k}" for k in range(width)]
+        assert csv_text(header, table) == _per_cell_csv(header, table.tolist())
+
+
+def test_csv_text_of_no_rows_is_the_header():
+    assert csv_text(["a", "b"], np.empty((0, 2))) == "a,b\n"
+    assert csv_text(["a", "b"], []) == "a,b\n"
+
+
+@pytest.mark.parametrize("rows", [
+    [[1.0, 2.0], [3.0]],                    # ragged
+    [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],     # three columns under two fields
+    [1.0, 2.0, 3.0, 4.0],                   # one flat row, not two rows of two
+])
+def test_csv_text_rejects_rows_of_another_width(rows):
+    with pytest.raises(ValueError):
+        csv_text(["a", "b"], rows)
 
 
 # --- figure pipelines --------------------------------------------------------
