@@ -14,6 +14,7 @@ timestamps).
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -50,6 +51,12 @@ FLOAT_FORMAT = "%.17g"
 # the peak memory of a run alike and 4096 was the fastest of them; 8192
 # cells raised the peak by about 1.2 MB.
 CSV_BLOCK = 4096
+
+# Tables of fewer cells are formatted row by row, FLOAT_FORMAT per cell: the
+# numpy path costs about 0.07 ms per table, which such a row-by-row pass
+# takes for about 100 cells; measured, the two break even between 160 and
+# 250 cells.
+CSV_PER_ROW_BELOW = 256
 
 
 class SweepPointError(RuntimeError):
@@ -248,14 +255,9 @@ def _digit_groups():
     return words.astype("<u4"), zeros
 
 
-_TEN = _powers_of_ten()
-_GROUP_WORD, _GROUP_TZ = _digit_groups()
-# The first digit after '.  ' instead of '000'.
-_DOT_WORD = (_GROUP_WORD[:10] - _word(b"000") + _word(b".  ")).astype("<u4")
-# The decimal exponents of the fast path and their "e-29" to "e+16" words.
+# The decimal exponents of the fast path, -29 to 16.
 _X_MIN = -29
-_EXPONENT = np.arange(_X_MIN, 17)
-_EXP_WORD = np.array([_word(b"e%+03d" % x) for x in _EXPONENT], dtype="<u4")
+_EXPONENT = range(_X_MIN, 17)
 
 
 def _keep_masks() -> np.ndarray:
@@ -270,7 +272,7 @@ def _keep_masks() -> np.ndarray:
     text of length L sits after the separator and has the code
     FAST_CODES + L.
     """
-    x = _EXPONENT[:, None, None]
+    x = np.array(_EXPONENT)[:, None, None]
     digits = 17 - np.arange(17)[:, None]
     sci = x < -4
     dot = np.where(sci, 0, np.where(x < 0, -1, x))       # index of the digit before '.'
@@ -289,8 +291,18 @@ def _keep_masks() -> np.ndarray:
     return np.concatenate([fast, slow])
 
 
-_KEEP = _keep_masks()
 _FAST_CODES = len(_EXPONENT) * 17 * 2
+
+
+@functools.cache
+def _tables():
+    """The formatter's tables, built on its first use: powers of ten,
+    digit-group words and trailing zeros, the first digit after '.  ', the
+    "e-29" to "e+16" words and the keep-masks."""
+    group_word, group_zeros = _digit_groups()
+    dot_word = (group_word[:10] - _word(b"000") + _word(b".  ")).astype("<u4")
+    exp_word = np.array([_word(b"e%+03d" % x) for x in _EXPONENT], dtype="<u4")
+    return _powers_of_ten(), group_word, group_zeros, dot_word, exp_word, _keep_masks()
 
 
 def _format_cells(x: np.ndarray, first_words: np.ndarray) -> bytes:
@@ -299,12 +311,13 @@ def _format_cells(x: np.ndarray, first_words: np.ndarray) -> bytes:
     first_words[i] is the template's first word for cell i: its separator
     and '-0.'.
     """
+    ten, group_word, group_zeros, dot_word, exp_word, keep = _tables()
     zero = x == 0
     ax = np.abs(x)
     fast = (ax >= 1.1e-29) & (ax <= 9.9e16)              # False for 0, nan and inf
-    ax[~fast] = 1.0
+    ax[~fast] = 1.0                                      # exponent 0: a zero reads '0'
     p = (16.0 - np.floor(np.log10(ax))).astype(np.intp)
-    hi, hi_hi, hi_lo, lo = np.take(_TEN, p, axis=1)
+    hi, hi_hi, hi_lo, lo = np.take(ten, p, axis=1)
     ph = ax * hi
     ah, al = _halves(ax)
     # ph + t = |x| 10^p; ph is an integer, t its rounded remainder.
@@ -315,9 +328,8 @@ def _format_cells(x: np.ndarray, first_words: np.ndarray) -> bytes:
     low = ph.astype(np.int64) + floor_t.astype(np.int64)
     N = low + (t > 0.5)
     fast &= (low >= 10 ** 16) & (N < 10 ** 17)
-    N[~fast] = 0                                         # zeros among them
+    N[~fast] = 0
     x_code = 16 - _X_MIN - p
-    x_code[zero] = -_X_MIN
 
     # The first digit and four groups of four, each group's word and zeros.
     groups = np.empty((5, x.size), np.int64)
@@ -329,8 +341,8 @@ def _format_cells(x: np.ndarray, first_words: np.ndarray) -> bytes:
     np.subtract(high, groups[1] * 10 ** 4, out=groups[2])
     np.floor_divide(N, 10 ** 4, out=groups[3])
     np.subtract(N, groups[3] * 10 ** 4, out=groups[4])
-    group_words = _GROUP_WORD[groups]
-    tz = _GROUP_TZ[groups[1:]]
+    group_words = group_word[groups]
+    tz = group_zeros[groups[1:]]
     z = tz == 4
     code = ((x_code * 17 + (tz[3] + z[3] * (tz[2] + z[2] * (tz[1] + z[1] * tz[0])))) * 2
             + np.signbit(x))
@@ -339,15 +351,15 @@ def _format_cells(x: np.ndarray, first_words: np.ndarray) -> bytes:
     words = cells.view("<u4")
     words[:, 0] = first_words[:x.size]
     words[:, 1:6] = group_words.T
-    words[:, 6] = _DOT_WORD[groups[0]]
+    words[:, 6] = dot_word[groups[0]]
     words[:, 7:11] = group_words[1:].T
-    words[:, 11] = _EXP_WORD[x_code]
+    words[:, 11] = exp_word[x_code]
     slow = np.flatnonzero(~(fast | zero))
     for i, value in zip(slow.tolist(), x[slow].tolist()):
         text = (FLOAT_FORMAT % value).encode()
         cells[i, 1:1 + len(text)] = np.frombuffer(text, np.uint8)
         code[i] = _FAST_CODES + len(text)
-    return cells[np.take(_KEEP, code, axis=0)].tobytes()
+    return cells[np.take(keep, code, axis=0)].tobytes()
 
 
 def csv_text(header, rows) -> str:
@@ -355,16 +367,20 @@ def csv_text(header, rows) -> str:
 
     rows is a 2-D array of floats (or anything np.asarray turns into one)
     with one column per header field; a row of another width raises
-    ValueError.  Every cell reads as FLOAT_FORMAT % cell.  The cells are
-    formatted CSV_BLOCK at a time by a certified fast path in numpy, with
-    FLOAT_FORMAT % cell itself wherever that path cannot vouch for its
-    digits.  It uses no numpy-2-only API.
+    ValueError.  Every cell reads as FLOAT_FORMAT % cell.  A table of
+    CSV_PER_ROW_BELOW cells or more is formatted CSV_BLOCK cells at a time
+    by a certified fast path in numpy, with FLOAT_FORMAT % cell itself
+    wherever that path cannot vouch for its digits; a smaller one row by
+    row.  It uses no numpy-2-only API.
     """
     table = np.asarray(rows, dtype=np.float64)
     width = len(header)
     if len(table) and (table.ndim != 2 or table.shape[1] != width):
         raise ValueError(f"a table of shape {table.shape} has rows of another "
                          f"width than its {width} header fields")
+    if table.size < CSV_PER_ROW_BELOW:
+        line = ",".join([FLOAT_FORMAT] * width)
+        return "\n".join([",".join(header)] + [line % tuple(row) for row in table.tolist()]) + "\n"
     step = max(1, CSV_BLOCK // width)
     # Each cell's first word: ',' or, in the first column, '\n', then '-0.'.
     separators = np.full(width, ord(","), "<u4")

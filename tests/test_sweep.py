@@ -596,6 +596,7 @@ def test_csv_rows_match_per_cell_format():
     values = specials + powers + switches + carries + ties
     values = np.array(values + [-x for x in values])
     table = np.column_stack([values, values[::-1], values * 0.5])
+    assert table.size >= sweep.CSV_PER_ROW_BELOW
     assert csv_text(["a", "b", "c"], table) == _per_cell_csv(["a", "b", "c"], table.tolist())
     assert csv_text(["a", "b", "c"], table.tolist()) == csv_text(["a", "b", "c"], table)
 
@@ -605,9 +606,13 @@ def test_csv_rows_match_per_cell_format():
                 min_size=1, max_size=40), st.integers(1, 4))
 def test_csv_text_matches_per_cell_format_on_any_floats(values, width):
     values += [0.0] * (-len(values) % width)
-    table = np.array(values).reshape(-1, width)
     header = [f"c{k}" for k in range(width)]
-    assert csv_text(header, table) == _per_cell_csv(header, table.tolist())
+    small = np.array(values).reshape(-1, width)
+    # The same values, repeated past CSV_PER_ROW_BELOW cells, take the
+    # numpy path.
+    large = np.resize(small, (-(-sweep.CSV_PER_ROW_BELOW // width), width))
+    for table in (small, large):
+        assert csv_text(header, table) == _per_cell_csv(header, table.tolist())
 
 
 def test_csv_text_of_tables_spanning_several_blocks():
