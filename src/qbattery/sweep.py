@@ -380,7 +380,8 @@ def csv_text(header, rows) -> str:
                          f"width than its {width} header fields")
     if table.size < CSV_PER_ROW_BELOW:
         line = ",".join([FLOAT_FORMAT] * width)
-        return "\n".join([",".join(header)] + [line % tuple(row) for row in table.tolist()]) + "\n"
+        lines = [line % tuple(row) for row in table.tolist()]
+        return "\n".join([",".join(header)] + lines) + "\n"
     step = max(1, CSV_BLOCK // width)
     # Each cell's first word: ',' or, in the first column, '\n', then '-0.'.
     separators = np.full(width, ord(","), "<u4")

@@ -591,8 +591,8 @@ def test_csv_rows_match_per_cell_format():
     # 1e-14 is the double below 10^-14 that does.
     carries = [1e-14, 9.99999999999999995e-15, 0.99999999999999999999]
     ties = _ties()
-    assert all(len(Decimal(x).as_tuple().digits) == 18 and Decimal(x).as_tuple().digits[-1] == 5
-               for x in ties)
+    digits = [Decimal(x).as_tuple().digits for x in ties]
+    assert all(len(d) == 18 and d[-1] == 5 for d in digits)
     values = specials + powers + switches + carries + ties
     values = np.array(values + [-x for x in values])
     table = np.column_stack([values, values[::-1], values * 0.5])
