@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import cmath
 import ctypes
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -168,7 +167,7 @@ def kernel_params(params: SystemParams, frame: DressedFrame) -> KernelParams:
     return KernelParams(M=unbatched(M.reshape(shape)), F=unbatched(F.reshape(shape)))
 
 
-def survival_amplitude(kernel: KernelParams, t):
+def survival_amplitude(kernel: KernelParams, t, out: np.ndarray | None = None):
     """Survival amplitude Z(t) of the super-radiant component.
 
     Z(t) = e^{-Mt/2} (cosh(Ft/2) + (M/F) sinh(Ft/2)), evaluated with the
@@ -183,10 +182,13 @@ def survival_amplitude(kernel: KernelParams, t):
     Z(0) = 1 exactly.
 
     t is a scalar or array of times >= 0, or a TimeGrid.  On a TimeGrid the
-    exponentials are filled over the uniform samples by doubling, which
-    agrees with the direct np.exp form to about 1e-14.  kernel.M and
-    kernel.F may be arrays with a leading points axis; the result then has
-    shape M.shape + t.shape.
+    two exponentials are filled together over the uniform samples by
+    doubling, which agrees with the direct np.exp form to about 1e-14, and
+    the series is looked for only on the prefix of samples below the
+    largest 1e-6/|F|.  kernel.M and kernel.F may be arrays with a leading
+    points axis; the result then has shape M.shape + t.shape.  On a
+    TimeGrid, out may be a complex array of shape (2,) + that shape: Z is
+    written into out[0], and out[1] is overwritten.
     """
     on_grid = isinstance(t, TimeGrid)
     t = t.samples if on_grid else np.asarray(t, dtype=float)
@@ -198,22 +200,37 @@ def survival_amplitude(kernel: KernelParams, t):
         degenerate = np.abs(F) < 1e-10 * np.abs(M)
         F_safe = np.where(degenerate, 1.0, F)
         ratio = M / F_safe
-        terms = (((1.0 + ratio) / 2.0, (F_safe - M) / 2.0),
-                 ((1.0 - ratio) / 2.0, -(F_safe + M) / 2.0))
+        limit = 1e-6 / np.abs(F_safe)
+        # The scales and rates of ep and em, each pair along a leading axis.
+        scale, rate = terms = np.empty((2, 2) + M.shape, complex)
+        np.add(1.0, ratio, out=scale[0, ...])
+        np.subtract(1.0, ratio, out=scale[1, ...])
+        np.subtract(F_safe, M, out=rate[0, ...])
+        np.add(F_safe, M, out=rate[1, ...])
+        np.negative(rate[1, ...], out=rate[1, ...])
+        terms /= 2.0
         if on_grid:
-            shape = M.shape[:-1] + t.shape
-            ep, em = (_exp_on_grid(scale, rate, t, np.empty(shape, complex))
-                      for scale, rate in terms)
+            if out is None:
+                out = np.empty((2,) + M.shape[:-1] + t.shape, complex)
+            ep, em = _exp_on_grid(scale, rate, t, out)
             out = np.add(ep, em, out=ep)
+            # t is ascending, so the series samples of every row lie below
+            # the largest limit; a degenerate row takes the series throughout.
+            end = np.searchsorted(t, np.where(degenerate, np.inf, limit).max())
+            t, Z = t[:end], out[..., :end]
         else:
-            ep, em = (scale * np.exp(rate * t) for scale, rate in terms)
-            out = np.asarray(ep + em)
-        series = np.less(t, 1e-6 / np.abs(F_safe))
+            ep, em = (s * np.exp(r * t) for s, r in zip(scale, rate))
+            out = Z = np.asarray(ep + em)
+        series = np.less(t, limit)
         series |= degenerate
-        if series.any():
-            M, F, t = (np.broadcast_to(x, out.shape)[series] for x in (M, F, t))
-            out[series] = np.exp(-M * t / 2.0) * (1.0 + M * t / 2.0
-                                                 + (F * t) ** 2 / 8.0 * (1.0 + M * t / 6.0))
+        # One row per kernel, one column per sample: views of Z and series,
+        # whose leading axes are those of a C-contiguous array.
+        rows, cols = np.nonzero(series.reshape(M.size, -1))
+        if rows.size:
+            Z = Z.reshape(M.size, -1)
+            M, F, t = M.reshape(-1)[rows], F.reshape(-1)[rows], t.reshape(-1)[cols]
+            Z[rows, cols] = np.exp(-M * t / 2.0) * (1.0 + M * t / 2.0
+                                                   + (F * t) ** 2 / 8.0 * (1.0 + M * t / 6.0))
     return complex(out) if out.ndim == 0 else out
 
 
@@ -222,12 +239,15 @@ def _exp_on_grid(scale: np.ndarray, rate: np.ndarray, t: np.ndarray,
     """scale e^{rate t} over uniform samples t, for rates shaped (..., 1).
 
     The factor for a shift of m samples is taken directly as e^{rate t_m},
-    so rounding grows with the log2(n) doubling levels, not with n.  out is
-    a complex array of the result's shape, which it returns filled.
+    all of them from one np.exp, so rounding grows with the log2(n)
+    doubling levels, not with n.  out is a complex array of the result's
+    shape, which it returns filled.
     """
     out[..., :1] = scale
-    shifts = (np.exp(rate * t[2 ** k]) for k in itertools.count())
-    return _fill_by_doubling(out, shifts, np.multiply)
+    # One contiguous block of factors per level, as (levels,) + rate.shape.
+    steps = t[2 ** np.arange((len(t) - 1).bit_length())]
+    shifts = np.exp(rate * steps.reshape((-1,) + (1,) * rate.ndim))
+    return _fill_by_doubling(out, iter(shifts), np.multiply)
 
 
 def _squarings(step: np.ndarray):
@@ -316,8 +336,32 @@ def _columns(*values) -> tuple[tuple[int, ...], list[np.ndarray]]:
     return shape, [np.full(math.prod(shape), v) for v in values]
 
 
-def equal_frequency_trajectory(params, frame, grid: TimeGrid) -> AmplitudeTrajectory:
-    """Closed-form amplitudes for identical qubit detunings.
+@dataclass(frozen=True, eq=False)
+class ClosedForm:
+    """The closed form's constants at each point, as (points,) arrays.
+
+    M and F are the kernel's; the amplitudes are C_j(t) = a_j Z(t) + b_j.
+    shape is the points shape of the trajectories, () for a single point.
+    A sweep builds them once for all its points and takes a chunk's slice.
+    """
+
+    shape: tuple[int, ...]
+    M: np.ndarray
+    F: np.ndarray
+    a1: np.ndarray
+    b1: np.ndarray
+    a2: np.ndarray
+    b2: np.ndarray
+
+    def take(self, index: slice) -> "ClosedForm":
+        """The constants of the points in a slice of the batch."""
+        M = self.M[index]
+        return ClosedForm(M.shape, M, *(x[index] for x in (self.F, self.a1, self.b1,
+                                                            self.a2, self.b2)))
+
+
+def closed_form(params, frame) -> ClosedForm:
+    """The closed form's constants of one point or a batch of points.
 
     The initial state is decomposed into the constant sub-radiant amplitude
     beta_minus and the super-radiant amplitude beta_plus, which evolves with
@@ -325,23 +369,39 @@ def equal_frequency_trajectory(params, frame, grid: TimeGrid) -> AmplitudeTrajec
 
         C1(t) = r2 beta_minus + r1 Z(t) beta_plus
         C2(t) = -r1 beta_minus + r2 Z(t) beta_plus
-
-    params and frame are one point, or a batch whose fields are (points,)
-    arrays; a batch gives amplitudes shaped (points, time).
     """
     kernel = kernel_params(params, frame)
     shape, (M, F, r1, r2, c01, c02) = _columns(kernel.M, kernel.F, params.r1, params.r2,
                                                params.c01, params.c02)
-    Z = survival_amplitude(KernelParams(M=M, F=F), grid)
-    r1, r2, c01, c02 = (x[:, None] for x in (r1, r2, c01, c02))
     beta_plus = r1 * c01 + r2 * c02
     beta_minus = r2 * c01 - r1 * c02
-    c2 = Z * (r2 * beta_plus)
-    c2 -= r1 * beta_minus
-    c1 = np.multiply(Z, r1 * beta_plus, out=Z)
-    c1 += r2 * beta_minus
-    c1, c2 = (c.reshape(shape + (-1,)) for c in (c1, c2))
+    return ClosedForm(shape, M, F, r1 * beta_plus, r2 * beta_minus,
+                      r2 * beta_plus, -(r1 * beta_minus))
+
+
+def closed_form_trajectory(closed: ClosedForm, grid: TimeGrid) -> AmplitudeTrajectory:
+    """Closed-form amplitudes from the points' constants.
+
+    Z and the second exponential of survival_amplitude share one block,
+    whose halves then hold C1 (in place of Z) and C2.
+    """
+    block = np.empty((2, len(closed.M), grid.n_points), dtype=complex)
+    Z = survival_amplitude(KernelParams(M=closed.M, F=closed.F), grid, out=block)
+    c2 = np.multiply(Z, closed.a2[:, None], out=block[1])
+    c2 += closed.b2[:, None]
+    c1 = np.multiply(Z, closed.a1[:, None], out=Z)
+    c1 += closed.b1[:, None]
+    c1, c2 = (c.reshape(closed.shape + (-1,)) for c in block)
     return AmplitudeTrajectory(grid, c1, c2, ENGINE_CLOSED)
+
+
+def equal_frequency_trajectory(params, frame, grid: TimeGrid) -> AmplitudeTrajectory:
+    """Closed-form amplitudes for identical qubit detunings (closed_form).
+
+    params and frame are one point, or a batch whose fields are (points,)
+    arrays; a batch gives amplitudes shaped (points, time).
+    """
+    return closed_form_trajectory(closed_form(params, frame), grid)
 
 
 # As in survival_amplitude, AmplitudeTrajectory rejects overflowed samples, so

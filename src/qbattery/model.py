@@ -77,6 +77,13 @@ def unbatched(value):
     return value.item() if np.ndim(value) == 0 else value
 
 
+def take(batch, index: slice):
+    """The points in a slice of a batch (SystemParams or DressedFrame): each
+    field along the points axis sliced, each number shared by all kept."""
+    return type(batch)(**{name: value[index] if getattr(value, "ndim", 0) else value
+                          for name, value in vars(batch).items()})
+
+
 def require(ok, message: str, *values) -> None:
     """Raise ValueError unless ok holds at every point; message is formatted
     with each of values at the first point where ok fails."""

@@ -26,10 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import (ENGINE_CLOSED, AmplitudeTrajectory, TimeGrid, default_grid,
-                       trajectory)
+from .dynamics import (ENGINE_CLOSED, AmplitudeTrajectory, ClosedForm, TimeGrid,
+                       closed_form, closed_form_trajectory, default_grid, trajectory)
 from .metrics import MetricsSeries, compute_metrics
-from .model import DressedFrame, SystemParams, dressed_frame
+from .model import DressedFrame, SystemParams, dressed_frame, take
 
 AXIS_NAMES = ("omega_drive", "delta_A", "delta_B", "delta_common", "delta_L", "R", "r1")
 
@@ -39,8 +39,10 @@ MAXIMA_FIELDS = ("E_max", "t_E", "P_max", "t_P", "W_max", "t_W")
 BUDGET = 2 ** 15
 
 # Largest Cartesian product of sweep axes: a sweep holds one point dict, one
-# row and one CSV line per point, about 0.75 KB, so one at the cap peaks near
-# 0.8 GB.
+# row, one CSV line and its share of the (points,) arrays built once per
+# sweep per point.  tracemalloc peaked near 1.0 KB a point over a
+# 65536-point closed-form sweep and its CSV text, so one at the cap peaks
+# near 1.1 GB.
 MAX_SWEEP_POINTS = 2 ** 20
 
 # The CSV float format: 17 significant digits, so values round-trip.
@@ -111,8 +113,12 @@ class SweepRow:
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
+    """The rows of a sweep, and table: the same numbers as one (points, axes
+    + 6) array, each row the point's axis values, then MAXIMA_FIELDS."""
+
     spec: SweepSpec
     rows: tuple[SweepRow, ...]
+    table: np.ndarray
 
 
 def apply_point(base: SystemParams, point: dict) -> SystemParams:
@@ -127,8 +133,36 @@ def apply_point(base: SystemParams, point: dict) -> SystemParams:
     return replace(base, **updates)
 
 
+@dataclass(frozen=True, eq=False)
+class _Batch:
+    """Points made ready for the engines: their parameters and validated
+    dressed frame, each field a number or a (points,) array, and, for the
+    closed form, its constants, which hold all it needs of the parameters."""
+
+    params: SystemParams | None
+    frame: DressedFrame
+    closed: ClosedForm | None
+
+    def take(self, index: slice) -> "_Batch":
+        """The points in a slice.  The closed form's constants stand in for
+        their parameters, which are then not sliced."""
+        if self.closed is None:
+            return _Batch(take(self.params, index), take(self.frame, index), None)
+        return _Batch(None, take(self.frame, index), self.closed.take(index))
+
+
+def _batch(spec: SweepSpec, params: SystemParams,
+           frame: DressedFrame | None = None) -> _Batch:
+    """Validate the points (unless frame is given) and build what the engine
+    needs of them; a ValueError names the first failing point."""
+    frame = dressed_frame(params) if frame is None else frame
+    closed = closed_form(params, frame) if spec.engine == ENGINE_CLOSED else None
+    return _Batch(params, frame, closed)
+
+
 def evaluate(spec: SweepSpec, points: list[dict[str, float]],
-             frame: DressedFrame | None = None) -> tuple[AmplitudeTrajectory, MetricsSeries]:
+             frame: DressedFrame | None = None,
+             batch: _Batch | None = None) -> tuple[AmplitudeTrajectory, MetricsSeries]:
     """Trajectories and metrics of a batch of points, as (points x time) arrays.
 
     Each point overrides spec.base as one (points,) array per axis; points
@@ -136,34 +170,46 @@ def evaluate(spec: SweepSpec, points: list[dict[str, float]],
     The axes of spec are not used.  This is the one path from parameters
     through the engines to the metrics, with their peaks, that sweeps,
     figures and single runs share.  frame is the points' dressed frame
-    when the caller has already built, and so validated, it.
+    when the caller has already built, and so validated, it; batch is the
+    points already made ready, as a sweep passes each chunk its slice.
     """
-    params = apply_point(spec.base, {name: np.array([point[name] for point in points])
-                                     for name in points[0]})
-    frame = dressed_frame(params) if frame is None else frame
-    traj = trajectory(params, frame, spec.grid, spec.engine)
-    return traj, compute_metrics(traj, frame.chi_B)
+    if batch is None:
+        params = apply_point(spec.base, {name: np.array([point[name] for point in points])
+                                         for name in points[0]})
+        batch = _batch(spec, params, frame)
+    if batch.closed is not None:
+        traj = closed_form_trajectory(batch.closed, spec.grid)
+    else:
+        traj = trajectory(batch.params, batch.frame, spec.grid, spec.engine)
+    return traj, compute_metrics(traj, batch.frame.chi_B)
 
 
-def _rows(spec: SweepSpec, points: list[dict[str, float]]) -> list[SweepRow]:
+def _rows(spec: SweepSpec, points: list[dict[str, float]], batch: _Batch | None = None,
+          peaks: np.ndarray | None = None) -> list[SweepRow]:
     """The rows of one chunk of points, as Python floats.
 
-    A failure names the first failing point in row order: the chunk is then
-    evaluated again point by point until that point raises.
+    batch is the chunk's slice of the sweep's points, made ready once for
+    the whole sweep, or None: the chunk then validates its own points.  The
+    peaks are also written into peaks, a (points, 6) array, if given.  A
+    failure names the first failing point in row order: the chunk's points
+    are then evaluated again one by one until one raises.
     """
     try:
-        _, series = evaluate(spec, points)
+        _, series = evaluate(spec, points, batch=batch)
     except Exception as exc:
         if len(points) == 1:
             raise SweepPointError(points[0], exc) from exc
         for point in points:
             _rows(spec, [point])
         raise
-    peaks = np.column_stack([series.max_energy.value, series.max_energy.time,
+    table = np.column_stack([series.max_energy.value, series.max_energy.time,
                              series.max_power.value, series.max_power.time,
                              series.max_ergotropy.value, series.max_ergotropy.time])
-    rows = zip(points, peaks.tolist(), strict=True)
-    return [SweepRow(point, *peak) for point, peak in rows]
+    rows = [SweepRow(point, *peak)
+            for point, peak in zip(points, table.tolist(), strict=True)]
+    if peaks is not None:
+        peaks[...] = table
+    return rows
 
 
 def _drain(spec: SweepSpec, chunks: list, todo: deque, results: list) -> None:
@@ -172,7 +218,7 @@ def _drain(spec: SweepSpec, chunks: list, todo: deque, results: list) -> None:
     with contextlib.suppress(IndexError):        # popleft on an empty deque
         for index in iter(todo.popleft, None):
             try:
-                results[index] = _rows(spec, chunks[index])
+                results[index] = _rows(spec, *chunks[index])
             except Exception as exc:
                 results[index] = exc
                 todo.clear()
@@ -181,16 +227,27 @@ def _drain(spec: SweepSpec, chunks: list, todo: deque, results: list) -> None:
 def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     """Evaluate every Cartesian point; row order is lexicographic in the axes.
 
-    The points go in chunks of max(1, BUDGET // n_points).  Up to `threads`
-    workers, the calling thread and a pool, each take the next chunk when
-    free.  A failure names the first failing point in row order.  An empty
-    axis list gives the base-parameter row.
+    The points are validated, and the closed form's constants built, once
+    for the whole sweep, as (points,) arrays; if that fails, each chunk
+    validates its own points instead.  The points go in chunks of
+    max(1, BUDGET // n_points), each of which computes only its
+    trajectories and metrics from its slice of those arrays.  Up to
+    `threads` workers, the calling thread and a pool, each take the next
+    chunk when free.  A failure names the first failing point in row order.
+    An empty axis list gives the base-parameter row.
     """
     names = [name for name, _ in spec.axes]
-    points = [dict(zip(names, combo))
-              for combo in itertools.product(*(values for _, values in spec.axes))]
+    values = [values for _, values in spec.axes]
+    points = [dict(zip(names, combo)) for combo in itertools.product(*values)]
+    columns = [column.ravel() for column in np.meshgrid(*values, indexing="ij")]
+    try:
+        batch = _batch(spec, apply_point(spec.base, dict(zip(names, columns))))
+    except Exception:
+        batch = None        # the chunks find and name the first failing point
+    peaks = np.empty((len(points), len(MAXIMA_FIELDS)))
     size = max(1, BUDGET // spec.grid.n_points)
-    chunks = [points[k:k + size] for k in range(0, len(points), size)]
+    chunks = [(points[index], None if batch is None else batch.take(index), peaks[index])
+              for index in (slice(k, k + size) for k in range(0, len(points), size))]
     todo, results = deque(range(len(chunks))), [None] * len(chunks)
     workers = max(1, min(threads, len(chunks)))
     with ThreadPoolExecutor(max(1, workers - 1)) as pool:
@@ -201,7 +258,8 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     for chunk_rows in results:
         if isinstance(chunk_rows, Exception):
             raise chunk_rows
-    return SweepResult(spec=spec, rows=tuple(itertools.chain.from_iterable(results)))
+    return SweepResult(spec=spec, rows=tuple(itertools.chain.from_iterable(results)),
+                       table=np.column_stack([*columns, peaks]))
 
 
 # --- CSV float formatting -----------------------------------------------------
@@ -400,11 +458,8 @@ def write_json(path, payload) -> Path:
 
 
 def sweep_csv_text(result: SweepResult) -> str:
-    names = [name for name, _ in result.spec.axes]
-    header = [f"param_{n}" for n in names] + list(MAXIMA_FIELDS)
-    return csv_text(header, np.array([[row.point[n] for n in names]
-                                      + [getattr(row, f) for f in MAXIMA_FIELDS]
-                                      for row in result.rows]))
+    header = [f"param_{name}" for name, _ in result.spec.axes] + list(MAXIMA_FIELDS)
+    return csv_text(header, result.table)
 
 
 def write_sweep_csv(result: SweepResult, path) -> Path:
@@ -486,10 +541,10 @@ def figure_pipeline(figure_id: str, out_dir, n_points: int = 2000) -> list[Path]
         spec = SweepSpec(base=apply_point(base, fig.fixed),
                          axes=((family_name, family_values),
                                ("omega_drive", OMEGA_AXIS)), grid=grid)
-        rows = run_sweep(spec).rows
+        peaks = run_sweep(spec).table[:, -len(MAXIMA_FIELDS):]
         first_header, first_column, suffix = "omega_drive", np.asarray(OMEGA_AXIS), "_max"
-        panels = {metric: np.reshape([getattr(r, field) for r in rows],
-                                     (len(family_values), len(OMEGA_AXIS)))
+        panels = {metric: peaks[:, MAXIMA_FIELDS.index(field)].reshape(
+                      len(family_values), len(OMEGA_AXIS))
                   for _, metric, field in _PANELS}
 
     header = [first_header] + [f"{family_name}={value:g}" for value in family_values]

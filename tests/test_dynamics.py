@@ -130,6 +130,43 @@ def test_survival_amplitude_takes_a_batch_of_kernels():
         np.testing.assert_array_equal(row, survival_amplitude(k, t))
 
 
+def _series_limit(M, F, t):
+    """The F -> 0 limit of Z at samples t, on arrays as survival_amplitude
+    gathers them."""
+    M, F = np.full(t.size, M), np.full(t.size, F)
+    return np.exp(-M * t / 2.0) * (1.0 + M * t / 2.0
+                                   + (F * t) ** 2 / 8.0 * (1.0 + M * t / 6.0))
+
+
+def test_series_limit_covers_each_rows_prefix_only():
+    # Three kinds of row in one batch: a generic point, whose series covers
+    # only t = 0; a point just off critical damping, with 1e-6/|F| a few
+    # grid steps long; and the degenerate default point at omega_drive = 0,
+    # where the series covers the whole row.
+    g = TimeGrid.uniform(10.0, 2001)
+    dt = g.samples[1]
+    near_R = 0.5 * math.sqrt(1.0 - (1e-6 / (3.5 * dt)) ** 2)   # |F| = 1e-6 / (3.5 dt)
+    points = [SystemParams(omega_drive=1.0), SystemParams(omega_drive=0.0, R=near_R),
+              SystemParams(omega_drive=0.0)]
+    kernels = [make_kernel(omega=p.omega_drive, R=p.R) for p in points]
+    ends = [np.searchsorted(g.samples, 1e-6 / abs(k.F)) for k in kernels[:2]]
+    assert ends == [1, 4] and abs(kernels[2].F) < 1e-10 * abs(kernels[2].M)
+    ends.append(g.n_points)
+    batch = KernelParams(M=np.array([k.M for k in kernels]),
+                         F=np.array([k.F for k in kernels]))
+    Z = survival_amplitude(batch, g)
+    for row, k, end in zip(Z, kernels, ends):
+        single = survival_amplitude(k, g)
+        assert row.tobytes() == single.tobytes()
+        assert row[:end].tobytes() == _series_limit(k.M, k.F, g.samples[:end]).tobytes()
+    # The whole closed form agrees: each row of the batch bit for bit.
+    batched = equal_frequency_trajectory(batch_of(points), dressed_frame(batch_of(points)), g)
+    for i, p in enumerate(points):
+        single = equal_frequency_trajectory(p, dressed_frame(p), g)
+        assert batched.c1[i].tobytes() == single.c1.tobytes()
+        assert batched.c2[i].tobytes() == single.c2.tobytes()
+
+
 def test_kernel_params_squares_huge_rates_without_overflow():
     # Near 1e200 the plain squares of M and of the coupling W (1 + cos eta)
     # overflow; F is the same formula evaluated on the inputs over 1e200.

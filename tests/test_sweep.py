@@ -313,9 +313,9 @@ def test_sweep_workers_evaluate_each_chunk_once(monkeypatch, threads):
     calls = []
     real_rows = sweep._rows
 
-    def recording(spec, points):
+    def recording(spec, points, *chunk):
         calls.append((threading.get_ident(), points[0]["omega_drive"]))
-        return real_rows(spec, points)
+        return real_rows(spec, points, *chunk)
 
     monkeypatch.setattr(sweep, "_rows", recording)
     omegas, spec = _four_per_chunk_spec(10)   # chunks of 4, 4 and 2 points
@@ -337,10 +337,10 @@ def test_a_free_worker_takes_the_next_chunk(monkeypatch):
     done = []
     real_rows = sweep._rows
 
-    def rows(spec, points):
+    def rows(spec, points, *chunk):
         if points[0]["omega_drive"] == 0.0:
             assert rest_done.wait(timeout=30)
-        result = real_rows(spec, points)
+        result = real_rows(spec, points, *chunk)
         done.append(points[0]["omega_drive"])
         if len(done) == 3:
             rest_done.set()
@@ -358,7 +358,7 @@ def test_workers_pop_each_chunk_once_under_frequent_thread_switches(monkeypatch)
     # twice or lost shows as a repeated or missing row.
     calls = []
 
-    def rows(spec, points):
+    def rows(spec, points, *chunk):
         calls.append(points[0]["omega_drive"])
         time.sleep(0)       # yields the interpreter lock, as the engines do
         return [points[0]["omega_drive"]]
@@ -383,7 +383,7 @@ def test_a_later_failure_on_another_worker_does_not_mask_an_earlier_one(monkeypa
     later_failed = threading.Event()
     real_rows = sweep._rows
 
-    def rows(spec, points):
+    def rows(spec, points, *chunk):
         first = points[0]["omega_drive"]
         if first == 0.0:
             assert later_failed.wait(timeout=30)
@@ -391,7 +391,7 @@ def test_a_later_failure_on_another_worker_does_not_mask_an_earlier_one(monkeypa
         if first == 0.8:
             later_failed.set()
             raise SweepPointError(points[0], RuntimeError("third chunk"))
-        return real_rows(spec, points)
+        return real_rows(spec, points, *chunk)
 
     monkeypatch.setattr(sweep, "_rows", rows)
     _, spec = _four_per_chunk_spec(10)
@@ -401,8 +401,9 @@ def test_a_later_failure_on_another_worker_does_not_mask_an_earlier_one(monkeypa
 
 
 def test_each_point_is_validated_once(monkeypatch, tmp_path):
-    # dressed_frame validates the points of a chunk together; nothing
-    # downstream validates again.
+    # dressed_frame validates all points of a sweep together, once; the
+    # chunks take slices of the validated frame, and nothing downstream
+    # validates again.
     calls = []
     real_validate = model.validate
 
@@ -416,7 +417,7 @@ def test_each_point_is_validated_once(monkeypatch, tmp_path):
                      grid=weak_grid(2000))
     assert BUDGET // spec.grid.n_points == 16    # three chunks
     assert len(run_sweep(spec).rows) == 40
-    assert len(calls) == 3
+    assert len(calls) == 1
     assert np.concatenate([p.omega_drive for p in calls]).tolist() == list(omegas)
 
     # The CLI's base point is validated once too, where its frame is built.
