@@ -137,18 +137,16 @@ def apply_point(base: SystemParams, point: dict) -> SystemParams:
 class _Batch:
     """Points made ready for the engines: their parameters and validated
     dressed frame, each field a number or a (points,) array, and, for the
-    closed form, its constants, which hold all it needs of the parameters."""
+    closed form, its constants."""
 
-    params: SystemParams | None
+    params: SystemParams
     frame: DressedFrame
     closed: ClosedForm | None
 
     def take(self, index: slice) -> "_Batch":
-        """The points in a slice.  The closed form's constants stand in for
-        their parameters, which are then not sliced."""
-        if self.closed is None:
-            return _Batch(take(self.params, index), take(self.frame, index), None)
-        return _Batch(None, take(self.frame, index), self.closed.take(index))
+        """The points in a slice."""
+        closed = None if self.closed is None else self.closed.take(index)
+        return _Batch(take(self.params, index), take(self.frame, index), closed)
 
 
 def _batch(spec: SweepSpec, params: SystemParams,
@@ -243,7 +241,9 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     try:
         batch = _batch(spec, apply_point(spec.base, dict(zip(names, columns))))
     except Exception:
-        batch = None        # the chunks find and name the first failing point
+        # Whatever failed, each chunk then prepares its own points, and the
+        # first failing point in row order is named as it was.
+        batch = None
     peaks = np.empty((len(points), len(MAXIMA_FIELDS)))
     size = max(1, BUDGET // spec.grid.n_points)
     chunks = [(points[index], None if batch is None else batch.take(index), peaks[index])
