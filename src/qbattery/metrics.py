@@ -100,7 +100,7 @@ def _refine_peak(t: np.ndarray, y: np.ndarray) -> Extremum:
     rows = y.reshape(-1, n)
     r = np.arange(len(rows))
     i = np.argmax(rows, axis=-1)
-    inner = np.clip(i, 1, n - 2)           # any index with neighbors when n > 2
+    inner = np.minimum(np.maximum(i, 1), n - 2)    # has neighbors when n > 2
     y0, y1, y2 = (rows[r, inner + k] for k in (-1, 0, 1))
     t0, t1, t2 = (t[inner + k] for k in (-1, 0, 1))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -108,7 +108,7 @@ def _refine_peak(t: np.ndarray, y: np.ndarray) -> Extremum:
         g0, g2 = (y0 - y1) / (t0 - t1), (y2 - y1) / (t2 - t1)
         a = (g2 - g0) / (t2 - t0)
         b = g0 - a * (t0 - t1)
-        time = np.clip(t1 - b / (2.0 * a), t0, t2)
+        time = np.minimum(np.maximum(t1 - b / (2.0 * a), t0), t2)
         value = y1 + (time - t1) * (b + a * (time - t1))
     peak = rows[r, i]
     refined = (i > 0) & (i < n - 1) & (a < 0.0) & (value >= peak)
