@@ -200,13 +200,13 @@ def _rows(spec: SweepSpec, points: list[dict[str, float]], batch: _Batch | None 
         for point in points:
             _rows(spec, [point])
         raise
-    table = np.column_stack([series.max_energy.value, series.max_energy.time,
+    found = np.column_stack([series.max_energy.value, series.max_energy.time,
                              series.max_power.value, series.max_power.time,
                              series.max_ergotropy.value, series.max_ergotropy.time])
     rows = [SweepRow(point, *peak)
-            for point, peak in zip(points, table.tolist(), strict=True)]
+            for point, peak in zip(points, found.tolist(), strict=True)]
     if peaks is not None:
-        peaks[...] = table
+        peaks[...] = found
     return rows
 
 
