@@ -302,6 +302,30 @@ def test_failure_in_a_later_chunk_names_the_first_failing_point():
         assert isinstance(err.value.cause, IntegrationError)
 
 
+def test_engine_failure_after_sweep_wide_validation_names_the_point(monkeypatch):
+    # All 40 points validate together, so the chunks take slices of one
+    # frame; point 33 then overflows in the engine, in the third chunk,
+    # which is evaluated again point by point until it raises.
+    calls = []
+    real_validate = model.validate
+
+    def counting(params):
+        calls.append(params)
+        return real_validate(params)
+
+    monkeypatch.setattr(model, "validate", counting)
+    omegas = [0.05 * k for k in range(40)]
+    omegas[33] = 5e307
+    spec = SweepSpec(base=base_params(), axes=(("omega_drive", tuple(omegas)),),
+                     grid=weak_grid(2000))
+    with pytest.raises(SweepPointError) as err:
+        run_sweep(spec)
+    assert err.value.point == {"omega_drive": 5e307}
+    assert isinstance(err.value.cause, IntegrationError)
+    assert calls[0].omega_drive.tolist() == omegas
+    assert [p.omega_drive.tolist() for p in calls[1:]] == [[omegas[32]], [omegas[33]]]
+
+
 def _four_per_chunk_spec(n):
     omegas = tuple(0.1 * k for k in range(n))
     return omegas, SweepSpec(base=base_params(), axes=(("omega_drive", omegas),),
