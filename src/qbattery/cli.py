@@ -31,8 +31,8 @@ from .dynamics import (DEFAULT_N_POINTS, ENGINE_CLOSED, ENGINE_PSEUDOMODE,
                        IntegrationError, TimeGrid, default_grid)
 from .model import SystemParams, dressed_frame
 from .oracle import DEFAULT_N_MODES, DEFAULT_SPAN, build_bath, propagate
-from .sweep import (SweepPointError, SweepSpec, csv_text, evaluate,
-                    figure_pipeline, run_sweep, write_json, write_sweep_csv)
+from .sweep import (SweepPointError, SweepSpec, csv_text, evaluate, figure_pipeline,
+                    prepare, run_sweep, write_json, write_sweep_csv)
 
 ORACLE_TOLERANCE = 5e-3
 TIMESERIES_FIELDS = ("t", "re_C1", "im_C1", "re_C2", "im_C2", "E_B", "P_B", "W_B")
@@ -197,7 +197,8 @@ def _write_run_json(out: Path, command: str, config: RunConfig,
 
 
 def cmd_timeseries(config: RunConfig, out: Path) -> tuple[list[Path], int]:
-    traj, series = evaluate(config.spec(), [{}])
+    spec = config.spec()
+    traj, series = evaluate(spec, prepare(spec, spec.base))
     table = np.stack((traj.grid.samples, traj.c1.real, traj.c1.imag, traj.c2.real,
                       traj.c2.imag, series.energy, series.power, series.ergotropy))
     path = out / "timeseries.csv"
@@ -231,7 +232,8 @@ def cmd_oracle_check(config: RunConfig, out: Path) -> tuple[list[Path], int]:
     # The engines run first, so an input that overflows them (exit 3) is
     # reported by the engine before the bath is built.
     frame = dressed_frame(params)
-    engines = {name: evaluate(replace(spec, engine=name), [{}], frame)[0] for name in names}
+    specs = [replace(spec, engine=name) for name in names]
+    engines = {s.engine: evaluate(s, prepare(s, params, frame))[0] for s in specs}
     bath = build_bath(frame, n_modes=config.n_modes, span=config.span)
     reference = propagate(params, frame, bath, spec.grid)
     gaps = {name: float(max(np.max(np.abs(traj.c1 - reference.c1)),

@@ -20,6 +20,15 @@ import numpy as np
 from .dynamics import AmplitudeTrajectory, IntegrationError, TimeGrid
 
 
+# How far the battery population |C2|^2 may exceed 1 before a trajectory is
+# rejected.  validate admits initial states normalised to within 1e-12, so
+# |C2|^2 may start that far above 1; rounding added at most 6.7e-16 over
+# 400 random points of either engine, and nothing over 400 more with the
+# battery nearly fully excited.  A diverged trajectory lies far above: the
+# pseudomode's at omega_drive = 3.16e17 reached 9e128 on one host.
+POPULATION_SLACK = 1e-10
+
+
 class Extremum(NamedTuple):
     """Peak value and its time: numpy floats for one trajectory, arrays
     along the points axis for a batch."""
@@ -133,7 +142,7 @@ def compute_metrics(traj: AmplitudeTrajectory, chi_B,
     (2|C2|^2 - 1) theta(|C2|^2 - 1/2) chi_B: the prefactor vanishes at the
     threshold, so the series is continuous there.  The three series are the
     rows of one (3,) + c2.shape array.  IntegrationError if the power
-    overflows.
+    overflows or |C2|^2 exceeds 1 by more than POPULATION_SLACK.
     """
     chi_B = np.asarray(chi_B, dtype=float)
     if not np.all(np.isfinite(chi_B) & (chi_B >= 0.0)):
@@ -143,6 +152,7 @@ def compute_metrics(traj: AmplitudeTrajectory, chi_B,
     energy, power, ergotropy = series
     np.abs(traj.c2, out=energy)
     energy *= energy                       # |C2|^2 until it is scaled below
+    population = np.max(energy)
     np.multiply(energy, 2.0, out=ergotropy)
     ergotropy -= 1.0
     np.maximum(ergotropy, 0.0, out=ergotropy)
@@ -154,5 +164,7 @@ def compute_metrics(traj: AmplitudeTrajectory, chi_B,
     # The power is non-negative, so its maximum is finite only if every sample is.
     if not np.isfinite(np.max(power)):
         raise IntegrationError("charging power overflows the float range")
+    if population > 1.0 + POPULATION_SLACK:
+        raise IntegrationError(f"battery population |C2|^2 = {population:.17g} exceeds 1")
     peaks = maxima(traj.grid, series) if with_maxima else ()
     return MetricsSeries(energy, power, ergotropy, *peaks)

@@ -1,21 +1,20 @@
 """Cartesian parameter sweeps and figure-reproduction pipelines.
 
-Sweep points are evaluated in chunks of at most BUDGET time samples, each
-chunk as one (points x time) batch through the engines and metrics, by
-workers that each take the next chunk when free; the calling thread is one
-of them.  A chunk's arrays are freed when it ends, and the allocator policy
+A sweep is one table, a row per point in lexicographic axis order.  Its
+rows are evaluated in chunks of at most BUDGET time samples, each chunk as
+one (points x time) batch that writes its peaks into its rows, by workers
+that each take the next chunk when free; the calling thread is one of
+them.  A chunk's arrays are freed when it ends, and the allocator policy
 set at import of dynamics lets the next chunk reuse their memory.  The
-chunk boundaries depend only on the grid, so rows are bit-identical and
-come back in lexicographic axis order for every thread count, and CSV
-payloads are byte-reproducible (17-significant-digit floats, no
-timestamps).
+chunk boundaries depend only on the grid, so the table is bit-identical
+for every thread count, and CSV payloads are byte-reproducible
+(17-significant-digit floats, no timestamps).
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import json
 import math
 from collections import deque
@@ -38,11 +37,11 @@ MAXIMA_FIELDS = ("E_max", "t_E", "P_max", "t_P", "W_max", "t_W")
 # Time samples per chunk: keeps each (points x time) temporary near 0.5 MB.
 BUDGET = 2 ** 15
 
-# Largest Cartesian product of sweep axes: a sweep holds one point dict, one
-# row, one CSV line and its share of the (points,) arrays built once per
-# sweep per point.  tracemalloc peaked near 1.0 KB a point over a
-# 65536-point closed-form sweep and its CSV text, so one at the cap peaks
-# near 1.1 GB.
+# Largest Cartesian product of sweep axes: a sweep holds its table and,
+# while it runs, the (points,) arrays built once per sweep; its CSV text
+# peaks at three copies of the text.  Over a 65536-point, two-axis
+# closed-form sweep and its CSV text, tracemalloc peaked near 340 B a point
+# and the finished sweep held 64, so one at the cap peaks near 0.36 GB.
 MAX_SWEEP_POINTS = 2 ** 20
 
 # The CSV float format: 17 significant digits, so values round-trip.
@@ -113,12 +112,18 @@ class SweepRow:
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
-    """The rows of a sweep, and table: the same numbers as one (points, axes
-    + 6) array, each row the point's axis values, then MAXIMA_FIELDS."""
+    """A sweep as table, one (points, axes + 6) array: each row the point's
+    axis values, then MAXIMA_FIELDS."""
 
     spec: SweepSpec
-    rows: tuple[SweepRow, ...]
     table: np.ndarray
+
+    @functools.cached_property
+    def rows(self) -> tuple[SweepRow, ...]:
+        """The table as SweepRows, built on first read."""
+        names = [name for name, _ in self.spec.axes]
+        return tuple(SweepRow(dict(zip(names, row)), *row[len(names):])
+                     for row in self.table.tolist())
 
 
 def apply_point(base: SystemParams, point: dict) -> SystemParams:
@@ -134,7 +139,7 @@ def apply_point(base: SystemParams, point: dict) -> SystemParams:
 
 
 @dataclass(frozen=True, eq=False)
-class _Batch:
+class Batch:
     """Points made ready for the engines: their parameters and validated
     dressed frame, each field a number or a (points,) array, and, for the
     closed form, its constants."""
@@ -143,38 +148,29 @@ class _Batch:
     frame: DressedFrame
     closed: ClosedForm | None
 
-    def take(self, index: slice) -> "_Batch":
+    def take(self, index: slice) -> "Batch":
         """The points in a slice."""
         closed = None if self.closed is None else self.closed.take(index)
-        return _Batch(take(self.params, index), take(self.frame, index), closed)
+        return Batch(take(self.params, index), take(self.frame, index), closed)
 
 
-def _batch(spec: SweepSpec, params: SystemParams,
-           frame: DressedFrame | None = None) -> _Batch:
-    """Validate the points (unless frame is given) and build what the engine
-    needs of them; a ValueError names the first failing point."""
+def prepare(spec: SweepSpec, params: SystemParams,
+            frame: DressedFrame | None = None) -> Batch:
+    """Validate the points (unless their frame is given) and build what the
+    engine needs of them; a ValueError names the first failing point."""
     frame = dressed_frame(params) if frame is None else frame
     closed = closed_form(params, frame) if spec.engine == ENGINE_CLOSED else None
-    return _Batch(params, frame, closed)
+    return Batch(params, frame, closed)
 
 
-def evaluate(spec: SweepSpec, points: list[dict[str, float]],
-             frame: DressedFrame | None = None,
-             batch: _Batch | None = None) -> tuple[AmplitudeTrajectory, MetricsSeries]:
-    """Trajectories and metrics of a batch of points, as (points x time) arrays.
+def evaluate(spec: SweepSpec, batch: Batch) -> tuple[AmplitudeTrajectory, MetricsSeries]:
+    """Trajectories and metrics of a prepared batch of points, as (points x
+    time) arrays, or (time,) arrays where every parameter is a number.
 
-    Each point overrides spec.base as one (points,) array per axis; points
-    that override nothing are the base point alone, with (time,) arrays.
-    The axes of spec are not used.  This is the one path from parameters
-    through the engines to the metrics, with their peaks, that sweeps,
-    figures and single runs share.  frame is the points' dressed frame
-    when the caller has already built, and so validated, it; batch is the
-    points already made ready, as a sweep passes each chunk its slice.
+    The base and axes of spec are not used.  This is the one path from
+    parameters through the engines to the metrics, with their peaks, that
+    sweeps, figures and single runs share.
     """
-    if batch is None:
-        params = apply_point(spec.base, {name: np.array([point[name] for point in points])
-                                         for name in points[0]})
-        batch = _batch(spec, params, frame)
     if batch.closed is not None:
         traj = closed_form_trajectory(batch.closed, spec.grid)
     else:
@@ -182,43 +178,37 @@ def evaluate(spec: SweepSpec, points: list[dict[str, float]],
     return traj, compute_metrics(traj, batch.frame.chi_B)
 
 
-def _rows(spec: SweepSpec, points: list[dict[str, float]], batch: _Batch | None = None,
-          peaks: np.ndarray | None = None) -> list[SweepRow]:
-    """The rows of one chunk of points, as Python floats.
+def _fill(spec: SweepSpec, table: np.ndarray, params: SystemParams,
+          batch: Batch | None, index: slice) -> None:
+    """Write the peaks of the points in a slice of the table's rows into them.
 
-    batch is the chunk's slice of the sweep's points, made ready once for
-    the whole sweep, or None: the chunk then validates its own points.  The
-    peaks are also written into peaks, a (points, 6) array, if given.  A
+    params holds the sweep's points, and batch the same points made ready
+    once for the whole sweep, or None: the chunk then prepares its own.  A
     failure names the first failing point in row order: the chunk's points
     are then evaluated again one by one until one raises.
     """
     try:
-        _, series = evaluate(spec, points, batch=batch)
+        chunk = prepare(spec, take(params, index)) if batch is None else batch.take(index)
+        _, series = evaluate(spec, chunk)
     except Exception as exc:
-        if len(points) == 1:
-            raise SweepPointError(points[0], exc) from exc
-        for point in points:
-            _rows(spec, [point])
+        if index.stop - index.start == 1:
+            raise SweepPointError(SweepResult(spec, table[index]).rows[0].point, exc) from exc
+        for row in range(index.start, index.stop):
+            _fill(spec, table, params, None, slice(row, row + 1))
         raise
-    found = np.column_stack([series.max_energy.value, series.max_energy.time,
-                             series.max_power.value, series.max_power.time,
-                             series.max_ergotropy.value, series.max_ergotropy.time])
-    rows = [SweepRow(point, *peak)
-            for point, peak in zip(points, found.tolist(), strict=True)]
-    if peaks is not None:
-        peaks[...] = found
-    return rows
+    table[index, -len(MAXIMA_FIELDS):] = np.column_stack(
+        [*series.max_energy, *series.max_power, *series.max_ergotropy])
 
 
-def _drain(spec: SweepSpec, chunks: list, todo: deque, results: list) -> None:
-    """Evaluate the chunks popped from `todo`; results[i] gets chunk i's rows
-    or exception.  A failure empties `todo`: no later chunk starts."""
+def _drain(fill, chunks: list[slice], todo: deque, errors: list) -> None:
+    """Fill the chunks whose indices are popped from `todo`; errors[i] gets
+    chunk i's exception.  A failure empties `todo`: no later chunk starts."""
     with contextlib.suppress(IndexError):        # popleft on an empty deque
         for index in iter(todo.popleft, None):
             try:
-                results[index] = _rows(spec, *chunks[index])
+                fill(chunks[index])
             except Exception as exc:
-                results[index] = exc
+                errors[index] = exc
                 todo.clear()
 
 
@@ -227,39 +217,40 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
 
     The points are validated, and the closed form's constants built, once
     for the whole sweep, as (points,) arrays; if that fails, each chunk
-    validates its own points instead.  The points go in chunks of
-    max(1, BUDGET // n_points), each of which computes only its
-    trajectories and metrics from its slice of those arrays.  Up to
-    `threads` workers, the calling thread and a pool, each take the next
-    chunk when free.  A failure names the first failing point in row order.
-    An empty axis list gives the base-parameter row.
+    validates its own points instead.  The rows go in chunks of max(1,
+    BUDGET // n_points), each of which computes only its trajectories and
+    metrics from its slice of those arrays and writes its peaks into its
+    rows.  Up to `threads` workers, the calling thread and a pool, each take
+    the next chunk when free.  A failure names the first failing point in
+    row order.  An empty axis list gives the base-parameter row.
     """
     names = [name for name, _ in spec.axes]
     values = [values for _, values in spec.axes]
-    points = [dict(zip(names, combo)) for combo in itertools.product(*values)]
     columns = [column.ravel() for column in np.meshgrid(*values, indexing="ij")]
+    count = math.prod(map(len, values))
+    table = np.empty((count, len(names) + len(MAXIMA_FIELDS)))
+    for k, column in enumerate(columns):
+        table[:, k] = column
+    params = apply_point(spec.base, dict(zip(names, columns)))
     try:
-        batch = _batch(spec, apply_point(spec.base, dict(zip(names, columns))))
+        batch = prepare(spec, params)
     except Exception:
         # Whatever failed, each chunk then prepares its own points, and the
         # first failing point in row order is named as it was.
         batch = None
-    peaks = np.empty((len(points), len(MAXIMA_FIELDS)))
     size = max(1, BUDGET // spec.grid.n_points)
-    chunks = [(points[index], None if batch is None else batch.take(index), peaks[index])
-              for index in (slice(k, k + size) for k in range(0, len(points), size))]
-    todo, results = deque(range(len(chunks))), [None] * len(chunks)
+    chunks = [slice(k, min(k + size, count)) for k in range(0, count, size)]
+    todo, errors = deque(range(len(chunks))), [None] * len(chunks)
+    fill = functools.partial(_fill, spec, table, params, batch)
     workers = max(1, min(threads, len(chunks)))
     with ThreadPoolExecutor(max(1, workers - 1)) as pool:
-        rest = [pool.submit(_drain, spec, chunks, todo, results) for _ in range(workers - 1)]
-        _drain(spec, chunks, todo, results)
+        rest = [pool.submit(_drain, fill, chunks, todo, errors) for _ in range(workers - 1)]
+        _drain(fill, chunks, todo, errors)
         for worker in rest:
             worker.result()
-    for chunk_rows in results:
-        if isinstance(chunk_rows, Exception):
-            raise chunk_rows
-    return SweepResult(spec=spec, rows=tuple(itertools.chain.from_iterable(results)),
-                       table=np.column_stack([*columns, peaks]))
+    for error in filter(None, errors):
+        raise error
+    return SweepResult(spec, table)
 
 
 # --- CSV float formatting -----------------------------------------------------
@@ -534,7 +525,8 @@ def figure_pipeline(figure_id: str, out_dir, n_points: int = 2000) -> list[Path]
     # One (family x samples) array per panel metric.
     if fig.kind == "timeseries":
         spec = SweepSpec(base=apply_point(base, fig.fixed), axes=(), grid=grid)
-        _, series = evaluate(spec, [{family_name: v} for v in family_values])
+        family = apply_point(spec.base, {family_name: np.array(family_values)})
+        _, series = evaluate(spec, prepare(spec, family))
         first_header, first_column, suffix = "lambda_t", grid.samples, ""
         panels = {metric: getattr(series, metric) for _, metric, _ in _PANELS}
     else:

@@ -313,6 +313,22 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
         assert "numerical failure" in capsys.readouterr().err
 
 
+def test_over_unit_battery_population_exits_3(tmp_path, monkeypatch, capsys):
+    real = sweep.closed_form_trajectory
+
+    def over_unit(closed, grid):
+        traj = real(closed, grid)
+        return AmplitudeTrajectory(grid=grid, c1=traj.c1, engine_tag=traj.engine_tag,
+                                   c2=np.full_like(traj.c2, np.sqrt(1.0 + 1e-6)))
+
+    monkeypatch.setattr(sweep, "closed_form_trajectory", over_unit)
+    for command in ("timeseries", "maxima"):
+        assert main([command, "--out", str(tmp_path / command)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "exceeds 1" in err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_second_run_in_one_process_sees_only_its_own_pairs(tmp_path):
     # main builds its parser once per process; a parse must leave nothing
     # of its flags or --set pairs behind for the next one.

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
-from qbattery import (SystemParams, TimeGrid, battery_hamiltonian,
+from qbattery import (IntegrationError, SystemParams, TimeGrid, battery_hamiltonian,
                       compute_metrics, dressed_frame,
                       equal_frequency_trajectory, ergotropy_closed,
                       ergotropy_spectral, kernel_params, maxima,
@@ -43,6 +43,17 @@ def test_fully_charged_battery_stores_one_splitting():
     g = TimeGrid.uniform(1.0, 5)
     traj = synthetic_trajectory(g, np.ones(5))
     np.testing.assert_allclose(compute_metrics(traj, 4.0).energy, 4.0)
+
+
+def test_over_unit_battery_population_raises():
+    # |C2|^2 = 1 is a fully charged battery; beyond POPULATION_SLACK above
+    # it, the trajectory is wrong and the metrics are refused.
+    g = TimeGrid.uniform(1.0, 5)
+    c2 = np.ones(5)
+    compute_metrics(synthetic_trajectory(g, c2), 4.0)
+    c2[3] = math.sqrt(1.0 + 1e-6)
+    with pytest.raises(IntegrationError, match="exceeds 1"):
+        compute_metrics(synthetic_trajectory(g, c2), 4.0)
 
 
 def test_stored_energy_rejects_negative_splitting():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import platform
@@ -21,8 +22,8 @@ from qbattery import (FIGURES, IntegrationError, SweepPointError, SweepSpec,
                       SystemParams, TimeGrid, compute_metrics, default_grid,
                       dressed_frame, equal_frequency_trajectory, figure_pipeline,
                       kernel_params, run_sweep, survival_amplitude)
-from qbattery.sweep import (BUDGET, FLOAT_FORMAT, apply_point, csv_text, evaluate,
-                            sweep_csv_text, write_sweep_csv)
+from qbattery.sweep import (BUDGET, FLOAT_FORMAT, MAXIMA_FIELDS, SweepRow, apply_point,
+                            csv_text, evaluate, prepare, sweep_csv_text, write_sweep_csv)
 
 # Peak records computed by the closed-form engine on the default windows and
 # frozen as regression values.  The trends they encode are discussed in the
@@ -120,15 +121,6 @@ def test_delta_common_axis_conflicts_with_a_single_detuning_axis(axes):
     single = next(name for name, _ in axes if name != "delta_common")
     with pytest.raises(ValueError, match=f"'delta_common' and '{single}' conflict"):
         SweepSpec(base=base_params(), axes=axes, grid=weak_grid(10))
-
-
-def test_points_that_override_nothing_are_one_point():
-    # Without an axis column the batch is the base point alone, so a chunk
-    # of several such points cannot be given one row each.
-    spec = SweepSpec(base=base_params(), axes=(), grid=weak_grid(200))
-    assert len(sweep._rows(spec, [{}])) == 1
-    with pytest.raises(ValueError):
-        sweep._rows(spec, [{}, {}])
 
 
 def test_unknown_axis_rejected():
@@ -335,13 +327,13 @@ def _four_per_chunk_spec(n):
 @pytest.mark.parametrize("threads", [1, 2, 3, 8])
 def test_sweep_workers_evaluate_each_chunk_once(monkeypatch, threads):
     calls = []
-    real_rows = sweep._rows
+    real_fill = sweep._fill
 
-    def recording(spec, points, *chunk):
-        calls.append((threading.get_ident(), points[0]["omega_drive"]))
-        return real_rows(spec, points, *chunk)
+    def recording(spec, table, params, batch, index):
+        calls.append((threading.get_ident(), table[index.start, 0]))
+        return real_fill(spec, table, params, batch, index)
 
-    monkeypatch.setattr(sweep, "_rows", recording)
+    monkeypatch.setattr(sweep, "_fill", recording)
     omegas, spec = _four_per_chunk_spec(10)   # chunks of 4, 4 and 2 points
     rows = run_sweep(spec, threads=threads).rows
     assert [row.point["omega_drive"] for row in rows] == list(omegas)
@@ -359,18 +351,18 @@ def test_a_free_worker_takes_the_next_chunk(monkeypatch):
     # first run would also hold the second chunk and the wait would time out.
     rest_done = threading.Event()
     done = []
-    real_rows = sweep._rows
+    real_fill = sweep._fill
 
-    def rows(spec, points, *chunk):
-        if points[0]["omega_drive"] == 0.0:
+    def fill(spec, table, params, batch, index):
+        first = table[index.start, 0]
+        if first == 0.0:
             assert rest_done.wait(timeout=30)
-        result = real_rows(spec, points, *chunk)
-        done.append(points[0]["omega_drive"])
+        real_fill(spec, table, params, batch, index)
+        done.append(first)
         if len(done) == 3:
             rest_done.set()
-        return result
 
-    monkeypatch.setattr(sweep, "_rows", rows)
+    monkeypatch.setattr(sweep, "_fill", fill)
     omegas, spec = _four_per_chunk_spec(16)
     rows_out = run_sweep(spec, threads=2).rows
     assert [row.point["omega_drive"] for row in rows_out] == list(omegas)
@@ -379,15 +371,16 @@ def test_a_free_worker_takes_the_next_chunk(monkeypatch):
 
 def test_workers_pop_each_chunk_once_under_frequent_thread_switches(monkeypatch):
     # More workers than cores and a 1 us switch interval: a chunk popped
-    # twice or lost shows as a repeated or missing row.
+    # twice or lost shows as a repeated or missing start, or as a row whose
+    # peaks were never written.
     calls = []
 
-    def rows(spec, points, *chunk):
-        calls.append(points[0]["omega_drive"])
+    def fill(spec, table, params, batch, index):
+        calls.append(table[index.start, 0])
         time.sleep(0)       # yields the interpreter lock, as the engines do
-        return [points[0]["omega_drive"]]
+        table[index, 1:] = table[index, :1]
 
-    monkeypatch.setattr(sweep, "_rows", rows)
+    monkeypatch.setattr(sweep, "_fill", fill)
     omegas = tuple(float(k) for k in range(2000))
     spec = SweepSpec(base=base_params(), axes=(("omega_drive", omegas),),
                      grid=weak_grid(BUDGET))    # one point per chunk
@@ -397,7 +390,7 @@ def test_workers_pop_each_chunk_once_under_frequent_thread_switches(monkeypatch)
         result = run_sweep(spec, threads=min(64, 2 * (os.cpu_count() or 1) + 1))
     finally:
         sys.setswitchinterval(interval)
-    assert result.rows == omegas
+    assert np.array_equal(result.table, np.repeat(np.array(omegas)[:, None], 7, axis=1))
     assert sorted(calls) == list(omegas)
 
 
@@ -405,19 +398,19 @@ def test_a_later_failure_on_another_worker_does_not_mask_an_earlier_one(monkeypa
     # The third chunk fails first; the first chunk fails after it, on the
     # other worker, and is still the failure reported.
     later_failed = threading.Event()
-    real_rows = sweep._rows
+    real_fill = sweep._fill
 
-    def rows(spec, points, *chunk):
-        first = points[0]["omega_drive"]
+    def fill(spec, table, params, batch, index):
+        first = table[index.start, 0]
         if first == 0.0:
             assert later_failed.wait(timeout=30)
-            raise SweepPointError(points[0], RuntimeError("first chunk"))
+            raise SweepPointError({"omega_drive": first}, RuntimeError("first chunk"))
         if first == 0.8:
             later_failed.set()
-            raise SweepPointError(points[0], RuntimeError("third chunk"))
-        return real_rows(spec, points, *chunk)
+            raise SweepPointError({"omega_drive": first}, RuntimeError("third chunk"))
+        return real_fill(spec, table, params, batch, index)
 
-    monkeypatch.setattr(sweep, "_rows", rows)
+    monkeypatch.setattr(sweep, "_fill", fill)
     _, spec = _four_per_chunk_spec(10)
     with pytest.raises(SweepPointError) as err:
         run_sweep(spec, threads=2)
@@ -551,6 +544,34 @@ def test_sweep_keeps_no_workspace_after_it_returns(threads):
     assert after - before <= 256 * 1024
 
 
+def test_a_sweep_is_its_table():
+    # A finished sweep holds its (points, axes + 6) table, 64 B a point
+    # here, and no per-point object: rows are built from the table only
+    # when read, in lexicographic axis order, with the table's bits.
+    values = (tuple(np.linspace(0.0, 4.0, 64)), tuple(np.linspace(-7.0, 7.0, 64)))
+    axes = (("omega_drive", values[0]), ("delta_L", values[1]))
+    spec = SweepSpec(base=base_params(), axes=axes, grid=weak_grid(200))
+    run_sweep(SweepSpec(base=base_params(), axes=axes[:1], grid=weak_grid(200)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = run_sweep(spec)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 128 * 4096
+    sweep_csv_text(result)
+    assert "rows" not in vars(result)
+
+    rows = result.rows
+    assert all(type(row) is SweepRow for row in rows)
+    assert [tuple(row.point.values()) for row in rows] == list(itertools.product(*values))
+    read = np.array([[*row.point.values(), *(getattr(row, name) for name in MAXIMA_FIELDS)]
+                     for row in rows])
+    assert np.array_equal(read.view(np.int64), result.table.view(np.int64))
+    assert result.rows is rows
+
+
 def _arrays(result):
     traj, series = result
     return [traj.c1, traj.c2, series.energy, series.power, series.ergotropy]
@@ -575,8 +596,9 @@ def test_evaluations_outside_a_sweep_get_fresh_arrays(tmp_path, monkeypatch):
     assert len(results) == 2 and not _share_memory(*results)
 
     spec = SweepSpec(base=base_params(), axes=(), grid=weak_grid(2000))
-    points = [{"omega_drive": 0.5}, {"omega_drive": 1.0}]
-    assert not _share_memory(evaluate(spec, points), evaluate(spec, points))
+    points = apply_point(spec.base, {"omega_drive": np.array([0.5, 1.0])})
+    assert not _share_memory(evaluate(spec, prepare(spec, points)),
+                             evaluate(spec, prepare(spec, points)))
 
 
 def _per_cell_csv(header, table) -> str:
