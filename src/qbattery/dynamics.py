@@ -54,9 +54,9 @@ class IntegrationError(RuntimeError):
 
 
 # glibc's M_MMAP_THRESHOLD and M_TRIM_THRESHOLD, set at import.  By default
-# glibc maps each block of 128 KB or more on its own and trims a freed heap
-# top, so the (points x time) arrays of every sweep chunk would fault their
-# pages in again.  32 MiB is glibc's ceiling for its dynamic mmap threshold
+# glibc maps blocks of 128 KB or more on their own until a freed one raises
+# that threshold, and trims a freed heap top: a first sweep faults about
+# twice as often.  32 MiB is glibc's ceiling for its dynamic mmap threshold
 # on 64-bit, and its dynamic rule trims above twice the threshold.
 MALLOPT = ((-3, 32 << 20), (-1, 64 << 20))
 
@@ -338,26 +338,19 @@ def _columns(*values) -> tuple[tuple[int, ...], list[np.ndarray]]:
 
 @dataclass(frozen=True, eq=False)
 class ClosedForm:
-    """The closed form's constants at each point, as (points,) arrays.
+    """The closed form's constants: (points,) arrays, or 0-d for one point.
 
     M and F are the kernel's; the amplitudes are C_j(t) = a_j Z(t) + b_j.
-    shape is the points shape of the trajectories, () for a single point.
-    A sweep builds them once for all its points and takes a chunk's slice.
+    A sweep builds them once for all its points, and each chunk takes its
+    slice with model.take.
     """
 
-    shape: tuple[int, ...]
     M: np.ndarray
     F: np.ndarray
     a1: np.ndarray
     b1: np.ndarray
     a2: np.ndarray
     b2: np.ndarray
-
-    def take(self, index: slice) -> "ClosedForm":
-        """The constants of the points in a slice of the batch."""
-        M = self.M[index]
-        return ClosedForm(M.shape, M, *(x[index] for x in (self.F, self.a1, self.b1,
-                                                            self.a2, self.b2)))
 
 
 def closed_form(params, frame) -> ClosedForm:
@@ -375,23 +368,24 @@ def closed_form(params, frame) -> ClosedForm:
                                                params.c01, params.c02)
     beta_plus = r1 * c01 + r2 * c02
     beta_minus = r2 * c01 - r1 * c02
-    return ClosedForm(shape, M, F, r1 * beta_plus, r2 * beta_minus,
-                      r2 * beta_plus, -(r1 * beta_minus))
+    return ClosedForm(*(x.reshape(shape) for x in (M, F, r1 * beta_plus, r2 * beta_minus,
+                                                    r2 * beta_plus, -(r1 * beta_minus))))
 
 
 def closed_form_trajectory(closed: ClosedForm, grid: TimeGrid) -> AmplitudeTrajectory:
-    """Closed-form amplitudes from the points' constants.
+    """Closed-form amplitudes, shaped M.shape + (time,), from the constants.
 
     Z and the second exponential of survival_amplitude share one block,
     whose halves then hold C1 (in place of Z) and C2.
     """
-    block = np.empty((2, len(closed.M), grid.n_points), dtype=complex)
-    Z = survival_amplitude(KernelParams(M=closed.M, F=closed.F), grid, out=block)
-    c2 = np.multiply(Z, closed.a2[:, None], out=block[1])
-    c2 += closed.b2[:, None]
-    c1 = np.multiply(Z, closed.a1[:, None], out=Z)
-    c1 += closed.b1[:, None]
-    c1, c2 = (c.reshape(closed.shape + (-1,)) for c in block)
+    M, F, a1, b1, a2, b2 = (x.reshape(-1) for x in vars(closed).values())
+    block = np.empty((2, len(M), grid.n_points), dtype=complex)
+    Z = survival_amplitude(KernelParams(M=M, F=F), grid, out=block)
+    c2 = np.multiply(Z, a2[:, None], out=block[1])
+    c2 += b2[:, None]
+    c1 = np.multiply(Z, a1[:, None], out=Z)
+    c1 += b1[:, None]
+    c1, c2 = (c.reshape(closed.M.shape + (-1,)) for c in block)
     return AmplitudeTrajectory(grid, c1, c2, ENGINE_CLOSED)
 
 

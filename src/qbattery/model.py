@@ -78,10 +78,17 @@ def unbatched(value):
 
 
 def take(batch, index: slice):
-    """The points in a slice of a batch (SystemParams or DressedFrame): each
-    field along the points axis sliced, each number shared by all kept."""
-    return type(batch)(**{name: value[index] if getattr(value, "ndim", 0) else value
-                          for name, value in vars(batch).items()})
+    """The points in a slice of a batch dataclass: each array field with a
+    points axis sliced, each dataclass field taken in turn, and numbers,
+    0-d arrays and None shared as they are."""
+    values = []
+    for value in vars(batch).values():
+        if isinstance(value, np.ndarray):
+            value = value[index] if value.ndim else value
+        elif hasattr(value, "__dataclass_fields__"):  # is_dataclass, without its call
+            value = take(value, index)
+        values.append(value)
+    return type(batch)(*values)
 
 
 def require(ok, message: str, *values) -> None:

@@ -25,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import (ENGINE_CLOSED, AmplitudeTrajectory, ClosedForm, TimeGrid,
-                       closed_form, closed_form_trajectory, default_grid, trajectory)
+from .dynamics import (ENGINE_CLOSED, ENGINE_PSEUDOMODE, AmplitudeTrajectory, ClosedForm,
+                       TimeGrid, closed_form, closed_form_trajectory, default_grid, trajectory)
 from .metrics import MetricsSeries, compute_metrics
 from .model import DressedFrame, SystemParams, dressed_frame, take
 
@@ -39,9 +39,9 @@ BUDGET = 2 ** 15
 
 # Largest Cartesian product of sweep axes: a sweep holds its table and,
 # while it runs, the (points,) arrays built once per sweep; its CSV text
-# peaks at three copies of the text.  Over a 65536-point, two-axis
-# closed-form sweep and its CSV text, tracemalloc peaked near 340 B a point
-# and the finished sweep held 64, so one at the cap peaks near 0.36 GB.
+# peaks at two copies of the text.  A 65536-point, two-axis closed-form sweep
+# peaked near 322 B a point in tracemalloc, writing its CSV text (92 B a
+# point) near 249, and held 64 when done: one at the cap peaks near 0.34 GB.
 MAX_SWEEP_POINTS = 2 ** 20
 
 # The CSV float format: 17 significant digits, so values round-trip.
@@ -77,6 +77,8 @@ class SweepSpec:
     engine: str = ENGINE_CLOSED
 
     def __post_init__(self):
+        if self.engine not in (ENGINE_CLOSED, ENGINE_PSEUDOMODE):
+            raise ValueError(f"unknown engine: {self.engine!r}")
         axes = tuple((str(name), tuple(float(v) for v in values))
                      for name, values in self.axes)
         names = [name for name, _ in axes]
@@ -142,16 +144,11 @@ def apply_point(base: SystemParams, point: dict) -> SystemParams:
 class Batch:
     """Points made ready for the engines: their parameters and validated
     dressed frame, each field a number or a (points,) array, and, for the
-    closed form, its constants."""
+    closed form, its constants; model.take slices it."""
 
     params: SystemParams
     frame: DressedFrame
     closed: ClosedForm | None
-
-    def take(self, index: slice) -> "Batch":
-        """The points in a slice."""
-        closed = None if self.closed is None else self.closed.take(index)
-        return Batch(take(self.params, index), take(self.frame, index), closed)
 
 
 def prepare(spec: SweepSpec, params: SystemParams,
@@ -188,7 +185,7 @@ def _fill(spec: SweepSpec, table: np.ndarray, params: SystemParams,
     are then evaluated again one by one until one raises.
     """
     try:
-        chunk = prepare(spec, take(params, index)) if batch is None else batch.take(index)
+        chunk = prepare(spec, take(params, index)) if batch is None else take(batch, index)
         _, series = evaluate(spec, chunk)
     except Exception as exc:
         if index.stop - index.start == 1:
@@ -419,7 +416,8 @@ def csv_text(header, rows) -> str:
     ValueError.  Every cell reads as FLOAT_FORMAT % cell.  A table of
     CSV_PER_ROW_BELOW cells or more is formatted CSV_BLOCK cells at a time
     by a certified fast path in numpy, with FLOAT_FORMAT % cell itself
-    wherever that path cannot vouch for its digits; a smaller one row by
+    wherever that path cannot vouch for its digits, and each block decoded
+    as it is made, so the text is held twice at most; a smaller one row by
     row.  It uses no numpy-2-only API.
     """
     table = np.asarray(rows, dtype=np.float64)
@@ -436,9 +434,9 @@ def csv_text(header, rows) -> str:
     separators = np.full(width, ord(","), "<u4")
     separators[0] = ord("\n")
     first_words = np.tile(separators | _word(b"\0-0."), step)
-    blocks = [_format_cells(table[k:k + step].ravel(), first_words)
+    blocks = [_format_cells(table[k:k + step].ravel(), first_words).decode()
               for k in range(0, len(table), step)]
-    return b"".join([",".join(header).encode(), *blocks, b"\n"]).decode()
+    return "".join([",".join(header), *blocks, "\n"])
 
 
 def write_json(path, payload) -> Path:
