@@ -33,9 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from qbattery import (SystemParams, build_bath, default_grid, dressed_frame,
-                      propagate, trajectory)
+                      equal_frequency_trajectory, general_trajectory, propagate)
 from qbattery.cli import main as qbattery
-from qbattery.dynamics import ENGINE_CLOSED, ENGINE_PSEUDOMODE
 from qbattery.oracle import DEFAULT_N_MODES, DEFAULT_SPAN
 
 POINTS = {
@@ -61,11 +60,11 @@ def truncation(name: str, overrides: dict) -> None:
     print(f"{name}: truncation estimate max |ref(2 span) - ref(span)| "
           f"{sup_gap(fine, coarse):.2e}")
     extrapolated = [(8.0 * x - y) / 7.0 for x, y in zip(fine, coarse)]
-    engines = ((ENGINE_PSEUDOMODE, ENGINE_CLOSED) if params.equal_detunings()
-               else (ENGINE_PSEUDOMODE,))
+    engines = ((general_trajectory, equal_frequency_trajectory) if params.equal_detunings()
+               else (general_trajectory,))
     for engine in engines:
-        traj = trajectory(params, frame, grid, engine)
-        print(f"{name}: {engine} gap to the extrapolated oracle "
+        traj = engine(params, frame, grid)
+        print(f"{name}: {traj.engine_tag} gap to the extrapolated oracle "
               f"{sup_gap((traj.c1, traj.c2), extrapolated):.2e}")
 
 

@@ -5,8 +5,7 @@ __version__ = "0.1.0"
 from .model import DressedFrame, SystemParams, dressed_frame, validate
 from .dynamics import (AmplitudeTrajectory, IntegrationError, KernelParams,
                        TimeGrid, default_grid, equal_frequency_trajectory,
-                       general_trajectory, kernel_params, survival_amplitude,
-                       trajectory)
+                       general_trajectory, kernel_params, survival_amplitude)
 from .oracle import DiscretizedBath, build_bath, propagate, window_fraction
 from .metrics import (Extremum, MetricsSeries, battery_hamiltonian,
                       compute_metrics, ergotropy_closed, ergotropy_spectral,
@@ -22,7 +21,6 @@ __all__ = [
     "compute_metrics", "default_grid", "dressed_frame",
     "equal_frequency_trajectory", "ergotropy_closed", "ergotropy_spectral",
     "figure_pipeline", "general_trajectory", "kernel_params", "maxima",
-    "propagate", "run_sweep", "survival_amplitude",
-    "trajectory", "validate", "window_fraction", "write_sweep_csv",
-    "__version__",
+    "propagate", "run_sweep", "survival_amplitude", "validate",
+    "window_fraction", "write_sweep_csv", "__version__",
 ]

@@ -141,8 +141,8 @@ def compute_metrics(traj: AmplitudeTrajectory, chi_B,
     W_B = max(2|C2|^2 - 1, 0) chi_B, which is
     (2|C2|^2 - 1) theta(|C2|^2 - 1/2) chi_B: the prefactor vanishes at the
     threshold, so the series is continuous there.  The three series are the
-    rows of one (3,) + c2.shape array.  IntegrationError if the power
-    overflows or |C2|^2 exceeds 1 by more than POPULATION_SLACK.
+    rows of one (3,) + c2.shape array.  IntegrationError if |C2|^2 exceeds
+    1 by more than POPULATION_SLACK (checked first) or the power overflows.
     """
     chi_B = np.asarray(chi_B, dtype=float)
     if not np.all(np.isfinite(chi_B) & (chi_B >= 0.0)):
@@ -150,9 +150,14 @@ def compute_metrics(traj: AmplitudeTrajectory, chi_B,
     t = traj.grid.samples
     series = np.empty((3,) + traj.c2.shape)
     energy, power, ergotropy = series
-    np.abs(traj.c2, out=energy)
-    energy *= energy                       # |C2|^2 until it is scaled below
-    population = np.max(energy)
+    # A diverged |C2| may pass 1e154, and its square overflow to inf.
+    with np.errstate(over="ignore"):
+        np.abs(traj.c2, out=energy)
+        energy *= energy                   # |C2|^2 until it is scaled below
+        population = np.max(energy)
+        if population > 1.0 + POPULATION_SLACK:
+            raise IntegrationError("battery population |C2|^2 exceeds 1: max |C2| = "
+                                   f"{np.max(np.abs(traj.c2)):.17g}")
     np.multiply(energy, 2.0, out=ergotropy)
     ergotropy -= 1.0
     np.maximum(ergotropy, 0.0, out=ergotropy)
@@ -164,7 +169,5 @@ def compute_metrics(traj: AmplitudeTrajectory, chi_B,
     # The power is non-negative, so its maximum is finite only if every sample is.
     if not np.isfinite(np.max(power)):
         raise IntegrationError("charging power overflows the float range")
-    if population > 1.0 + POPULATION_SLACK:
-        raise IntegrationError(f"battery population |C2|^2 = {population:.17g} exceeds 1")
     peaks = maxima(traj.grid, series) if with_maxima else ()
     return MetricsSeries(energy, power, ergotropy, *peaks)

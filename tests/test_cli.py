@@ -417,6 +417,9 @@ def test_set_flag_rejects_malformed_pairs(tmp_path, capsys):
     # Both engines run at this drive; the bath, far below the qubits, cannot.
     (["oracle-check", "--set", "omega_drive=1e300", "--set", "n_modes=400", "--set", "span=10"],
      3, "completeness defect"),
+    # A diverged pseudomode, whose |C2| passes 1e154: its square overflows.
+    (["maxima", "--engine", "pseudomode", "--set", "R=4.2026061035824015e+18"], 3,
+     "battery population"),
 ])
 def test_bad_input_exits_with_code_and_writes_no_csv(tmp_path, capsys, argv, code,
                                                       fragment):

@@ -10,8 +10,7 @@ from scipy.linalg import expm
 from qbattery import (IntegrationError, KernelParams, SystemParams, TimeGrid,
                       compute_metrics, default_grid, dressed_frame,
                       equal_frequency_trajectory,
-                      general_trajectory, kernel_params, survival_amplitude,
-                      trajectory)
+                      general_trajectory, kernel_params, survival_amplitude)
 from qbattery.dynamics import MAX_N_POINTS, AmplitudeTrajectory, _expm
 
 # Oracle-certified survival amplitude at t = 2/lambda for
@@ -376,10 +375,12 @@ def test_engines_take_a_batch_of_points(engine, name):
               SystemParams(omega_drive=0.0, R=0.5, c01=0.6, c02=0.8j)]
     params = batch_of(points)
     g = TimeGrid.uniform(5.0, 300)
-    batch = trajectory(params, dressed_frame(params), g, engine=name)
+    batch = engine(params, dressed_frame(params), g)
     assert batch.c1.shape == batch.c2.shape == (3, 300)
+    assert batch.engine_tag == name
     for k, p in enumerate(points):
         single = engine(p, dressed_frame(p), g)
+        assert single.engine_tag == name
         np.testing.assert_array_equal(batch.c1[k], single.c1)
         np.testing.assert_array_equal(batch.c2[k], single.c2)
 
@@ -446,16 +447,6 @@ def test_decoupled_cavity_keeps_amplitudes_constant():
                  equal_frequency_trajectory(p, f, g)):
         np.testing.assert_allclose(traj.c1, np.full(100, 0.6 + 0j), atol=1e-12)
         np.testing.assert_allclose(traj.c2, np.full(100, 0.8j), atol=1e-12)
-
-
-def test_trajectory_dispatch():
-    p = SystemParams()
-    f = dressed_frame(p)
-    g = TimeGrid.uniform(1.0, 50)
-    assert trajectory(p, f, g, engine="closed_form").engine_tag == "closed_form"
-    assert trajectory(p, f, g, engine="pseudomode").engine_tag == "pseudomode"
-    with pytest.raises(ValueError, match="unknown engine"):
-        trajectory(p, f, g, engine="magic")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])

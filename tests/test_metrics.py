@@ -54,6 +54,14 @@ def test_over_unit_battery_population_raises():
     c2[3] = math.sqrt(1.0 + 1e-6)
     with pytest.raises(IntegrationError, match="exceeds 1"):
         compute_metrics(synthetic_trajectory(g, c2), 4.0)
+    # A diverged amplitude, whose square overflows: refused for its
+    # population, not its power, and without a RuntimeWarning.
+    # synthetic_trajectory would square it, so its c1 is left at 0.
+    c2[3] = 1e200
+    diverged = AmplitudeTrajectory(grid=g, c1=np.zeros(5, complex), c2=c2.astype(complex),
+                                   engine_tag="pseudomode")
+    with pytest.raises(IntegrationError, match="battery population"):
+        compute_metrics(diverged, 4.0)
 
 
 def test_stored_energy_rejects_negative_splitting():

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import qbattery
-from qbattery import cli, model, sweep
+from qbattery import cli, dynamics, model, sweep
 from qbattery import (FIGURES, IntegrationError, SweepPointError, SweepSpec,
                       SystemParams, TimeGrid, compute_metrics, default_grid,
                       dressed_frame, equal_frequency_trajectory, figure_pipeline,
@@ -355,6 +355,29 @@ def test_sweep_workers_evaluate_each_chunk_once(monkeypatch, threads):
         assert workers == {threading.get_ident()}
 
 
+# The call each engine makes once per chunk, which perfbench's tracer counts
+# by rebinding the dynamics attribute of that name, and the field of its
+# first argument that has the chunk's points shape.
+ENGINE_CALLS = {"closed_form": ("survival_amplitude", "M"),
+                "pseudomode": ("general_trajectory", "omega_drive")}
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINE_CALLS))
+def test_each_chunk_calls_its_engine_through_dynamics_once(monkeypatch, engine):
+    shapes = {call: [] for call, _ in ENGINE_CALLS.values()}
+    for call, field in ENGINE_CALLS.values():
+        def counting(first, *args, real=getattr(dynamics, call), call=call, field=field,
+                     **kwargs):
+            shapes[call].append(np.shape(getattr(first, field)))
+            return real(first, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, call, counting)
+    _, spec = _four_per_chunk_spec(6)   # chunks of 4 and 2 points
+    run_sweep(dataclasses.replace(spec, engine=engine))
+    expected = ENGINE_CALLS[engine][0]
+    assert shapes == {call: [(4,), (2,)] if call == expected else [] for call in shapes}
+
+
 def test_a_free_worker_takes_the_next_chunk(monkeypatch):
     # The worker holding the first of four chunks waits until the other
     # three are done: with the chunks dealt out in two fixed runs, the
@@ -453,51 +476,86 @@ def test_each_point_is_validated_once(monkeypatch, tmp_path):
     assert calls == [base_params(omega_drive=0.5)]
 
 
-# Minor page faults of each of five repeats of a 32-chunk sweep after a
-# warm-up, counted in a fresh interpreter: the allocator state left by other
-# tests decides whether freed memory goes back to the OS, and so whether a
-# fresh array faults at all.
+# Minor page faults of each of five repeats of run() after a warm-up, counted
+# in a fresh interpreter: the allocator state left by other tests decides
+# whether freed memory goes back to the OS, and so whether a fresh array
+# faults at all.  The setup defines run().
 FAULT_PROBE = """
 import json, resource, sys
+{setup}
+run()     # warm-up: imports, caches, heap
+faults = []
+for _ in range(5):
+    start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run()
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start)
+print(json.dumps(faults))
+"""
+
+# A 32-chunk sweep, on as many threads as the probe's argument.
+SWEEP_RUN = """
 from qbattery import SweepSpec, SystemParams, TimeGrid, run_sweep
 
 omegas = tuple(0.01 * k for k in range(32 * 16))
 spec = SweepSpec(base=SystemParams(), axes=(("omega_drive", omegas),),
                  grid=TimeGrid.uniform(10.0, 2000))
-run_sweep(spec, threads=int(sys.argv[1]))     # warm-up: imports, caches, heap
-faults = []
-for _ in range(5):
-    start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+def run():
     run_sweep(spec, threads=int(sys.argv[1]))
-    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start)
-print(json.dumps(faults))
 """
 
+# The bath oracle at the weak certification point: 4000 modes, 2000 samples.
+PROPAGATE_RUN = """
+from qbattery import SystemParams, build_bath, default_grid, dressed_frame, propagate
 
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
-                    reason="the allocator policy is glibc's")
+params = SystemParams()
+frame = dressed_frame(params)
+bath, grid = build_bath(frame), default_grid(params)
+
+def run():
+    propagate(params, frame, bath, grid)
+"""
+
+glibc_only = pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                                reason="the allocator policy is glibc's")
+
+
+def _repeat_faults(setup: str, *args: str) -> list[int]:
+    import resource
+    if resource.getrusage(resource.RUSAGE_SELF).ru_minflt == 0:
+        pytest.skip("ru_minflt reads 0 here")
+    probe = subprocess.run([sys.executable, "-c", FAULT_PROBE.format(setup=setup), *args],
+                           env=_env_with_src(), timeout=120, capture_output=True,
+                           text=True, check=True)
+    return json.loads(probe.stdout)
+
+
+@glibc_only
 @pytest.mark.parametrize("threads", [1, 2])
 def test_repeated_sweep_reuses_its_chunk_memory(threads):
     # A chunk of 16 points holds about 2 MB of (points x time) arrays, freed
     # when it ends, and every chunk reuses memory faulted in before: 0 to 3
-    # faults per repeat at 1 and 2 threads.  Measured with the allocator
-    # policy of dynamics disabled (ctypes.CDLL failing, as in
-    # test_import_survives_a_missing_c_library), the repeats read the same,
+    # faults per repeat at 1 and 2 threads.  With the allocator policy of
+    # dynamics disabled (ctypes.CDLL failing, as in
+    # test_import_survives_a_missing_c_library) the repeats read the same,
     # since glibc's dynamic mmap threshold rises to a chunk's block size at
     # its first free; only the warm-up sweep faulted more (about 850 against
-    # 410 faults at 1 thread, 1790 against 910 at 2).  So this test checks
-    # the reuse, and cannot tell the policy apart.  The median leaves out
-    # the one repeat in which a new pool thread may start before the last
-    # one has handed back its glibc arena, and so gets a fresh arena (140
-    # to 450 faults, once a process).
-    import resource
-    if resource.getrusage(resource.RUSAGE_SELF).ru_minflt == 0:
-        pytest.skip("ru_minflt reads 0 here")
+    # 410 faults at 1 thread).  So this test checks the reuse, and
+    # test_repeated_propagate_reuses_its_memory tells the policy apart.  The
+    # median leaves out the one repeat in which a new pool thread may start
+    # before the last one has handed back its glibc arena, and so gets a
+    # fresh arena (140 to 450 faults, once a process).
     assert BUDGET // 2000 == 16
-    probe = subprocess.run([sys.executable, "-c", FAULT_PROBE, str(threads)],
-                           env=_env_with_src(), timeout=120, capture_output=True,
-                           text=True, check=True)
-    faults = json.loads(probe.stdout)
+    faults = _repeat_faults(SWEEP_RUN, str(threads))
+    assert sorted(faults)[2] < 64, faults
+
+
+@glibc_only
+def test_repeated_propagate_reuses_its_memory():
+    # Where the allocator policy pays: each repeat of the oracle took 0
+    # faults with it, and about 590 with the policy disabled (ctypes.CDLL
+    # failing), 1690 with M_MMAP_THRESHOLD alone.
+    faults = _repeat_faults(PROPAGATE_RUN)
     assert sorted(faults)[2] < 64, faults
 
 
