@@ -147,26 +147,10 @@ class KernelParams:
 
 
 def kernel_params(params: SystemParams, frame: DressedFrame) -> KernelParams:
-    """Kernel constants for equal detunings (chi_A = chi_B, cos2_A = cos2_B).
-
-    At each point, M and the coupling are squared in units of s, the power
-    of two just below the largest of Re M = 1, |Im M| and the coupling:
-    exact, and no square overflows, however large R or the splitting.
-    """
-    require(params.equal_detunings(), "kernel requires delta_A == delta_B, got {} != {}",
-            params.delta_A, params.delta_B)
-    shape, (chi, delta_L, W, cos2) = _columns(frame.chi_A, frame.delta_L, frame.W,
-                                              frame.cos2_A)
-    # Overflows give non-finite constants, which AmplitudeTrajectory rejects.
-    with np.errstate(over="ignore", invalid="ignore"):
-        M = 1.0 - 1j * (chi + delta_L)
-        coupling = W * 2.0 * cos2  # W (1 + cos eta)
-        # Components, as abs(M) may overflow; s >= 1, as Re M = 1.
-        largest = np.maximum(np.maximum(np.abs(M.real), np.abs(M.imag)), coupling)
-        s = np.ldexp(1.0, np.frexp(largest)[1] - 1)
-        m, c = M / s, coupling / s
-        F = s * np.sqrt(m * m - c * c)  # overflows to inf silently
-    return KernelParams(M=unbatched(M.reshape(shape)), F=unbatched(F.reshape(shape)))
+    """Kernel constants for equal detunings (chi_A = chi_B, cos2_A = cos2_B):
+    the M and F of closed_form."""
+    closed = closed_form(params, frame)
+    return KernelParams(M=unbatched(closed.M), F=unbatched(closed.F))
 
 
 def survival_amplitude(kernel: KernelParams | ClosedForm, t, out: np.ndarray | None = None):
@@ -365,10 +349,25 @@ def closed_form(params, frame) -> ClosedForm:
 
         C1(t) = r2 beta_minus + r1 Z(t) beta_plus
         C2(t) = -r1 beta_minus + r2 Z(t) beta_plus
+
+    It needs equal detunings.  M and the coupling are squared in units of
+    s, the power of two just below the largest of Re M = 1, |Im M| and the
+    coupling: exact, and no square overflows, however large R or chi.
     """
-    kernel = kernel_params(params, frame)
-    shape, (M, F, r1, r2, c01, c02) = _columns(kernel.M, kernel.F, params.r1, params.r2,
-                                               params.c01, params.c02)
+    require(params.equal_detunings(), "kernel requires delta_A == delta_B, got {} != {}",
+            params.delta_A, params.delta_B)
+    shape, (chi, delta_L, W, cos2, r1, r2, c01, c02) = _columns(
+        frame.chi_A, frame.delta_L, frame.W, frame.cos2_A, params.r1, params.r2,
+        params.c01, params.c02)
+    # Overflows give non-finite constants, which AmplitudeTrajectory rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = 1.0 - 1j * (chi + delta_L)
+        coupling = W * 2.0 * cos2  # W (1 + cos eta)
+        # Components, as abs(M) may overflow; s >= 1, as Re M = 1.
+        largest = np.maximum(np.maximum(np.abs(M.real), np.abs(M.imag)), coupling)
+        s = np.ldexp(1.0, np.frexp(largest)[1] - 1)
+        m, c = M / s, coupling / s
+        F = s * np.sqrt(m * m - c * c)  # overflows to inf silently
     beta_plus = r1 * c01 + r2 * c02
     beta_minus = r2 * c01 - r1 * c02
     return ClosedForm(*(x.reshape(shape) for x in (M, F, r1 * beta_plus, r2 * beta_minus,

@@ -92,12 +92,14 @@ def take(batch, index: slice):
 
 
 def require(ok, message: str, *values) -> None:
-    """Raise ValueError unless ok holds at every point; message is formatted
-    with each of values at the first point where ok fails."""
+    """Raise ValueError unless ok holds at every point; its row is the first
+    point where ok fails, at which message is formatted with each of values."""
     ok = np.asarray(ok)
     if not ok.all():
-        raise ValueError(message.format(*(np.broadcast_to(v, ok.shape)[~ok][0].item()
-                                          for v in values)))
+        error = ValueError(message.format(*(np.broadcast_to(v, ok.shape)[~ok][0].item()
+                                            for v in values)))
+        error.row = int(ok.argmin())
+        raise error
 
 
 def validate(params: SystemParams) -> SystemParams:

@@ -61,12 +61,12 @@ CSV_PER_ROW_BELOW = 256
 
 
 class SweepPointError(RuntimeError):
-    """Engine failure at one sweep point, with the point attached."""
+    """A failure at one sweep point, with the point attached."""
 
     def __init__(self, point: dict, cause: Exception):
         super().__init__(f"sweep point {point} failed: {cause}")
         self.point = dict(point)
-        self.cause = cause
+        self.cause = self.__cause__ = cause
 
 
 @dataclass(frozen=True)
@@ -177,23 +177,21 @@ def evaluate(spec: SweepSpec, batch: Batch) -> tuple[AmplitudeTrajectory, Metric
     return traj, compute_metrics(traj, batch.frame.chi_B)
 
 
-def _fill(spec: SweepSpec, table: np.ndarray, params: SystemParams,
-          batch: Batch | None, index: slice) -> None:
+def _fill(spec: SweepSpec, table: np.ndarray, batch: Batch, index: slice) -> None:
     """Write the peaks of the points in a slice of the table's rows into them.
 
-    params holds the sweep's points, and batch the same points made ready
-    once for the whole sweep, or None: the chunk then prepares its own.  A
-    failure names the first failing point in row order: the chunk's points
-    are then evaluated again one by one until one raises.
+    batch holds the sweep's prepared points from row 0 on.  A failure names
+    the first failing point in row order: a failing slice's halves are
+    evaluated again, first half first, down to the row that raises.
     """
     try:
-        chunk = prepare(spec, take(params, index)) if batch is None else take(batch, index)
-        _, series = evaluate(spec, chunk)
+        _, series = evaluate(spec, take(batch, index))
     except Exception as exc:
         if index.stop - index.start == 1:
             raise SweepPointError(SweepResult(spec, table[index]).rows[0].point, exc) from exc
-        for row in range(index.start, index.stop):
-            _fill(spec, table, params, None, slice(row, row + 1))
+        middle = (index.start + index.stop) // 2
+        _fill(spec, table, batch, slice(index.start, middle))
+        _fill(spec, table, batch, slice(middle, index.stop))
         raise
     table[index, -len(MAXIMA_FIELDS):] = np.column_stack(
         [*series.max_energy, *series.max_power, *series.max_ergotropy])
@@ -215,13 +213,14 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     """Evaluate every Cartesian point; row order is lexicographic in the axes.
 
     The points are validated, and the closed form's constants built, once
-    for the whole sweep, as (points,) arrays; if that fails, each chunk
-    validates its own points instead.  The rows go in chunks of max(1,
-    BUDGET // n_points), each of which computes only its trajectories and
-    metrics from its slice of those arrays and writes its peaks into its
-    rows.  Up to `threads` workers, the calling thread and a pool, each take
-    the next chunk when free.  A failure names the first failing point in
-    row order.  An empty axis list gives the base-parameter row.
+    for the whole sweep, as (points,) arrays, or, if some fail, for the rows
+    before the first of them, which run before it is named.  The rows go in
+    chunks of max(1, BUDGET // n_points), each of which computes only its
+    trajectories and metrics from its slice of those arrays and writes its
+    peaks into its rows.  Up to `threads` workers, the calling thread and a
+    pool, each take the next chunk when free.  A failure names the first
+    failing point in row order.  An empty axis list gives the base-parameter
+    row.
     """
     names = [name for name, _ in spec.axes]
     values = [values for _, values in spec.axes]
@@ -231,23 +230,27 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     for k, column in enumerate(columns):
         table[:, k] = column
     params = apply_point(spec.base, dict(zip(names, columns)))
-    try:
-        batch = prepare(spec, params)
-    except Exception:
-        # Whatever failed, each chunk then prepares its own points, and the
-        # first failing point in row order is named as it was.
-        batch = None
+    stop, failure = count, None
+    while stop:
+        try:
+            batch = prepare(spec, take(params, slice(0, stop)))
+            break
+        except ValueError as exc:
+            stop = exc.row
+            failure = SweepPointError(dict(zip(names, table[stop].tolist())), exc)
+    else:
+        raise failure
     size = max(1, BUDGET // spec.grid.n_points)
-    chunks = [slice(k, min(k + size, count)) for k in range(0, count, size)]
+    chunks = [slice(k, min(k + size, stop)) for k in range(0, stop, size)]
     todo, errors = deque(range(len(chunks))), [None] * len(chunks)
-    fill = functools.partial(_fill, spec, table, params, batch)
+    fill = functools.partial(_fill, spec, table, batch)
     workers = max(1, min(threads, len(chunks)))
     with ThreadPoolExecutor(max(1, workers - 1)) as pool:
         rest = [pool.submit(_drain, fill, chunks, todo, errors) for _ in range(workers - 1)]
         _drain(fill, chunks, todo, errors)
         for worker in rest:
             worker.result()
-    for error in filter(None, errors):
+    for error in filter(None, [*errors, failure]):
         raise error
     return SweepResult(spec, table)
 
@@ -506,7 +509,8 @@ FIGURES: dict[str, FigureSpec] = {
 _PANELS = (("a", "power", "P_max"), ("b", "energy", "E_max"), ("c", "ergotropy", "W_max"))
 
 
-def figure_pipeline(figure_id: str, out_dir, n_points: int = 2000) -> list[Path]:
+def figure_pipeline(figure_id: str, out_dir,
+                    n_points: int = dynamics.DEFAULT_N_POINTS) -> list[Path]:
     """Emit one CSV per panel plus a metadata file for a published figure.
 
     A time-series panel tabulates the metric of each family member against

@@ -41,6 +41,15 @@ def test_validate_names_first_violated_invariant(kwargs, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("omega, row", [([0.5, -1.0, 2.0, -3.0], 1), (-1.0, 0)])
+def test_validation_error_holds_the_first_failing_row(omega, row):
+    # A batch's first failing point is its row; a value shared by every
+    # point fails at row 0.
+    with pytest.raises(ValueError, match="negative omega_drive: -1.0") as err:
+        validate(SystemParams(omega_drive=np.array(omega), delta_A=np.zeros(4)))
+    assert err.value.row == row
+
+
 @pytest.mark.parametrize("kwargs, name", [
     (dict(omega_drive=1e308), "chi_A"),
     (dict(delta_B=1.5e308, omega_drive=5e307), "chi_B"),

@@ -307,7 +307,8 @@ def test_failure_in_a_later_chunk_names_the_first_failing_point():
 def test_engine_failure_after_sweep_wide_validation_names_the_point(monkeypatch):
     # All 40 points validate together, so the chunks take slices of one
     # frame; point 33 then overflows in the engine, in the third chunk,
-    # which is evaluated again point by point until it raises.
+    # whose halves are evaluated again from slices of that frame, with no
+    # point validated a second time.
     calls = []
     real_validate = model.validate
 
@@ -324,8 +325,54 @@ def test_engine_failure_after_sweep_wide_validation_names_the_point(monkeypatch)
         run_sweep(spec)
     assert err.value.point == {"omega_drive": 5e307}
     assert isinstance(err.value.cause, IntegrationError)
+    assert len(calls) == 1
     assert calls[0].omega_drive.tolist() == omegas
-    assert [p.omega_drive.tolist() for p in calls[1:]] == [[omegas[32]], [omegas[33]]]
+
+
+def test_a_failing_chunk_is_searched_by_halving(monkeypatch):
+    # One chunk of 1024 points whose last overflows in the engine: halving
+    # finds it in at most 2 ceil(log2 1024) + 1 evaluations, where a retry
+    # point by point made 1025.
+    calls = []
+    real_evaluate = sweep.evaluate
+
+    def counting(spec, batch):
+        calls.append(np.size(batch.params.omega_drive))
+        return real_evaluate(spec, batch)
+
+    monkeypatch.setattr(sweep, "evaluate", counting)
+    omegas = [0.05 * k for k in range(1024)]
+    omegas[-1] = 5e307
+    spec = SweepSpec(base=base_params(), axes=(("omega_drive", tuple(omegas)),),
+                     grid=weak_grid(32))
+    assert BUDGET // spec.grid.n_points == 1024    # one chunk
+    with pytest.raises(SweepPointError) as err:
+        run_sweep(spec)
+    assert err.value.point == {"omega_drive": 5e307}
+    assert isinstance(err.value.cause, IntegrationError)
+    assert calls[0] == 1024 and calls[-1] == 1
+    assert len(calls) <= 2 * 10 + 1
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_preparation_failure_names_the_first_failing_row_over_all_checks(threads):
+    # r1 = 2 fails the sweep-wide preparation first, at row 6 of twelve;
+    # preparing rows 0 to 5 then fails on omega_drive = -1 at row 4, which
+    # fails no earlier check.  Rows 0 to 3 run in two 2-point chunks, and
+    # row 4 is named with its single-point message.
+    spec = SweepSpec(base=base_params(), grid=weak_grid(BUDGET // 2),
+                     axes=(("r1", (0.5, 2.0)),
+                           ("omega_drive", (0.5, 1.0, 1.5, 2.0, -1.0, 3.0))))
+    with pytest.raises(SweepPointError) as err:
+        run_sweep(spec, threads=threads)
+    point = {"r1": 0.5, "omega_drive": -1.0}
+    with pytest.raises(SweepPointError) as single:
+        run_sweep(SweepSpec(base=base_params(), grid=spec.grid,
+                            axes=tuple((k, (v,)) for k, v in point.items())))
+    assert err.value.point == single.value.point == point
+    assert type(err.value.cause) is type(single.value.cause) is ValueError
+    assert str(err.value) == str(single.value) == (
+        f"sweep point {point} failed: negative omega_drive: -1.0")
 
 
 def _four_per_chunk_spec(n):
@@ -339,9 +386,9 @@ def test_sweep_workers_evaluate_each_chunk_once(monkeypatch, threads):
     calls = []
     real_fill = sweep._fill
 
-    def recording(spec, table, params, batch, index):
+    def recording(spec, table, batch, index):
         calls.append((threading.get_ident(), table[index.start, 0]))
-        return real_fill(spec, table, params, batch, index)
+        return real_fill(spec, table, batch, index)
 
     monkeypatch.setattr(sweep, "_fill", recording)
     omegas, spec = _four_per_chunk_spec(10)   # chunks of 4, 4 and 2 points
@@ -386,11 +433,11 @@ def test_a_free_worker_takes_the_next_chunk(monkeypatch):
     done = []
     real_fill = sweep._fill
 
-    def fill(spec, table, params, batch, index):
+    def fill(spec, table, batch, index):
         first = table[index.start, 0]
         if first == 0.0:
             assert rest_done.wait(timeout=30)
-        real_fill(spec, table, params, batch, index)
+        real_fill(spec, table, batch, index)
         done.append(first)
         if len(done) == 3:
             rest_done.set()
@@ -408,7 +455,7 @@ def test_workers_pop_each_chunk_once_under_frequent_thread_switches(monkeypatch)
     # peaks were never written.
     calls = []
 
-    def fill(spec, table, params, batch, index):
+    def fill(spec, table, batch, index):
         calls.append(table[index.start, 0])
         time.sleep(0)       # yields the interpreter lock, as the engines do
         table[index, 1:] = table[index, :1]
@@ -433,7 +480,7 @@ def test_a_later_failure_on_another_worker_does_not_mask_an_earlier_one(monkeypa
     later_failed = threading.Event()
     real_fill = sweep._fill
 
-    def fill(spec, table, params, batch, index):
+    def fill(spec, table, batch, index):
         first = table[index.start, 0]
         if first == 0.0:
             assert later_failed.wait(timeout=30)
@@ -441,7 +488,7 @@ def test_a_later_failure_on_another_worker_does_not_mask_an_earlier_one(monkeypa
         if first == 0.8:
             later_failed.set()
             raise SweepPointError({"omega_drive": first}, RuntimeError("third chunk"))
-        return real_fill(spec, table, params, batch, index)
+        return real_fill(spec, table, batch, index)
 
     monkeypatch.setattr(sweep, "_fill", fill)
     _, spec = _four_per_chunk_spec(10)
