@@ -31,8 +31,8 @@ from .dynamics import (DEFAULT_N_POINTS, ENGINE_CLOSED, ENGINE_PSEUDOMODE,
                        IntegrationError, TimeGrid, default_grid)
 from .model import SystemParams, dressed_frame
 from .oracle import DEFAULT_N_MODES, DEFAULT_SPAN, build_bath, propagate
-from .sweep import (SweepPointError, SweepSpec, csv_text, evaluate, figure_pipeline,
-                    prepare, run_sweep, write_json, write_sweep_csv)
+from .sweep import (SweepPointError, SweepSpec, evaluate, figure_pipeline, prepare,
+                    run_sweep, write_csv, write_json, write_sweep_csv)
 
 ORACLE_TOLERANCE = 5e-3
 TIMESERIES_FIELDS = ("t", "re_C1", "im_C1", "re_C2", "im_C2", "E_B", "P_B", "W_B")
@@ -41,13 +41,15 @@ OUT_ROOT_ENV = "QBATTERY_OUT"
 ENGINE_ALIASES = {"closed": ENGINE_CLOSED, ENGINE_CLOSED: ENGINE_CLOSED,
                   ENGINE_PSEUDOMODE: ENGINE_PSEUDOMODE}
 
-# Most worker threads a sweep may ask for; a sweep starts up to one per chunk.
+# Largest accepted `threads`: the value is checked and recorded in run.json,
+# and a sweep runs on the calling thread whatever it is.
 MAX_THREADS = 64
 
 # The flags that set a config key, with their help; each flag is read
 # exactly as --set KEY=VALUE.
 FLAGS = {"engine": "trajectory engine: closed_form (alias closed) or pseudomode",
-         "threads": f"worker threads for sweeps, 1 to {MAX_THREADS}",
+         "threads": f"1 to {MAX_THREADS}; checked and recorded, but every sweep runs on "
+                    "the calling thread",
          "figure": "figure id, fig2 through fig11"}
 
 # The config keys reproduce reads; every figure fixes the rest itself.
@@ -201,9 +203,7 @@ def cmd_timeseries(config: RunConfig, out: Path) -> tuple[list[Path], int]:
     traj, series = evaluate(spec, prepare(spec, spec.base))
     table = np.stack((traj.grid.samples, traj.c1.real, traj.c1.imag, traj.c2.real,
                       traj.c2.imag, series.energy, series.power, series.ergotropy))
-    path = out / "timeseries.csv"
-    path.write_text(csv_text(TIMESERIES_FIELDS, table.T), newline="\n")
-    return [path], 0
+    return [write_csv(out / "timeseries.csv", TIMESERIES_FIELDS, table.T)], 0
 
 
 def cmd_maxima(config: RunConfig, out: Path) -> tuple[list[Path], int]:
@@ -212,8 +212,7 @@ def cmd_maxima(config: RunConfig, out: Path) -> tuple[list[Path], int]:
 
 
 def cmd_sweep(config: RunConfig, out: Path) -> tuple[list[Path], int]:
-    result = run_sweep(config.spec(config.axes), threads=config.threads)
-    return [write_sweep_csv(result, out / "sweep.csv")], 0
+    return [write_sweep_csv(run_sweep(config.spec(config.axes)), out / "sweep.csv")], 0
 
 
 def cmd_reproduce(config: RunConfig, out: Path) -> tuple[list[Path], int]:

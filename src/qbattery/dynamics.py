@@ -41,8 +41,8 @@ from .model import DressedFrame, SystemParams, require, unbatched
 DEFAULT_N_POINTS = 2000
 
 # Largest grid a run may ask for: one (points x time) array of it is 16 MB,
-# and a single-point timeseries of it peaked at 485 MB RSS with the closed
-# form and 501 MB with the pseudomode, writing a 151 MiB CSV.
+# and a single-point timeseries of it peaked at 160 MB RSS with the closed
+# form and 176 MB with the pseudomode, writing a 151 MiB CSV block by block.
 MAX_N_POINTS = 2 ** 20
 
 ENGINE_CLOSED = "closed_form"

@@ -1,24 +1,21 @@
 """Cartesian parameter sweeps and figure-reproduction pipelines.
 
 A sweep is one table, a row per point in lexicographic axis order.  Its
-rows are evaluated in chunks of at most BUDGET time samples, each chunk as
-one (points x time) batch that writes its peaks into its rows, by workers
-that each take the next chunk when free; the calling thread is one of
-them.  A chunk's arrays are freed when it ends, and the next chunk reuses
-their memory (the allocator policy of dynamics halves the page faults of
-a process's first sweep only).  The chunk boundaries depend only on the
-grid, so the table is bit-identical for every thread count, and CSV
-payloads are byte-reproducible (17-significant-digit floats, no timestamps).
+rows are evaluated in chunks of at most BUDGET time samples, in row order
+on the calling thread, each chunk as one (points x time) batch that writes
+its peaks into its rows.  A chunk's arrays are freed when it ends, and the
+next chunk reuses their memory (the allocator policy of dynamics halves the
+page faults of a process's first sweep only).  The chunk boundaries depend
+only on the grid, and CSV payloads are byte-reproducible
+(17-significant-digit floats, no timestamps).
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
+import itertools
 import json
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -38,10 +35,11 @@ MAXIMA_FIELDS = ("E_max", "t_E", "P_max", "t_P", "W_max", "t_W")
 BUDGET = 2 ** 15
 
 # Largest Cartesian product of sweep axes: a sweep holds its table and,
-# while it runs, the (points,) arrays built once per sweep; its CSV text
-# peaks at two copies of the text.  A 65536-point, two-axis closed-form sweep
-# peaked near 322 B a point in tracemalloc, writing its CSV text (92 B a
-# point) near 249, and held 64 when done: one at the cap peaks near 0.34 GB.
+# while it runs, the (points,) arrays built once per sweep; its CSV is
+# written a block at a time.  A 65536-point, two-axis closed-form sweep
+# peaked near 370 B a point in tracemalloc and held 64 when done, and
+# writing its CSV (92 B a point) added 1.4 MB: one at the cap peaks near
+# 0.39 GB.
 MAX_SWEEP_POINTS = 2 ** 20
 
 # The CSV float format: 17 significant digits, so values round-trip.
@@ -177,6 +175,11 @@ def evaluate(spec: SweepSpec, batch: Batch) -> tuple[AmplitudeTrajectory, Metric
     return traj, compute_metrics(traj, batch.frame.chi_B)
 
 
+def _point(spec: SweepSpec, table: np.ndarray, row: int) -> dict[str, float]:
+    """The axis values of one row of a sweep's table, by axis name."""
+    return dict(zip([name for name, _ in spec.axes], table[row].tolist()))
+
+
 def _fill(spec: SweepSpec, table: np.ndarray, batch: Batch, index: slice) -> None:
     """Write the peaks of the points in a slice of the table's rows into them.
 
@@ -188,7 +191,7 @@ def _fill(spec: SweepSpec, table: np.ndarray, batch: Batch, index: slice) -> Non
         _, series = evaluate(spec, take(batch, index))
     except Exception as exc:
         if index.stop - index.start == 1:
-            raise SweepPointError(SweepResult(spec, table[index]).rows[0].point, exc) from exc
+            raise SweepPointError(_point(spec, table, index.start), exc) from exc
         middle = (index.start + index.stop) // 2
         _fill(spec, table, batch, slice(index.start, middle))
         _fill(spec, table, batch, slice(middle, index.stop))
@@ -197,30 +200,18 @@ def _fill(spec: SweepSpec, table: np.ndarray, batch: Batch, index: slice) -> Non
         [*series.max_energy, *series.max_power, *series.max_ergotropy])
 
 
-def _drain(fill, chunks: list[slice], todo: deque, errors: list) -> None:
-    """Fill the chunks whose indices are popped from `todo`; errors[i] gets
-    chunk i's exception.  A failure empties `todo`: no later chunk starts."""
-    with contextlib.suppress(IndexError):        # popleft on an empty deque
-        for index in iter(todo.popleft, None):
-            try:
-                fill(chunks[index])
-            except Exception as exc:
-                errors[index] = exc
-                todo.clear()
-
-
 def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     """Evaluate every Cartesian point; row order is lexicographic in the axes.
 
     The points are validated, and the closed form's constants built, once
     for the whole sweep, as (points,) arrays, or, if some fail, for the rows
     before the first of them, which run before it is named.  The rows go in
-    chunks of max(1, BUDGET // n_points), each of which computes only its
-    trajectories and metrics from its slice of those arrays and writes its
-    peaks into its rows.  Up to `threads` workers, the calling thread and a
-    pool, each take the next chunk when free.  A failure names the first
-    failing point in row order.  An empty axis list gives the base-parameter
-    row.
+    chunks of max(1, BUDGET // n_points), in row order on the calling
+    thread, each of which computes only its trajectories and metrics from
+    its slice of those arrays and writes its peaks into its rows.  A failing
+    chunk names its first failing point, and no later chunk starts.
+    `threads` has no effect (README, `--threads`).  An empty axis list gives
+    the base-parameter row.
     """
     names = [name for name, _ in spec.axes]
     values = [values for _, values in spec.axes]
@@ -237,21 +228,14 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
             break
         except ValueError as exc:
             stop = exc.row
-            failure = SweepPointError(dict(zip(names, table[stop].tolist())), exc)
+            failure = SweepPointError(_point(spec, table, stop), exc)
     else:
         raise failure
     size = max(1, BUDGET // spec.grid.n_points)
-    chunks = [slice(k, min(k + size, stop)) for k in range(0, stop, size)]
-    todo, errors = deque(range(len(chunks))), [None] * len(chunks)
-    fill = functools.partial(_fill, spec, table, batch)
-    workers = max(1, min(threads, len(chunks)))
-    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
-        rest = [pool.submit(_drain, fill, chunks, todo, errors) for _ in range(workers - 1)]
-        _drain(fill, chunks, todo, errors)
-        for worker in rest:
-            worker.result()
-    for error in filter(None, [*errors, failure]):
-        raise error
+    for start in range(0, stop, size):
+        _fill(spec, table, batch, slice(start, min(start + size, stop)))
+    if failure is not None:
+        raise failure
     return SweepResult(spec, table)
 
 
@@ -413,6 +397,28 @@ def _format_cells(x: np.ndarray, first_words: np.ndarray) -> bytes:
     return cells[np.take(keep, code, axis=0)].tobytes()
 
 
+def _csv_blocks(header, rows):
+    """csv_text's bytes in pieces, each block made when it is read; the
+    width is checked at the call."""
+    table = np.asarray(rows, dtype=np.float64)
+    width = len(header)
+    if len(table) and (table.ndim != 2 or table.shape[1] != width):
+        raise ValueError(f"a table of shape {table.shape} has rows of another "
+                         f"width than its {width} header fields")
+    if table.size < CSV_PER_ROW_BELOW:
+        line = ",".join([FLOAT_FORMAT] * width)
+        lines = [line % tuple(row) for row in table.tolist()]
+        return [("\n".join([",".join(header)] + lines) + "\n").encode()]
+    step = max(1, CSV_BLOCK // width)
+    # Each cell's first word: ',' or, in the first column, '\n', then '-0.'.
+    separators = np.full(width, ord(","), "<u4")
+    separators[0] = ord("\n")
+    first_words = np.tile(separators | _word(b"\0-0."), step)
+    blocks = (_format_cells(table[k:k + step].ravel(), first_words)
+              for k in range(0, len(table), step))
+    return itertools.chain([",".join(header).encode()], blocks, [b"\n"])
+
+
 def csv_text(header, rows) -> str:
     """A CSV file: the header, then one line per row of floats.
 
@@ -425,23 +431,17 @@ def csv_text(header, rows) -> str:
     as it is made, so the text is held twice at most; a smaller one row by
     row.  It uses no numpy-2-only API.
     """
-    table = np.asarray(rows, dtype=np.float64)
-    width = len(header)
-    if len(table) and (table.ndim != 2 or table.shape[1] != width):
-        raise ValueError(f"a table of shape {table.shape} has rows of another "
-                         f"width than its {width} header fields")
-    if table.size < CSV_PER_ROW_BELOW:
-        line = ",".join([FLOAT_FORMAT] * width)
-        lines = [line % tuple(row) for row in table.tolist()]
-        return "\n".join([",".join(header)] + lines) + "\n"
-    step = max(1, CSV_BLOCK // width)
-    # Each cell's first word: ',' or, in the first column, '\n', then '-0.'.
-    separators = np.full(width, ord(","), "<u4")
-    separators[0] = ord("\n")
-    first_words = np.tile(separators | _word(b"\0-0."), step)
-    blocks = [_format_cells(table[k:k + step].ravel(), first_words).decode()
-              for k in range(0, len(table), step)]
-    return "".join([",".join(header), *blocks, "\n"])
+    return "".join([block.decode() for block in _csv_blocks(header, rows)])
+
+
+def write_csv(path, header, rows) -> Path:
+    """Write csv_text(header, rows) to path block by block, checking the
+    table's width before the file is opened."""
+    path = Path(path)
+    blocks = _csv_blocks(header, rows)
+    with path.open("wb") as file:
+        file.writelines(blocks)
+    return path
 
 
 def write_json(path, payload) -> Path:
@@ -451,15 +451,16 @@ def write_json(path, payload) -> Path:
     return path
 
 
+def _sweep_header(result: SweepResult) -> list[str]:
+    return [f"param_{name}" for name, _ in result.spec.axes] + list(MAXIMA_FIELDS)
+
+
 def sweep_csv_text(result: SweepResult) -> str:
-    header = [f"param_{name}" for name, _ in result.spec.axes] + list(MAXIMA_FIELDS)
-    return csv_text(header, result.table)
+    return csv_text(_sweep_header(result), result.table)
 
 
 def write_sweep_csv(result: SweepResult, path) -> Path:
-    path = Path(path)
-    path.write_text(sweep_csv_text(result), newline="\n")
-    return path
+    return write_csv(path, _sweep_header(result), result.table)
 
 
 # --- figure pipelines -------------------------------------------------------
@@ -547,9 +548,8 @@ def figure_pipeline(figure_id: str, out_dir,
     written: list[Path] = []
     for panel, metric, _ in _PANELS:
         table = np.column_stack((first_column, panels[metric].T))
-        path = out / f"{figure_id}{panel}_{metric}{suffix}.csv"
-        path.write_text(csv_text(header, table), newline="\n")
-        written.append(path)
+        written.append(write_csv(out / f"{figure_id}{panel}_{metric}{suffix}.csv",
+                                 header, table))
 
     meta = {
         "artifact": "qbattery",

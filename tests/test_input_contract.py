@@ -9,10 +9,9 @@ command lines to that contract with wrongly typed input added: c01/c02 as
 numbers, pairs of any length, strings and bools, threads from 0 to 65, and
 config files whose JSON has the wrong type.  Grids stay at 64 samples and
 the oracle on a 400-mode bath, so one example takes milliseconds; a sweep
-then has one chunk, so no thread count starts a thread.  The second test
-also draws sweeps of 2 or 3 points of at least BUDGET samples on either
-engine, so each point is its own chunk, shared by 1 to 4 workers, sweep
-axes whose product exceeds MAX_SWEEP_POINTS, which must exit 2 without
+then has one chunk.  The second test also draws sweeps of 2 or 3 points of
+at least BUDGET samples on either engine, so each point is its own chunk,
+at a thread count of 1 to 4, sweep axes whose product exceeds MAX_SWEEP_POINTS, which must exit 2 without
 expanding their points, and oracle-check on a drawn bath: n_modes and span
 inside their bounds, with at most 2000 modes, or outside them.
 """
@@ -96,7 +95,7 @@ def wrongly_typed_command_lines(draw):
 @st.composite
 def multi_chunk_sweeps(draw):
     """A sweep of 2 or 3 points of at least BUDGET samples, so each point is
-    its own chunk, on 1 to 4 workers and either engine."""
+    its own chunk, at 1 to 4 threads and either engine."""
     axis = [draw(st.sampled_from(AXIS_NAMES)),
             draw(st.lists(numbers, min_size=2, max_size=3))]
     argv = ["sweep", "--set", f"n_points={draw(st.integers(BUDGET, 2 * BUDGET))}",

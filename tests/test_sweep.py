@@ -383,6 +383,8 @@ def _four_per_chunk_spec(n):
 
 @pytest.mark.parametrize("threads", [1, 2, 3, 8])
 def test_sweep_workers_evaluate_each_chunk_once(monkeypatch, threads):
+    # Whatever the thread count, every chunk runs once, in row order, on the
+    # calling thread, and every row of the table holds its own point.
     calls = []
     real_fill = sweep._fill
 
@@ -392,14 +394,25 @@ def test_sweep_workers_evaluate_each_chunk_once(monkeypatch, threads):
 
     monkeypatch.setattr(sweep, "_fill", recording)
     omegas, spec = _four_per_chunk_spec(10)   # chunks of 4, 4 and 2 points
-    rows = run_sweep(spec, threads=threads).rows
-    assert [row.point["omega_drive"] for row in rows] == list(omegas)
-    assert sorted(first for _, first in calls) == [omegas[0], omegas[4], omegas[8]]
-    # No more workers than threads or chunks.
-    workers = {thread for thread, _ in calls}
-    assert len(workers) <= min(threads, 3)
-    if threads == 1:
-        assert workers == {threading.get_ident()}
+    result = run_sweep(spec, threads=threads)
+    assert calls == [(threading.get_ident(), omegas[k]) for k in (0, 4, 8)]
+    assert result.table[:, 0].tolist() == list(omegas)
+    assert [row.point["omega_drive"] for row in result.rows] == list(omegas)
+
+
+@pytest.mark.parametrize("engine", ["closed_form", "pseudomode"])
+def test_a_sweep_starts_no_thread(monkeypatch, engine):
+    # Three chunks at threads=8 give the table of threads=1 with no thread
+    # started.
+    _, spec = _four_per_chunk_spec(10)
+    spec = dataclasses.replace(spec, engine=engine)
+    serial = run_sweep(spec, threads=1).table
+
+    def no_thread(self):
+        raise AssertionError(f"a sweep started thread {self.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    assert np.array_equal(run_sweep(spec, threads=8).table, serial)
 
 
 # The call each engine makes once per chunk, which perfbench's tracer counts
@@ -423,78 +436,6 @@ def test_each_chunk_calls_its_engine_through_dynamics_once(monkeypatch, engine):
     run_sweep(dataclasses.replace(spec, engine=engine))
     expected = ENGINE_CALLS[engine][0]
     assert shapes == {call: [(4,), (2,)] if call == expected else [] for call in shapes}
-
-
-def test_a_free_worker_takes_the_next_chunk(monkeypatch):
-    # The worker holding the first of four chunks waits until the other
-    # three are done: with the chunks dealt out in two fixed runs, the
-    # first run would also hold the second chunk and the wait would time out.
-    rest_done = threading.Event()
-    done = []
-    real_fill = sweep._fill
-
-    def fill(spec, table, batch, index):
-        first = table[index.start, 0]
-        if first == 0.0:
-            assert rest_done.wait(timeout=30)
-        real_fill(spec, table, batch, index)
-        done.append(first)
-        if len(done) == 3:
-            rest_done.set()
-
-    monkeypatch.setattr(sweep, "_fill", fill)
-    omegas, spec = _four_per_chunk_spec(16)
-    rows_out = run_sweep(spec, threads=2).rows
-    assert [row.point["omega_drive"] for row in rows_out] == list(omegas)
-    assert done[-1] == 0.0
-
-
-def test_workers_pop_each_chunk_once_under_frequent_thread_switches(monkeypatch):
-    # More workers than cores and a 1 us switch interval: a chunk popped
-    # twice or lost shows as a repeated or missing start, or as a row whose
-    # peaks were never written.
-    calls = []
-
-    def fill(spec, table, batch, index):
-        calls.append(table[index.start, 0])
-        time.sleep(0)       # yields the interpreter lock, as the engines do
-        table[index, 1:] = table[index, :1]
-
-    monkeypatch.setattr(sweep, "_fill", fill)
-    omegas = tuple(float(k) for k in range(2000))
-    spec = SweepSpec(base=base_params(), axes=(("omega_drive", omegas),),
-                     grid=weak_grid(BUDGET))    # one point per chunk
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        result = run_sweep(spec, threads=min(64, 2 * (os.cpu_count() or 1) + 1))
-    finally:
-        sys.setswitchinterval(interval)
-    assert np.array_equal(result.table, np.repeat(np.array(omegas)[:, None], 7, axis=1))
-    assert sorted(calls) == list(omegas)
-
-
-def test_a_later_failure_on_another_worker_does_not_mask_an_earlier_one(monkeypatch):
-    # The third chunk fails first; the first chunk fails after it, on the
-    # other worker, and is still the failure reported.
-    later_failed = threading.Event()
-    real_fill = sweep._fill
-
-    def fill(spec, table, batch, index):
-        first = table[index.start, 0]
-        if first == 0.0:
-            assert later_failed.wait(timeout=30)
-            raise SweepPointError({"omega_drive": first}, RuntimeError("first chunk"))
-        if first == 0.8:
-            later_failed.set()
-            raise SweepPointError({"omega_drive": first}, RuntimeError("third chunk"))
-        return real_fill(spec, table, batch, index)
-
-    monkeypatch.setattr(sweep, "_fill", fill)
-    _, spec = _four_per_chunk_spec(10)
-    with pytest.raises(SweepPointError) as err:
-        run_sweep(spec, threads=2)
-    assert err.value.point == {"omega_drive": 0.0}
 
 
 def test_each_point_is_validated_once(monkeypatch, tmp_path):
@@ -588,10 +529,10 @@ def test_repeated_sweep_reuses_its_chunk_memory(threads):
     # since glibc's dynamic mmap threshold rises to a chunk's block size at
     # its first free; only the warm-up sweep faulted more (about 850 against
     # 410 faults at 1 thread).  So this test checks the reuse, and
-    # test_repeated_propagate_reuses_its_memory tells the policy apart.  The
-    # median leaves out the one repeat in which a new pool thread may start
-    # before the last one has handed back its glibc arena, and so gets a
-    # fresh arena (140 to 450 faults, once a process).
+    # test_repeated_propagate_reuses_its_memory tells the policy apart.  A
+    # sweep starts no thread at any `threads`, so every repeat runs in the
+    # calling thread's glibc arena; the median leaves out one outlying
+    # repeat.
     assert BUDGET // 2000 == 16
     faults = _repeat_faults(SWEEP_RUN, str(threads))
     assert sorted(faults)[2] < 64, faults
@@ -874,6 +815,25 @@ def test_csv_text_holds_its_text_twice_at_most():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * len(text)
+
+
+def test_write_sweep_csv_peaks_below_half_its_file(tmp_path):
+    # write_csv writes each block to the file as it is made: a peak of 0.135
+    # times the file's size on this table, where building the whole text
+    # first, as csv_text does, peaked at 2.00 times.
+    axis = tuple(np.linspace(0.0, 1.0, 256))
+    spec = SweepSpec(base=base_params(), grid=weak_grid(200),
+                     axes=(("omega_drive", axis), ("delta_L", axis)))
+    result = sweep.SweepResult(spec, np.random.default_rng(0).standard_normal((65536, 8)))
+    csv_text(["a"], result.table[:1024, :1])        # builds the formatter's tables
+    tracemalloc.start()
+    try:
+        path = write_sweep_csv(result, tmp_path / "sweep.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * path.stat().st_size
+    assert path.read_text() == sweep_csv_text(result)
 
 
 def test_csv_text_of_no_rows_is_the_header():
