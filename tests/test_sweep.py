@@ -415,6 +415,31 @@ def test_a_sweep_starts_no_thread(monkeypatch, engine):
     assert np.array_equal(run_sweep(spec, threads=8).table, serial)
 
 
+def test_workers_pop_each_chunk_once_under_frequent_thread_switches(monkeypatch):
+    # A thread count above the cores and a 1 us switch interval: a chunk run
+    # twice, out of order or not at all shows as a repeated, misplaced or
+    # missing start, or as a row whose peaks were never written.
+    calls = []
+
+    def fill(spec, table, batch, index):
+        calls.append(table[index.start, 0])
+        time.sleep(0)       # yields the interpreter lock, as the engines do
+        table[index, 1:] = table[index, :1]
+
+    monkeypatch.setattr(sweep, "_fill", fill)
+    omegas = tuple(float(k) for k in range(2000))
+    spec = SweepSpec(base=base_params(), axes=(("omega_drive", omegas),),
+                     grid=weak_grid(BUDGET))    # one point per chunk
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        result = run_sweep(spec, threads=min(64, 2 * (os.cpu_count() or 1) + 1))
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(result.table, np.repeat(np.array(omegas)[:, None], 7, axis=1))
+    assert calls == list(omegas)
+
+
 # The call each engine makes once per chunk, which perfbench's tracer counts
 # by rebinding the dynamics attribute of that name, and the field of its
 # first argument that has the chunk's points shape.
