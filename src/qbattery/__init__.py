@@ -6,7 +6,7 @@ from .model import DressedFrame, SystemParams, dressed_frame, validate
 from .dynamics import (AmplitudeTrajectory, IntegrationError, KernelParams,
                        TimeGrid, default_grid, equal_frequency_trajectory,
                        general_trajectory, kernel_params, survival_amplitude)
-from .oracle import DiscretizedBath, build_bath, propagate, window_fraction
+from .oracle import DiscretizedBath, build_bath, propagate
 from .metrics import (Extremum, MetricsSeries, battery_hamiltonian,
                       compute_metrics, ergotropy_closed, ergotropy_spectral,
                       maxima)
@@ -22,5 +22,5 @@ __all__ = [
     "equal_frequency_trajectory", "ergotropy_closed", "ergotropy_spectral",
     "figure_pipeline", "general_trajectory", "kernel_params", "maxima",
     "propagate", "run_sweep", "survival_amplitude", "validate",
-    "window_fraction", "write_sweep_csv", "__version__",
+    "write_sweep_csv", "__version__",
 ]

@@ -201,9 +201,9 @@ def _write_run_json(out: Path, command: str, config: RunConfig,
 def cmd_timeseries(config: RunConfig, out: Path) -> tuple[list[Path], int]:
     spec = config.spec()
     traj, series = evaluate(spec, prepare(spec, spec.base))
-    table = np.stack((traj.grid.samples, traj.c1.real, traj.c1.imag, traj.c2.real,
-                      traj.c2.imag, series.energy, series.power, series.ergotropy))
-    return [write_csv(out / "timeseries.csv", TIMESERIES_FIELDS, table.T)], 0
+    columns = (traj.grid.samples, traj.c1.real, traj.c1.imag, traj.c2.real,
+               traj.c2.imag, series.energy, series.power, series.ergotropy)
+    return [write_csv(out / "timeseries.csv", TIMESERIES_FIELDS, columns)], 0
 
 
 def cmd_maxima(config: RunConfig, out: Path) -> tuple[list[Path], int]:

@@ -41,8 +41,9 @@ from .model import DressedFrame, SystemParams, require, unbatched
 DEFAULT_N_POINTS = 2000
 
 # Largest grid a run may ask for: one (points x time) array of it is 16 MB,
-# and a single-point timeseries of it peaked at 160 MB RSS with the closed
-# form and 176 MB with the pseudomode, writing a 151 MiB CSV block by block.
+# and a single-point timeseries of it peaked at 96 MB RSS with the closed
+# form and 112 MB with the pseudomode, writing a 151 MiB CSV block by block
+# from its eight series.
 MAX_N_POINTS = 2 ** 20
 
 ENGINE_CLOSED = "closed_form"
@@ -51,7 +52,9 @@ ENGINE_ORACLE = "oracle"
 
 
 class IntegrationError(RuntimeError):
-    """A solve missed its tolerance, or amplitudes or metrics are not finite."""
+    """A numerical failure: amplitudes or metrics that are not finite or
+    exceed their physical bounds, or a bath eigenproblem the oracle cannot
+    solve."""
 
 
 # glibc's M_MMAP_THRESHOLD and M_TRIM_THRESHOLD, set at import: blocks below

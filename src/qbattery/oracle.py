@@ -89,11 +89,6 @@ class DiscretizedBath:
         return 2.0 * math.pi / self.spacing
 
 
-def window_fraction(span: float) -> float:
-    """Fraction of the Lorentzian weight inside +-span half-widths."""
-    return 2.0 / math.pi * math.atan(span)
-
-
 def build_bath(frame: DressedFrame, n_modes: int = DEFAULT_N_MODES,
                span: float = DEFAULT_SPAN) -> DiscretizedBath:
     """Midpoint-sample the Lorentzian J on [-span, +span] loss rates.
@@ -114,11 +109,6 @@ def build_bath(frame: DressedFrame, n_modes: int = DEFAULT_N_MODES,
             f"need n_modes >= {40.0 * span:g} for span {span:g}")
     detunings = -span + (np.arange(n_modes) + 0.5) * step
     shape = step / math.pi / (detunings * detunings + 1.0)
-    weight = float(np.sum(shape))
-    if abs(weight - window_fraction(span)) > 0.01:
-        raise ValueError(
-            f"discretized weight {weight:g} W^2 misses the truncated-window "
-            f"fraction {window_fraction(span):g} by more than 1%")
     couplings = frame.W * np.sqrt(shape)
     return DiscretizedBath(n_modes=n_modes, span=span,
                            mode_detunings=detunings, couplings=couplings)

@@ -51,12 +51,6 @@ FLOAT_FORMAT = "%.17g"
 # cells raised the peak by about 1.2 MB.
 CSV_BLOCK = 4096
 
-# Tables of fewer cells are formatted row by row, FLOAT_FORMAT per cell: the
-# numpy path costs about 0.07 ms per table, which such a row-by-row pass
-# takes for about 100 cells; measured, the two break even between 160 and
-# 250 cells.
-CSV_PER_ROW_BELOW = 256
-
 
 class SweepPointError(RuntimeError):
     """A failure at one sweep point, with the point attached."""
@@ -397,48 +391,47 @@ def _format_cells(x: np.ndarray, first_words: np.ndarray) -> bytes:
     return cells[np.take(keep, code, axis=0)].tobytes()
 
 
-def _csv_blocks(header, rows):
+def _csv_blocks(header, columns):
     """csv_text's bytes in pieces, each block made when it is read; the
-    width is checked at the call."""
-    table = np.asarray(rows, dtype=np.float64)
+    columns are checked at the call."""
+    columns = [np.asarray(column, dtype=np.float64) for column in columns]
+    shapes = [column.shape for column in columns]
     width = len(header)
-    if len(table) and (table.ndim != 2 or table.shape[1] != width):
-        raise ValueError(f"a table of shape {table.shape} has rows of another "
-                         f"width than its {width} header fields")
-    if table.size < CSV_PER_ROW_BELOW:
-        line = ",".join([FLOAT_FORMAT] * width)
-        lines = [line % tuple(row) for row in table.tolist()]
-        return [("\n".join([",".join(header)] + lines) + "\n").encode()]
+    if not width or len(columns) != width or len(set(shapes)) != 1 or len(shapes[0]) != 1:
+        raise ValueError(f"columns of shapes {shapes} for {width} header fields: "
+                         f"each field needs one 1-D column, all of one length")
     step = max(1, CSV_BLOCK // width)
     # Each cell's first word: ',' or, in the first column, '\n', then '-0.'.
     separators = np.full(width, ord(","), "<u4")
     separators[0] = ord("\n")
     first_words = np.tile(separators | _word(b"\0-0."), step)
-    blocks = (_format_cells(table[k:k + step].ravel(), first_words)
-              for k in range(0, len(table), step))
+    # A block's cells in row order, gathered from the columns' slices.
+    blocks = (_format_cells(np.stack([column[k:k + step] for column in columns],
+                                     axis=1).ravel(), first_words)
+              for k in range(0, len(columns[0]), step))
     return itertools.chain([",".join(header).encode()], blocks, [b"\n"])
 
 
-def csv_text(header, rows) -> str:
+def csv_text(header, columns) -> str:
     """A CSV file: the header, then one line per row of floats.
 
-    rows is a 2-D array of floats (or anything np.asarray turns into one)
-    with one column per header field; a row of another width raises
-    ValueError.  Every cell reads as FLOAT_FORMAT % cell.  A table of
-    CSV_PER_ROW_BELOW cells or more is formatted CSV_BLOCK cells at a time
-    by a certified fast path in numpy, with FLOAT_FORMAT % cell itself
-    wherever that path cannot vouch for its digits, and each block decoded
-    as it is made, so the text is held twice at most; a smaller one row by
-    row.  It uses no numpy-2-only API.
+    columns holds one 1-D array of floats (or anything np.asarray turns into
+    one) per header field, all of one length: row i is the i-th value of
+    each.  Any other count, length or shape, or an empty header, raises
+    ValueError.  Every cell reads as FLOAT_FORMAT % cell: the rows are
+    formatted CSV_BLOCK cells at a time by a certified fast path in numpy,
+    with FLOAT_FORMAT % cell itself wherever that path cannot vouch for its
+    digits, and each block decoded as it is made, so the text is held twice
+    at most.  It uses no numpy-2-only API.
     """
-    return "".join([block.decode() for block in _csv_blocks(header, rows)])
+    return "".join([block.decode() for block in _csv_blocks(header, columns)])
 
 
-def write_csv(path, header, rows) -> Path:
-    """Write csv_text(header, rows) to path block by block, checking the
-    table's width before the file is opened."""
+def write_csv(path, header, columns) -> Path:
+    """Write csv_text(header, columns) to path block by block, checking the
+    columns before the file is opened."""
     path = Path(path)
-    blocks = _csv_blocks(header, rows)
+    blocks = _csv_blocks(header, columns)
     with path.open("wb") as file:
         file.writelines(blocks)
     return path
@@ -456,11 +449,11 @@ def _sweep_header(result: SweepResult) -> list[str]:
 
 
 def sweep_csv_text(result: SweepResult) -> str:
-    return csv_text(_sweep_header(result), result.table)
+    return csv_text(_sweep_header(result), result.table.T)
 
 
 def write_sweep_csv(result: SweepResult, path) -> Path:
-    return write_csv(path, _sweep_header(result), result.table)
+    return write_csv(path, _sweep_header(result), result.table.T)
 
 
 # --- figure pipelines -------------------------------------------------------
@@ -547,9 +540,8 @@ def figure_pipeline(figure_id: str, out_dir,
     header = [first_header] + [f"{family_name}={value:g}" for value in family_values]
     written: list[Path] = []
     for panel, metric, _ in _PANELS:
-        table = np.column_stack((first_column, panels[metric].T))
         written.append(write_csv(out / f"{figure_id}{panel}_{metric}{suffix}.csv",
-                                 header, table))
+                                 header, (first_column, *panels[metric])))
 
     meta = {
         "artifact": "qbattery",

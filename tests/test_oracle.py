@@ -12,7 +12,7 @@ import qbattery
 from qbattery import oracle
 from qbattery import (IntegrationError, SystemParams, TimeGrid, build_bath,
                       default_grid, dressed_frame, equal_frequency_trajectory,
-                      general_trajectory, propagate, window_fraction)
+                      general_trajectory, propagate)
 
 
 def weak_frame(omega=1.0, R=1.0):
@@ -27,9 +27,8 @@ def test_bath_weight_matches_truncated_lorentzian():
     bath = build_bath(f)  # 4000 modes, span 50
     weight = float(np.sum(bath.couplings ** 2))
     assert 0.98 * f.W**2 <= weight <= 1.0 * f.W**2
-    target = f.W**2 * window_fraction(50.0)
+    target = f.W**2 * 2 / math.pi * math.atan(50.0)    # the weight inside +-50
     assert abs(weight - target) <= 1e-6 * f.W**2
-    assert window_fraction(50.0) == pytest.approx(2 / math.pi * math.atan(50.0))
 
 
 def test_bath_weight_riemann_convergence():

@@ -125,6 +125,15 @@ def test_delta_common_axis_conflicts_with_a_single_detuning_axis(axes):
         SweepSpec(base=base_params(), axes=axes, grid=weak_grid(10))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_axis_value_rejected(value):
+    # The CLI rejects non-finite values before it builds a spec; a library
+    # caller reaches this check.
+    with pytest.raises(ValueError, match="non-finite value on axis 'omega_drive'"):
+        SweepSpec(base=base_params(), axes=(("omega_drive", (0.5, value)),),
+                  grid=weak_grid(10))
+
+
 def test_unknown_axis_rejected():
     with pytest.raises(ValueError, match="unknown sweep axis"):
         SweepSpec(base=base_params(), axes=(("volume", (1.0,)),),
@@ -753,10 +762,11 @@ def test_a_slice_of_one_point_is_that_point(engine, monkeypatch):
     assert shapes == [((200,),) * 3]
 
 
-def _per_cell_csv(header, table) -> str:
-    """The CSV of a table with every cell formatted on its own."""
+def _per_cell_csv(header, columns) -> str:
+    """The CSV of columns with every cell formatted on its own."""
+    rows = zip(*[np.asarray(column).tolist() for column in columns])
     return "".join([",".join(header) + "\n"]
-                   + [",".join(FLOAT_FORMAT % x for x in row) + "\n" for row in table])
+                   + [",".join(FLOAT_FORMAT % x for x in row) + "\n" for row in rows])
 
 
 def _neighbours(x: float, count: int) -> list[float]:
@@ -794,10 +804,10 @@ def test_csv_rows_match_per_cell_format():
     assert all(len(d) == 18 and d[-1] == 5 for d in digits)
     values = specials + powers + switches + carries + ties
     values = np.array(values + [-x for x in values])
-    table = np.column_stack([values, values[::-1], values * 0.5])
-    assert table.size >= sweep.CSV_PER_ROW_BELOW
-    assert csv_text(["a", "b", "c"], table) == _per_cell_csv(["a", "b", "c"], table.tolist())
-    assert csv_text(["a", "b", "c"], table.tolist()) == csv_text(["a", "b", "c"], table)
+    columns = [values, values[::-1], values * 0.5]
+    text = csv_text(["a", "b", "c"], columns)
+    assert text == _per_cell_csv(["a", "b", "c"], columns)
+    assert csv_text(["a", "b", "c"], [column.tolist() for column in columns]) == text
 
 
 @settings(max_examples=200, deadline=None)
@@ -807,11 +817,10 @@ def test_csv_text_matches_per_cell_format_on_any_floats(values, width):
     values += [0.0] * (-len(values) % width)
     header = [f"c{k}" for k in range(width)]
     small = np.array(values).reshape(-1, width)
-    # The same values, repeated past CSV_PER_ROW_BELOW cells, take the
-    # numpy path.
-    large = np.resize(small, (-(-sweep.CSV_PER_ROW_BELOW // width), width))
+    # The same values, repeated past one block of CSV_BLOCK cells.
+    large = np.resize(small, (sweep.CSV_BLOCK // width + 1, width))
     for table in (small, large):
-        assert csv_text(header, table) == _per_cell_csv(header, table.tolist())
+        assert csv_text(header, table.T) == _per_cell_csv(header, table.T)
 
 
 def test_csv_text_of_tables_spanning_several_blocks():
@@ -823,7 +832,7 @@ def test_csv_text_of_tables_spanning_several_blocks():
         table[rng.random((rows, width)) < 0.1] = 0.0
         table[::97, -1] = np.round(table[::97, -1], 3)
         header = [f"c{k}" for k in range(width)]
-        assert csv_text(header, table) == _per_cell_csv(header, table.tolist())
+        assert csv_text(header, table.T) == _per_cell_csv(header, table.T)
 
 
 def test_csv_text_holds_its_text_twice_at_most():
@@ -832,10 +841,10 @@ def test_csv_text_holds_its_text_twice_at_most():
     # table.  Joined as bytes and then decoded, it was held three times.
     table = np.random.default_rng(0).standard_normal((65536, 8))
     header = [f"c{k}" for k in range(8)]
-    csv_text(header, table[:1024])      # builds the formatter's tables
+    csv_text(header, table[:1024].T)    # builds the formatter's tables
     tracemalloc.start()
     try:
-        text = csv_text(header, table)
+        text = csv_text(header, table.T)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -850,7 +859,7 @@ def test_write_sweep_csv_peaks_below_half_its_file(tmp_path):
     spec = SweepSpec(base=base_params(), grid=weak_grid(200),
                      axes=(("omega_drive", axis), ("delta_L", axis)))
     result = sweep.SweepResult(spec, np.random.default_rng(0).standard_normal((65536, 8)))
-    csv_text(["a"], result.table[:1024, :1])        # builds the formatter's tables
+    csv_text(["a"], [result.table[:1024, 0]])       # builds the formatter's tables
     tracemalloc.start()
     try:
         path = write_sweep_csv(result, tmp_path / "sweep.csv")
@@ -862,18 +871,22 @@ def test_write_sweep_csv_peaks_below_half_its_file(tmp_path):
 
 
 def test_csv_text_of_no_rows_is_the_header():
-    assert csv_text(["a", "b"], np.empty((0, 2))) == "a,b\n"
-    assert csv_text(["a", "b"], []) == "a,b\n"
+    assert csv_text(["a", "b"], np.empty((2, 0))) == "a,b\n"
+    assert csv_text(["a", "b"], [[], []]) == "a,b\n"
 
 
-@pytest.mark.parametrize("rows", [
-    [[1.0, 2.0], [3.0]],                    # ragged
-    [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],     # three columns under two fields
-    [1.0, 2.0, 3.0, 4.0],                   # one flat row, not two rows of two
-])
-def test_csv_text_rejects_rows_of_another_width(rows):
-    with pytest.raises(ValueError):
-        csv_text(["a", "b"], rows)
+@pytest.mark.parametrize("header, columns", [
+    (["a", "b"], [[1.0, 2.0], [3.0]]),
+    (["a", "b"], [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
+    (["a", "b"], [[1.0, 2.0], [[3.0], [4.0]]]),
+    ([], []),
+], ids=["unequal-lengths", "three-columns", "2-D-column", "no-header"])
+def test_csv_text_rejects_rows_of_another_width(header, columns, tmp_path):
+    with pytest.raises(ValueError, match="each field needs one 1-D column"):
+        csv_text(header, columns)
+    with pytest.raises(ValueError, match="each field needs one 1-D column"):
+        sweep.write_csv(tmp_path / "t.csv", header, columns)
+    assert not (tmp_path / "t.csv").exists()        # checked before the file opens
 
 
 # --- figure pipelines --------------------------------------------------------
