@@ -53,25 +53,22 @@ COMMANDS = (
        for flags in POINTS.values()]
     + [[command, "--engine", "pseudomode"] + flags
        for command in ("timeseries", "maxima") for flags in UNEQUAL.values()]
-    # Sweeps on both engines given --threads 2, which run.json records and
-    # which changes nothing else.
-    + [["sweep", "--threads", "2", "--engine", engine]
+    # Sweeps on both engines.
+    + [["sweep", "--engine", engine]
        + _set("axes", [["omega_drive", [0.0, 0.5, 1.0, 2.0]],
                        ["delta_common", [0.0, 3.0]], ["R", [0.5, 10.0]]])
        for engine in ("closed_form", "pseudomode")]
+    # A pseudomode sweep at unequal detunings, given --threads 2, which
+    # sweep accepts and ignores.
     + [["sweep", "--threads", "2", "--engine", "pseudomode"]
        + _set("axes", [["delta_A", [0.0, 1.5]], ["delta_B", [0.0, 4.0]],
                        ["omega_drive", [0.5, 1.0, 1.5]]])]
-    # 33 x 16 points at 16 points per chunk: 33 chunks, without and with
-    # --threads 3.
-    + [["sweep"] + threads
-       + _set("axes", [["omega_drive", OMEGAS], ["delta_L", [0.5 * k for k in range(16)]]])
-       for threads in ([], ["--threads", "3"])]
-    # 2 x 33 pseudomode points at unequal detunings in 5 chunks, without and
-    # with --threads 2.
-    + [["sweep", "--engine", "pseudomode"] + threads
-       + _set("axes", [["delta_B", [0.0, 2.0]], ["omega_drive", OMEGAS]])
-       for threads in ([], ["--threads", "2"])]
+    # 33 x 16 points at 16 points per chunk: 33 chunks.
+    + [["sweep"]
+       + _set("axes", [["omega_drive", OMEGAS], ["delta_L", [0.5 * k for k in range(16)]]])]
+    # 2 x 33 pseudomode points at unequal detunings in 5 chunks.
+    + [["sweep", "--engine", "pseudomode"]
+       + _set("axes", [["delta_B", [0.0, 2.0]], ["omega_drive", OMEGAS]])]
     + [["oracle-check"] + _set("n_modes", 400) + _set("span", 10.0),
        ["oracle-check"] + _set("n_modes", 400) + _set("span", 10.0)
        + _set("R", 10.0) + _set("delta_B", 4.0)]

@@ -2,9 +2,9 @@
 
 Subcommands: timeseries, maxima, sweep, reproduce, oracle-check.  A flat
 JSON config file supplies any parameter.  Its keys, then the --set KEY=VALUE
-pairs, then the flags --engine, --threads and --figure (each read exactly
-as --set KEY=VALUE) merge into one dict, a later value of a key
-replacing an earlier one, which config_from_dict parses once.  Every run
+pairs, then the flags --engine and --figure (each read exactly as
+--set KEY=VALUE) merge into one dict, a later value of a key replacing an
+earlier one, which config_from_dict parses once.  Every run
 writes a run.json with the fully resolved configuration (for reproduce, the
 keys it reads), enough to reproduce the outputs bit-exactly when fed back
 as a config file.
@@ -41,15 +41,9 @@ OUT_ROOT_ENV = "QBATTERY_OUT"
 ENGINE_ALIASES = {"closed": ENGINE_CLOSED, ENGINE_CLOSED: ENGINE_CLOSED,
                   ENGINE_PSEUDOMODE: ENGINE_PSEUDOMODE}
 
-# Largest accepted `threads`: the value is checked and recorded in run.json,
-# and a sweep runs on the calling thread whatever it is.
-MAX_THREADS = 64
-
 # The flags that set a config key, with their help; each flag is read
 # exactly as --set KEY=VALUE.
 FLAGS = {"engine": "trajectory engine: closed_form (alias closed) or pseudomode",
-         "threads": f"1 to {MAX_THREADS}; checked and recorded, but every sweep runs on "
-                    "the calling thread",
          "figure": "figure id, fig2 through fig11"}
 
 # The config keys reproduce reads; every figure fixes the rest itself.
@@ -70,7 +64,6 @@ class RunConfig(SystemParams):
     t_max: float | None = None
     n_points: int = DEFAULT_N_POINTS
     engine: str = ENGINE_CLOSED
-    threads: int = 1
     out_dir: str | None = None
     axes: tuple = ()
     figure: str | None = None
@@ -110,13 +103,6 @@ def _complex(value) -> complex:
     return complex(float(_number(re)), float(_number(im)))
 
 
-def _threads(value) -> int:
-    threads = _integer(value)
-    if not 1 <= threads <= MAX_THREADS:
-        raise ValueError(f"need 1 to {MAX_THREADS} threads")
-    return threads
-
-
 def _engine(value) -> str:
     if value not in ENGINE_ALIASES:
         raise ValueError(f"unknown engine; known: {', '.join(sorted(ENGINE_ALIASES))}")
@@ -136,7 +122,7 @@ def _axes(value) -> tuple:
 
 # Parser of each key's value; every other key holds a finite number.
 _PARSERS = {"c01": _complex, "c02": _complex, "axes": _axes,
-            "n_points": _integer, "threads": _threads, "n_modes": _integer,
+            "n_points": _integer, "n_modes": _integer,
             "engine": _engine, "out_dir": _string, "figure": _string}
 
 
@@ -301,6 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
         for key, about in FLAGS.items():
             if key != "figure" or name == "reproduce":
                 p.add_argument(f"--{key}", help=f"{about}; same as --set {key}=VALUE")
+        if name == "sweep":
+            # Read by nothing; kept only because the benchmark's
+            # sweep_pseudomode workload (perfbench/workloads.py) passes it.
+            p.add_argument("--threads", type=int, metavar="N",
+                           help="ignored: a sweep runs on the calling thread")
     return parser
 
 

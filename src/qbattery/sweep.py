@@ -204,8 +204,8 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     thread, each of which computes only its trajectories and metrics from
     its slice of those arrays and writes its peaks into its rows.  A failing
     chunk names its first failing point, and no later chunk starts.
-    `threads` has no effect (README, `--threads`).  An empty axis list gives
-    the base-parameter row.
+    `threads` has no effect.  An empty axis list gives the base-parameter
+    row.
     """
     names = [name for name, _ in spec.axes]
     values = [values for _, values in spec.axes]
@@ -334,11 +334,11 @@ def _tables():
     return _powers_of_ten(), group_word, group_zeros, dot_word, exp_word, _keep_masks()
 
 
-def _format_cells(x: np.ndarray, first_words: np.ndarray) -> bytes:
+def _format_cells(x: np.ndarray, width: int) -> bytes:
     """FLOAT_FORMAT % cell for each float64 in x, each after its separator.
 
-    first_words[i] is the template's first word for cell i: its separator
-    and '-0.'.
+    x holds whole rows of width cells; a row's first cell follows '\n', the
+    others ','.
     """
     ten, group_word, group_zeros, dot_word, exp_word, keep = _tables()
     zero = x == 0
@@ -378,7 +378,8 @@ def _format_cells(x: np.ndarray, first_words: np.ndarray) -> bytes:
 
     cells = np.empty((x.size, 48), np.uint8)
     words = cells.view("<u4")
-    words[:, 0] = first_words[:x.size]
+    words[:, 0] = _word(b",-0.")                         # separator, then '-0.'
+    words[::width, 0] = _word(b"\n-0.")
     words[:, 1:6] = group_words.T
     words[:, 6] = dot_word[groups[0]]
     words[:, 7:11] = group_words[1:].T
@@ -401,13 +402,9 @@ def _csv_blocks(header, columns):
         raise ValueError(f"columns of shapes {shapes} for {width} header fields: "
                          f"each field needs one 1-D column, all of one length")
     step = max(1, CSV_BLOCK // width)
-    # Each cell's first word: ',' or, in the first column, '\n', then '-0.'.
-    separators = np.full(width, ord(","), "<u4")
-    separators[0] = ord("\n")
-    first_words = np.tile(separators | _word(b"\0-0."), step)
     # A block's cells in row order, gathered from the columns' slices.
     blocks = (_format_cells(np.stack([column[k:k + step] for column in columns],
-                                     axis=1).ravel(), first_words)
+                                     axis=1).ravel(), width)
               for k in range(0, len(columns[0]), step))
     return itertools.chain([",".join(header).encode()], blocks, [b"\n"])
 
@@ -422,7 +419,7 @@ def csv_text(header, columns) -> str:
     formatted CSV_BLOCK cells at a time by a certified fast path in numpy,
     with FLOAT_FORMAT % cell itself wherever that path cannot vouch for its
     digits, and each block decoded as it is made, so the text is held twice
-    at most.  It uses no numpy-2-only API.
+    at most.
     """
     return "".join([block.decode() for block in _csv_blocks(header, columns)])
 

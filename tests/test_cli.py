@@ -40,7 +40,7 @@ def test_config_round_trip_is_lossless():
     config = RunConfig(delta_A=0.25, omega_drive=1.5,
                        c01=0.6 + 0.0j, c02=0.8j, t_max=7.5,
                        axes=(("omega_drive", (0.5, 1.0)),), engine="pseudomode",
-                       out_dir="/tmp/x", figure="fig3", threads=4)
+                       out_dir="/tmp/x", figure="fig3")
     once = config_from_dict(config_to_dict(config))
     assert once == config
     twice = config_from_dict(json.loads(json.dumps(config_to_dict(once))))
@@ -50,6 +50,10 @@ def test_config_round_trip_is_lossless():
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config key"):
         config_from_dict({"volume": 11})
+    # threads is retired: a config that records it, as run.json once did,
+    # is rejected, naming the key.
+    with pytest.raises(ValueError, match="unknown config key: 'threads'"):
+        config_from_dict({**config_to_dict(RunConfig()), "threads": 1})
 
 
 def test_run_json_with_a_lambda_key_exits_2(tmp_path, capsys):
@@ -159,11 +163,15 @@ def test_sweep_with_axes_and_threads(tmp_path):
         tmp_path, axes=[["omega_drive", [0.5, 1.0]], ["delta_L", [0.0, 2.0]]],
         n_points=300)
     out1 = tmp_path / "t1"
-    out8 = tmp_path / "t8"
     assert main(["sweep", "--config", config, "--out", str(out1)]) == 0
-    assert main(["sweep", "--config", config, "--out", str(out8),
-                 "--threads", "8"]) == 0
-    assert (out1 / "sweep.csv").read_bytes() == (out8 / "sweep.csv").read_bytes()
+    # sweep accepts --threads N and ignores it: the bytes of no flag, and no
+    # threads key in run.json.
+    for threads in ("8", "0"):
+        out = tmp_path / f"t{threads}"
+        assert main(["sweep", "--config", config, "--out", str(out),
+                     "--threads", threads]) == 0
+        assert (out / "sweep.csv").read_bytes() == (out1 / "sweep.csv").read_bytes()
+        assert "threads" not in json.loads((out / "run.json").read_text())["config"]
     header, data = load_csv(out1 / "sweep.csv")
     assert header[:2] == ["param_omega_drive", "param_delta_L"]
     assert data.shape == (4, 8)
@@ -272,11 +280,10 @@ def test_flags_override_config(tmp_path):
     config = write_config(tmp_path, engine="closed_form", n_points=200)
     out = tmp_path / "run"
     assert main(["timeseries", "--config", config, "--out", str(out),
-                 "--engine", "pseudomode", "--threads", "2",
-                 "--set", "omega_drive=0.5"]) == 0
+                 "--engine", "pseudomode", "--set", "omega_drive=0.5"]) == 0
     meta = json.loads((out / "run.json").read_text())
     assert meta["config"]["engine"] == "pseudomode"
-    assert meta["config"]["threads"] == 2
+    assert "threads" not in meta["config"]
     assert meta["config"]["omega_drive"] == 0.5
     assert meta["config"]["n_points"] == 200
 
@@ -395,14 +402,16 @@ def test_set_flag_rejects_malformed_pairs(tmp_path, capsys):
      "n_points <="),
     (["oracle-check", "--set", "n_modes=1000000000000000"], 2, "n_modes must be in"),
     (["oracle-check", "--set", "n_points=5000"], 2, "MAX_STATES"),
-    (["sweep", "--set", "threads=0"], 2, "'threads'"),
-    (["sweep", "--threads", "0"], 2, "'threads'"),
-    (["sweep", "--set", "threads=-3"], 2, "'threads'"),
-    (["sweep", "--threads", "2.5"], 2, "'threads'"),
+    # threads is no config key: --set threads=N is an unknown key on every
+    # command, even at its old default 1, and only sweep takes --threads.
+    (["sweep", "--set", "threads=2"], 2, "'threads'"),
+    (["sweep", "--threads", "2.5"], 2, "argument --threads: invalid int value"),
+    (["maxima", "--threads", "2"], 2, "unrecognized arguments: --threads 2"),
+    (["maxima", "--set", "threads=1"], 2, "'threads'"),
     (["maxima", "--tol", "abc"], 2, "arguments: --tol abc"),
     (["maxima", "--engine", "magic"], 2, "'engine'"),
-    (["sweep", "--set", "threads=65"], 2, "'threads'"),
-    (["sweep", "--threads", "1000000"], 2, "'threads'"),
+    (["reproduce", "--figure", "fig2", "--set", "threads=2"], 2, "'threads'"),
+    (["oracle-check", "--set", "threads=2"], 2, "'threads'"),
     (["reproduce", "--figure", "fig2", "--engine", "pseudomode", "--set", "R=10"], 2,
      "does not read 'R', 'engine'"),
     (["reproduce", "--figure", "fig2", "--config", ENGINE_CONFIG], 2,
@@ -538,7 +547,11 @@ def test_command_line_rejected_by_argparse_returns_2_and_help_returns_0(capsys):
     assert "required: command" in capsys.readouterr().err
     assert main(["--help"]) == 0
     assert main(["sweep", "--help"]) == 0
-    assert "--threads" in capsys.readouterr().out
+    help_text = capsys.readouterr().out
+    assert "--threads N" in help_text and "ignored" in help_text
+    for command in ("timeseries", "reproduce", "oracle-check"):
+        assert main([command, "--threads", "2"]) == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 def test_huge_window_runs_without_floating_point_warnings(tmp_path):

@@ -6,13 +6,14 @@ qbattery.cli.main over all five commands with numbers from 0 and
 floating-point RuntimeWarning is raised, and on exit 0 every number in every
 CSV and JSON output is finite.  A second property test holds the same
 command lines to that contract with wrongly typed input added: c01/c02 as
-numbers, pairs of any length, strings and bools, threads from 0 to 65, and
-config files whose JSON has the wrong type.  Grids stay at 64 samples and
-the oracle on a 400-mode bath, so one example takes milliseconds; a sweep
-then has one chunk.  The second test also draws sweeps of 2 or 3 points of
-at least BUDGET samples on either engine, so each point is its own chunk,
-at a thread count of 1 to 4, sweep axes whose product exceeds MAX_SWEEP_POINTS, which must exit 2 without
-expanding their points, and oracle-check on a drawn bath: n_modes and span
+numbers, pairs of any length, strings and bools, the retired threads
+setting with any integer, and config files whose JSON has the wrong type.
+Grids stay at 64 samples and the oracle on a 400-mode bath, so one example
+takes milliseconds; a sweep then has one chunk.  The second test also draws
+sweeps of 2 or 3 points of at least BUDGET samples on either engine, so each
+point is its own chunk, given an ignored --threads of 1 to 4; sweep axes
+whose product exceeds MAX_SWEEP_POINTS, which must exit 2 without expanding
+their points; and oracle-check on a drawn bath: n_modes and span
 inside their bounds, with at most 2000 modes, or outside them.
 """
 
@@ -42,8 +43,9 @@ numbers = st.one_of(st.just(0.0), magnitudes, magnitudes.map(lambda v: -v))
 # An amplitude as a number, an [re, im] pair of any length, a string or a bool.
 amplitudes = st.one_of(numbers, st.lists(numbers, max_size=3), st.text(max_size=3),
                        st.booleans())
-# Sweep workers: the bounds 0 and 65 just outside 1 ... 64, and every count inside.
-thread_counts = st.one_of(st.sampled_from([0, 65]), st.integers(1, 64))
+# The retired threads setting: sweep ignores --threads N, every other
+# command rejects the flag, and --set threads=N is an unknown key.
+thread_counts = st.integers()
 # A config file holding JSON of the wrong type: no object at all, or a known
 # key holding null, a bool, a string, a list or an object.
 wrong_values = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
@@ -95,7 +97,7 @@ def wrongly_typed_command_lines(draw):
 @st.composite
 def multi_chunk_sweeps(draw):
     """A sweep of 2 or 3 points of at least BUDGET samples, so each point is
-    its own chunk, at 1 to 4 threads and either engine."""
+    its own chunk, on either engine, given an ignored --threads."""
     axis = [draw(st.sampled_from(AXIS_NAMES)),
             draw(st.lists(numbers, min_size=2, max_size=3))]
     argv = ["sweep", "--set", f"n_points={draw(st.integers(BUDGET, 2 * BUDGET))}",

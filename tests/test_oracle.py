@@ -149,6 +149,19 @@ def test_propagation_stops_at_its_evaluation_budget(monkeypatch):
         propagate(p, f, bath, TimeGrid.uniform(5.0, 100))
 
 
+@pytest.mark.parametrize("R", [1e160, 1e200, 1e300])
+def test_propagation_stops_at_non_finite_bath_eigenpairs(R):
+    # At a huge coupling the secular roots overflow.  oracle-check cannot
+    # get here (its engines exit 3 first), so propagate is called directly;
+    # any warning on the way fails the test.
+    p = SystemParams(R=R)
+    f = dressed_frame(p)
+    bath = build_bath(f, n_modes=400, span=10.0)
+    with pytest.raises(IntegrationError,
+                       match=r"bath eigenpairs are not finite \(n_modes=400\)"):
+        propagate(p, f, bath, TimeGrid.uniform(1.0, 50))
+
+
 def eigh_amplitudes(p, f, bath, grid):
     """Qubit amplitudes from the dense eigendecomposition of H."""
     rates = np.array([f.chi_A, f.chi_B]) + f.delta_L
