@@ -151,7 +151,7 @@ def test_propagation_stops_at_its_evaluation_budget(monkeypatch):
 
 @pytest.mark.parametrize("R", [1e160, 1e200, 1e300])
 def test_propagation_stops_at_non_finite_bath_eigenpairs(R):
-    # At a huge coupling the secular roots overflow.  oracle-check cannot
+    # At a huge coupling the bath's eigenpairs overflow.  oracle-check cannot
     # get here (its engines exit 3 first), so propagate is called directly;
     # any warning on the way fails the test.
     p = SystemParams(R=R)
