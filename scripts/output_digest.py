@@ -63,10 +63,10 @@ COMMANDS = (
     + [["sweep", "--threads", "2", "--engine", "pseudomode"]
        + _set("axes", [["delta_A", [0.0, 1.5]], ["delta_B", [0.0, 4.0]],
                        ["omega_drive", [0.5, 1.0, 1.5]]])]
-    # 33 x 16 points at 16 points per chunk: 33 chunks.
+    # 33 x 16 points at 32 points per chunk: 17 chunks.
     + [["sweep"]
        + _set("axes", [["omega_drive", OMEGAS], ["delta_L", [0.5 * k for k in range(16)]]])]
-    # 2 x 33 pseudomode points at unequal detunings in 5 chunks.
+    # 2 x 33 pseudomode points at unequal detunings in 3 chunks.
     + [["sweep", "--engine", "pseudomode"]
        + _set("axes", [["delta_B", [0.0, 2.0]], ["omega_drive", OMEGAS]])]
     + [["oracle-check"] + _set("n_modes", 400) + _set("span", 10.0),

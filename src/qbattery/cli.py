@@ -186,7 +186,7 @@ def _write_run_json(out: Path, command: str, config: RunConfig,
 
 def cmd_timeseries(config: RunConfig, out: Path) -> tuple[list[Path], int]:
     spec = config.spec()
-    traj, series = evaluate(spec, prepare(spec, spec.base))
+    traj, series = evaluate(spec, prepare(spec, spec.base), amplitudes=True)
     columns = (traj.grid.samples, traj.c1.real, traj.c1.imag, traj.c2.real,
                traj.c2.imag, series.energy, series.power, series.ergotropy)
     return [write_csv(out / "timeseries.csv", TIMESERIES_FIELDS, columns)], 0
@@ -218,7 +218,8 @@ def cmd_oracle_check(config: RunConfig, out: Path) -> tuple[list[Path], int]:
     # reported by the engine before the bath is built.
     frame = dressed_frame(params)
     specs = [replace(spec, engine=name) for name in names]
-    engines = {s.engine: evaluate(s, prepare(s, params, frame))[0] for s in specs}
+    engines = {s.engine: evaluate(s, prepare(s, params, frame), amplitudes=True)[0]
+               for s in specs}
     bath = build_bath(frame, n_modes=config.n_modes, span=config.span)
     reference = propagate(params, frame, bath, spec.grid)
     gaps = {name: float(max(np.max(np.abs(traj.c1 - reference.c1)),

@@ -114,13 +114,14 @@ def default_grid(params: SystemParams, n_points: int = DEFAULT_N_POINTS) -> Time
 class AmplitudeTrajectory:
     """Charger (c1) and battery (c2) amplitudes sampled on a grid.
 
-    A batch of points holds (points, time) arrays.  total_norm is filled
-    only by the bath-discretization engine, where the evolution is unitary
-    over qubits plus modes.
+    A batch of points holds (points, time) arrays.  c1 is None where only
+    the battery's amplitude was formed.  total_norm is filled only by the
+    bath-discretization engine, where the evolution is unitary over qubits
+    plus modes.
     """
 
     grid: TimeGrid
-    c1: np.ndarray
+    c1: np.ndarray | None
     c2: np.ndarray
     engine_tag: str
     total_norm: np.ndarray | None = None
@@ -129,7 +130,7 @@ class AmplitudeTrajectory:
         # The summed amplitudes are non-finite if any amplitude is.  A plain
         # sum, not a BLAS dot product: on (points x time) batches BLAS would
         # hand the reduction to its threads, whose wake-up costs milliseconds.
-        if not cmath.isfinite(np.sum(self.c1) + np.sum(self.c2)):
+        if not cmath.isfinite(np.sum(self.c2) + (0 if self.c1 is None else np.sum(self.c1))):
             raise IntegrationError(f"{self.engine_tag} engine gave non-finite amplitudes")
 
     def qubit_norm(self) -> np.ndarray:
@@ -377,18 +378,23 @@ def closed_form(params, frame) -> ClosedForm:
                                                     r2 * beta_plus, -(r1 * beta_minus))))
 
 
-def closed_form_trajectory(closed: ClosedForm, grid: TimeGrid) -> AmplitudeTrajectory:
+def closed_form_trajectory(closed: ClosedForm, grid: TimeGrid,
+                           with_c1: bool = True) -> AmplitudeTrajectory:
     """Closed-form amplitudes, shaped M.shape + (time,), from the constants.
 
     Z and the second exponential of survival_amplitude share one block,
-    whose halves then hold C1 (in place of Z) and C2.
+    c2.base, whose second half then holds C2 and, with_c1, whose first
+    holds C1 in place of Z.  Without it c1 is None and the first half is
+    free; C2 is non-finite exactly where Z is, as a2 and b2 are finite.
     """
     block = np.empty((2,) + closed.M.shape + (grid.n_points,), dtype=complex)
     Z = survival_amplitude(closed, grid, out=block)
     c2 = np.multiply(Z, closed.a2[..., None], out=block[1])
     c2 += closed.b2[..., None]
-    c1 = np.multiply(Z, closed.a1[..., None], out=Z)
-    c1 += closed.b1[..., None]
+    c1 = None
+    if with_c1:
+        c1 = np.multiply(Z, closed.a1[..., None], out=Z)
+        c1 += closed.b1[..., None]
     return AmplitudeTrajectory(grid, c1, c2, ENGINE_CLOSED)
 
 

@@ -133,22 +133,29 @@ def maxima(grid: TimeGrid, series: np.ndarray) -> tuple[Extremum, Extremum, Extr
     return tuple(map(Extremum, peak.value, peak.time))
 
 
-def compute_metrics(traj: AmplitudeTrajectory, chi_B,
-                    with_maxima: bool = True) -> MetricsSeries:
+def compute_metrics(traj: AmplitudeTrajectory, chi_B, with_maxima: bool = True,
+                    out: np.ndarray | None = None) -> MetricsSeries:
     """Energy, power and ergotropy of one trajectory or a batch of them.
 
     E_B = |C2|^2 chi_B, P_B(t) = E_B(t)/t with P_B(0) = 0, and
     W_B = max(2|C2|^2 - 1, 0) chi_B, which is
     (2|C2|^2 - 1) theta(|C2|^2 - 1/2) chi_B: the prefactor vanishes at the
     threshold, so the series is continuous there.  The three series are the
-    rows of one (3,) + c2.shape array.  IntegrationError if |C2|^2 exceeds
-    1 by more than POPULATION_SLACK (checked first) or the power overflows.
+    rows of one (3,) + c2.shape array, made in the memory of out if given:
+    a C-contiguous complex block whose second half may be traj.c2, as
+    closed_form_trajectory leaves it without C1.  The energy and power rows
+    then fill the first half, and the ergotropy row overwrites the start of
+    C2 after C2's last read, so traj.c2 is spent.  IntegrationError if
+    |C2|^2 exceeds 1 by more than POPULATION_SLACK (checked first) or the
+    power overflows.
     """
     chi_B = np.asarray(chi_B, dtype=float)
     if not np.all(np.isfinite(chi_B) & (chi_B >= 0.0)):
         raise ValueError(f"chi_B must be finite and non-negative: {chi_B}")
     t = traj.grid.samples
-    series = np.empty((3,) + traj.c2.shape)
+    shape = (3,) + traj.c2.shape
+    series = (np.empty(shape) if out is None
+              else out.reshape(-1).view(float)[:3 * traj.c2.size].reshape(shape))
     energy, power, ergotropy = series
     # A diverged |C2| may pass 1e154, and its square overflow to inf.
     with np.errstate(over="ignore"):
@@ -158,6 +165,7 @@ def compute_metrics(traj: AmplitudeTrajectory, chi_B,
         if population > 1.0 + POPULATION_SLACK:
             raise IntegrationError("battery population |C2|^2 exceeds 1: max |C2| = "
                                    f"{np.max(np.abs(traj.c2)):.17g}")
+    # C2 is not read again: the ergotropy row may lie over it.
     np.multiply(energy, 2.0, out=ergotropy)
     ergotropy -= 1.0
     np.maximum(ergotropy, 0.0, out=ergotropy)

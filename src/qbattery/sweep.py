@@ -3,11 +3,13 @@
 A sweep is one table, a row per point in lexicographic axis order.  Its
 rows are evaluated in chunks of at most BUDGET time samples, in row order
 on the calling thread, each chunk as one (points x time) batch that writes
-its peaks into its rows.  A chunk's arrays are freed when it ends, and the
-next chunk reuses their memory (the allocator policy of dynamics halves the
-page faults of a process's first sweep only).  The chunk boundaries depend
-only on the grid, and CSV payloads are byte-reproducible
-(17-significant-digit floats, no timestamps).
+its peaks into its rows.  A closed-form chunk forms only the battery's
+amplitude C2 and writes its metric rows into C2's own block.  A chunk's
+arrays are freed when it ends, and the next chunk reuses their memory (the
+allocator policy of dynamics halves the page faults of a process's first
+sweep only).  The chunk boundaries depend only on the grid, and CSV
+payloads are byte-reproducible (17-significant-digit floats, no
+timestamps).
 """
 
 from __future__ import annotations
@@ -31,15 +33,18 @@ AXIS_NAMES = ("omega_drive", "delta_A", "delta_B", "delta_common", "delta_L", "R
 
 MAXIMA_FIELDS = ("E_max", "t_E", "P_max", "t_P", "W_max", "t_W")
 
-# Time samples per chunk: keeps each (points x time) temporary near 0.5 MB.
-BUDGET = 2 ** 15
+# Time samples per chunk.  A closed-form chunk holds one complex (2, points,
+# time) block, 32 B a sample (38 at its tracemalloc peak): 32 points at 2000
+# samples hold 2.0 MB.  A pseudomode chunk, its (3, points, time) state and
+# the metric rows, peaks near 75 B a sample.
+BUDGET = 2 ** 16
 
 # Largest Cartesian product of sweep axes: a sweep holds its table and,
 # while it runs, the (points,) arrays built once per sweep; its CSV is
-# written a block at a time.  A 65536-point, two-axis closed-form sweep
-# peaked near 370 B a point in tracemalloc and held 64 when done, and
-# writing its CSV (92 B a point) added 1.4 MB: one at the cap peaks near
-# 0.39 GB.
+# written a block at a time.  A 65536-point, two-axis closed-form sweep on
+# 200 samples peaked near 370 B a point in tracemalloc (its chunk's block
+# is 2.1 MB of that) and held 64 when done, and writing its CSV (92 B a
+# point) added 1.6 MB: one at the cap peaks near 0.39 GB.
 MAX_SWEEP_POINTS = 2 ** 20
 
 # The CSV float format: 17 significant digits, so values round-trip.
@@ -152,21 +157,26 @@ def prepare(spec: SweepSpec, params: SystemParams,
     return Batch(params, frame, closed)
 
 
-def evaluate(spec: SweepSpec, batch: Batch) -> tuple[AmplitudeTrajectory, MetricsSeries]:
+def evaluate(spec: SweepSpec, batch: Batch,
+             amplitudes: bool = False) -> tuple[AmplitudeTrajectory | None, MetricsSeries]:
     """Trajectories and metrics of a prepared batch of points, as (points x
     time) arrays, or (time,) arrays where every parameter is a number.
 
     The base and axes of spec are not used.  This is the one path from
     parameters through the engines to the metrics, with their peaks, that
     sweeps, figures and single runs share; it alone picks a batch's engine.
+    Without amplitudes the trajectory is None, and the closed form forms
+    only C2 and writes the metric rows into its own block: 32 B a sample.
     """
     if batch.closed is not None:
-        traj = closed_form_trajectory(batch.closed, spec.grid)
+        traj = closed_form_trajectory(batch.closed, spec.grid, with_c1=amplitudes)
     else:
         # Looked up on dynamics, so that a rebinding there (perfbench's
         # tracer, a test's call count) sees every chunk's call.
         traj = dynamics.general_trajectory(batch.params, batch.frame, spec.grid)
-    return traj, compute_metrics(traj, batch.frame.chi_B)
+    block = traj.c2.base if traj.c1 is None else None
+    return (traj if amplitudes else None), compute_metrics(traj, batch.frame.chi_B,
+                                                           out=block)
 
 
 def _point(spec: SweepSpec, table: np.ndarray, row: int) -> dict[str, float]:

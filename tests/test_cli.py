@@ -343,16 +343,19 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
 def test_over_unit_battery_population_exits_3(tmp_path, monkeypatch, capsys):
     real = sweep.closed_form_trajectory
 
-    def over_unit(closed, grid):
-        traj = real(closed, grid)
-        return AmplitudeTrajectory(grid=grid, c1=traj.c1, engine_tag=traj.engine_tag,
-                                   c2=np.full_like(traj.c2, np.sqrt(1.0 + 1e-6)))
+    def over_unit(closed, grid, with_c1=True):
+        # Written into C2's own memory: maxima's chunk, which forms no C1,
+        # writes its metric rows into C2's block, and its message reads C2.
+        traj = real(closed, grid, with_c1)
+        traj.c2[...] = np.sqrt(1.0 + 1e-6)
+        return traj
 
     monkeypatch.setattr(sweep, "closed_form_trajectory", over_unit)
     for command in ("timeseries", "maxima"):
         assert main([command, "--out", str(tmp_path / command)]) == 3
         err = capsys.readouterr().err
         assert "numerical failure" in err and "exceeds 1" in err
+        assert f"max |C2| = {np.sqrt(1.0 + 1e-6):.17g}" in err
     assert not list(tmp_path.rglob("*.csv"))
 
 

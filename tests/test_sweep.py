@@ -263,18 +263,32 @@ def _reference_row(params, grid, engine):
 
 
 @pytest.mark.parametrize("engine, axes", [
-    ("closed_form", (("omega_drive", (0.0, 0.4, 0.9, 1.3, 2.0)),
+    ("closed_form", (("omega_drive", (0.0, 0.2, 0.4, 0.6, 0.9, 1.1, 1.3, 1.6, 2.0, 2.5)),
                      ("delta_common", (0.0, 2.5)), ("delta_L", (0.0, 3.0)),
                      ("R", (0.5, 10.0)))),
     ("pseudomode", (("delta_A", (0.0, 1.5)), ("delta_B", (0.0, 3.0)),
-                    ("omega_drive", (0.0, 0.7, 1.4, 2.0, 3.0)), ("R", (0.5, 10.0)))),
+                    ("omega_drive", (0.0, 0.35, 0.7, 1.05, 1.4, 1.7, 2.0, 2.5, 3.0, 3.5)),
+                    ("R", (0.5, 10.0)))),
 ])
 @pytest.mark.parametrize("base_R", [0.5, 10.0])
 def test_multi_chunk_sweep_matches_loop_reference(engine, axes, base_R):
     base = base_params(R=base_R)
     grid = default_grid(base)
-    result = run_sweep(SweepSpec(base=base, axes=axes, grid=grid, engine=engine))
-    assert len(result.rows) == 40 > 2 * (BUDGET // grid.n_points)
+    spec = SweepSpec(base=base, axes=axes, grid=grid, engine=engine)
+    result = run_sweep(spec)
+    assert len(result.rows) == 80 > 2 * (BUDGET // grid.n_points)
+    # The chunks take the metric rows alone; the amplitude path, which
+    # forms C1 too and gets fresh metric rows, gives every row's bits.  The
+    # closed form's rows include Omega = Delta = delta_L = 0 at R = 0.5,
+    # the critically damped point, on survival_amplitude's series branch.
+    names = [name for name, _ in axes]
+    points = apply_point(base, dict(zip(names, result.table[:, :len(names)].T)))
+    _, series = evaluate(spec, prepare(spec, points), amplitudes=True)
+    peaks = np.column_stack([*series.max_energy, *series.max_power, *series.max_ergotropy])
+    assert peaks.tobytes() == result.table[:, len(names):].tobytes()
+    if engine == "closed_form":
+        assert {"omega_drive": 0.0, "delta_common": 0.0, "delta_L": 0.0,
+                "R": 0.5} in [row.point for row in result.rows]
     for row in result.rows:
         expected, chi_B = _reference_row(apply_point(base, row.point), grid, engine)
         got = [getattr(row, name) for name in
@@ -287,7 +301,7 @@ def test_multi_chunk_sweep_matches_loop_reference(engine, axes, base_R):
 
 @pytest.mark.parametrize("engine", ["closed_form", "pseudomode"])
 def test_rows_do_not_depend_on_chunk_position(engine):
-    axes = (("omega_drive", tuple(np.linspace(0.0, 2.0, 9))), ("delta_L", (0.0, 4.0)),
+    axes = (("omega_drive", tuple(np.linspace(0.0, 2.0, 17))), ("delta_L", (0.0, 4.0)),
             ("R", (0.5, 10.0)))
     grid = weak_grid(1025)   # 2^10 + 1 samples: the last doubling block is one sample
     result = run_sweep(SweepSpec(base=base_params(), axes=axes, grid=grid, engine=engine))
@@ -298,24 +312,29 @@ def test_rows_do_not_depend_on_chunk_position(engine):
         assert single.rows == (row,)
 
 
+def _three_chunk_omegas():
+    """Drive strengths of a sweep on 2000 samples that runs in three chunks,
+    the third of 8 points, and the index of that chunk's second point."""
+    size = BUDGET // 2000
+    return [0.05 * k for k in range(2 * size + 8)], 2 * size + 1
+
+
 def test_failure_in_a_later_chunk_names_the_first_failing_point():
-    # Point 33 overflows in the engine, point 35 fails validation; both lie
-    # in the third chunk of 16 points.
-    omegas = [0.05 * k for k in range(40)]
-    omegas[33], omegas[35] = 5e307, -1.0
+    # One point overflows in the engine, the point two rows after it fails
+    # validation; both lie in the third chunk.
+    omegas, k = _three_chunk_omegas()
+    omegas[k], omegas[k + 2] = 5e307, -1.0
     spec = SweepSpec(base=base_params(), axes=(("omega_drive", tuple(omegas)),),
                      grid=weak_grid(2000))
-    assert BUDGET // spec.grid.n_points == 16
-    for threads in (1, 3):
-        with pytest.raises(SweepPointError) as err:
-            run_sweep(spec, threads=threads)
-        assert err.value.point == {"omega_drive": 5e307}
-        assert isinstance(err.value.cause, IntegrationError)
+    with pytest.raises(SweepPointError) as err:
+        run_sweep(spec)
+    assert err.value.point == {"omega_drive": 5e307}
+    assert isinstance(err.value.cause, IntegrationError)
 
 
 def test_engine_failure_after_sweep_wide_validation_names_the_point(monkeypatch):
-    # All 40 points validate together, so the chunks take slices of one
-    # frame; point 33 then overflows in the engine, in the third chunk,
+    # All points validate together, so the chunks take slices of one
+    # frame; one point then overflows in the engine, in the third chunk,
     # whose halves are evaluated again from slices of that frame, with no
     # point validated a second time.
     calls = []
@@ -326,8 +345,8 @@ def test_engine_failure_after_sweep_wide_validation_names_the_point(monkeypatch)
         return real_validate(params)
 
     monkeypatch.setattr(model, "validate", counting)
-    omegas = [0.05 * k for k in range(40)]
-    omegas[33] = 5e307
+    omegas, k = _three_chunk_omegas()
+    omegas[k] = 5e307
     spec = SweepSpec(base=base_params(), axes=(("omega_drive", tuple(omegas)),),
                      grid=weak_grid(2000))
     with pytest.raises(SweepPointError) as err:
@@ -339,9 +358,9 @@ def test_engine_failure_after_sweep_wide_validation_names_the_point(monkeypatch)
 
 
 def test_a_failing_chunk_is_searched_by_halving(monkeypatch):
-    # One chunk of 1024 points whose last overflows in the engine: halving
-    # finds it in at most 2 ceil(log2 1024) + 1 evaluations, where a retry
-    # point by point made 1025.
+    # One chunk of BUDGET // 32 points (2048) whose last overflows in the
+    # engine: halving finds it in at most 2 log2(2048) + 1 evaluations,
+    # where a retry point by point made 2049.
     calls = []
     real_evaluate = sweep.evaluate
 
@@ -350,21 +369,20 @@ def test_a_failing_chunk_is_searched_by_halving(monkeypatch):
         return real_evaluate(spec, batch)
 
     monkeypatch.setattr(sweep, "evaluate", counting)
-    omegas = [0.05 * k for k in range(1024)]
+    count = BUDGET // 32                           # one chunk
+    omegas = [0.05 * k for k in range(count)]
     omegas[-1] = 5e307
     spec = SweepSpec(base=base_params(), axes=(("omega_drive", tuple(omegas)),),
                      grid=weak_grid(32))
-    assert BUDGET // spec.grid.n_points == 1024    # one chunk
     with pytest.raises(SweepPointError) as err:
         run_sweep(spec)
     assert err.value.point == {"omega_drive": 5e307}
     assert isinstance(err.value.cause, IntegrationError)
-    assert calls[0] == 1024 and calls[-1] == 1
-    assert len(calls) <= 2 * 10 + 1
+    assert calls[0] == count and calls[-1] == 1
+    assert len(calls) <= 2 * (count.bit_length() - 1) + 1
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_preparation_failure_names_the_first_failing_row_over_all_checks(threads):
+def test_preparation_failure_names_the_first_failing_row_over_all_checks():
     # r1 = 2 fails the sweep-wide preparation first, at row 6 of twelve;
     # preparing rows 0 to 5 then fails on omega_drive = -1 at row 4, which
     # fails no earlier check.  Rows 0 to 3 run in two 2-point chunks, and
@@ -373,7 +391,7 @@ def test_preparation_failure_names_the_first_failing_row_over_all_checks(threads
                      axes=(("r1", (0.5, 2.0)),
                            ("omega_drive", (0.5, 1.0, 1.5, 2.0, -1.0, 3.0))))
     with pytest.raises(SweepPointError) as err:
-        run_sweep(spec, threads=threads)
+        run_sweep(spec)
     point = {"r1": 0.5, "omega_drive": -1.0}
     with pytest.raises(SweepPointError) as single:
         run_sweep(SweepSpec(base=base_params(), grid=spec.grid,
@@ -390,10 +408,9 @@ def _four_per_chunk_spec(n):
                              grid=weak_grid(BUDGET // 4))
 
 
-@pytest.mark.parametrize("threads", [1, 2, 3, 8])
-def test_sweep_workers_evaluate_each_chunk_once(monkeypatch, threads):
-    # Whatever the thread count, every chunk runs once, in row order, on the
-    # calling thread, and every row of the table holds its own point.
+def test_sweep_workers_evaluate_each_chunk_once(monkeypatch):
+    # Every chunk runs once, in row order, on the calling thread, and every
+    # row of the table holds its own point.
     calls = []
     real_fill = sweep._fill
 
@@ -403,7 +420,7 @@ def test_sweep_workers_evaluate_each_chunk_once(monkeypatch, threads):
 
     monkeypatch.setattr(sweep, "_fill", recording)
     omegas, spec = _four_per_chunk_spec(10)   # chunks of 4, 4 and 2 points
-    result = run_sweep(spec, threads=threads)
+    result = run_sweep(spec)
     assert calls == [(threading.get_ident(), omegas[k]) for k in (0, 4, 8)]
     assert result.table[:, 0].tolist() == list(omegas)
     assert [row.point["omega_drive"] for row in result.rows] == list(omegas)
@@ -424,7 +441,7 @@ def test_a_sweep_starts_no_thread(monkeypatch, engine):
     assert np.array_equal(run_sweep(spec, threads=8).table, serial)
 
 
-def test_workers_pop_each_chunk_once_under_frequent_thread_switches(monkeypatch):
+def test_each_chunk_runs_once_in_row_order_under_frequent_thread_switches(monkeypatch):
     # A thread count above the cores and a 1 us switch interval: a chunk run
     # twice, out of order or not at all shows as a repeated, misplaced or
     # missing start, or as a row whose peaks were never written.
@@ -484,11 +501,10 @@ def test_each_point_is_validated_once(monkeypatch, tmp_path):
         return real_validate(params)
 
     monkeypatch.setattr(model, "validate", counting)
-    omegas = tuple(0.05 * k for k in range(40))
-    spec = SweepSpec(base=base_params(), axes=(("omega_drive", omegas),),
+    omegas, _ = _three_chunk_omegas()
+    spec = SweepSpec(base=base_params(), axes=(("omega_drive", tuple(omegas)),),
                      grid=weak_grid(2000))
-    assert BUDGET // spec.grid.n_points == 16    # three chunks
-    assert len(run_sweep(spec).rows) == 40
+    assert len(run_sweep(spec).rows) == len(omegas)
     assert len(calls) == 1
     assert np.concatenate([p.omega_drive for p in calls]).tolist() == list(omegas)
 
@@ -514,16 +530,17 @@ for _ in range(5):
 print(json.dumps(faults))
 """
 
-# A 32-chunk sweep, on as many threads as the probe's argument.
+# A 32-chunk sweep on 2000 samples.
 SWEEP_RUN = """
 from qbattery import SweepSpec, SystemParams, TimeGrid, run_sweep
+from qbattery.sweep import BUDGET
 
-omegas = tuple(0.01 * k for k in range(32 * 16))
+omegas = tuple(0.01 * k for k in range(32 * (BUDGET // 2000)))
 spec = SweepSpec(base=SystemParams(), axes=(("omega_drive", omegas),),
                  grid=TimeGrid.uniform(10.0, 2000))
 
 def run():
-    run_sweep(spec, threads=int(sys.argv[1]))
+    run_sweep(spec)
 """
 
 # The bath oracle at the weak certification point: 4000 modes, 2000 samples.
@@ -553,22 +570,18 @@ def _repeat_faults(setup: str, *args: str) -> list[int]:
 
 
 @glibc_only
-@pytest.mark.parametrize("threads", [1, 2])
-def test_repeated_sweep_reuses_its_chunk_memory(threads):
-    # A chunk of 16 points holds about 2 MB of (points x time) arrays, freed
-    # when it ends, and every chunk reuses memory faulted in before: 0 to 3
-    # faults per repeat at 1 and 2 threads.  With the allocator policy of
-    # dynamics disabled (ctypes.CDLL failing, as in
-    # test_import_survives_a_missing_c_library) the repeats read the same,
-    # since glibc's dynamic mmap threshold rises to a chunk's block size at
-    # its first free; only the warm-up sweep faulted more (about 850 against
-    # 410 faults at 1 thread).  So this test checks the reuse, and
+def test_repeated_sweep_reuses_its_chunk_memory():
+    # A chunk of 32 points holds a 2 MB (points x time) block, freed when it
+    # ends, and every chunk reuses memory faulted in before: 0 faults per
+    # repeat.  With the allocator policy of dynamics disabled (ctypes.CDLL
+    # failing, as in test_import_survives_a_missing_c_library) the repeats
+    # read the same, since glibc's dynamic mmap threshold rises to a chunk's
+    # block size at its first free; only the warm-up sweep faulted more
+    # (about 1,000 against 520 faults).  So this test checks the reuse, and
     # test_repeated_propagate_reuses_its_memory tells the policy apart.  A
-    # sweep starts no thread at any `threads`, so every repeat runs in the
-    # calling thread's glibc arena; the median leaves out one outlying
-    # repeat.
-    assert BUDGET // 2000 == 16
-    faults = _repeat_faults(SWEEP_RUN, str(threads))
+    # sweep starts no thread, so every repeat runs in the calling thread's
+    # glibc arena; the median leaves out one outlying repeat.
+    faults = _repeat_faults(SWEEP_RUN)
     assert sorted(faults)[2] < 64, faults
 
 
@@ -619,24 +632,43 @@ def _env_with_src():
     return dict(os.environ, PYTHONPATH=path)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_sweep_keeps_no_workspace_after_it_returns(threads):
-    # On a grid longer than BUDGET a chunk is one point and each of its
-    # arrays is 0.5 to 1 MB, larger than any chunk of a small warm-up sweep,
-    # so a buffer kept after either sweep shows as traced memory.
+def test_sweep_keeps_no_workspace_after_it_returns():
+    # On a grid longer than BUDGET a chunk is one point and its block is
+    # 4 MB, larger than any chunk of a small warm-up sweep, so a buffer kept
+    # after either sweep shows as traced memory.
     omegas = (("omega_drive", (0.5, 1.0, 1.5)),)
     spec = SweepSpec(base=base_params(), axes=omegas, grid=weak_grid(2 * BUDGET + 1))
-    run_sweep(SweepSpec(base=base_params(), axes=omegas, grid=weak_grid(100)),
-              threads=threads)           # warm-up: lazy imports and caches
+    run_sweep(SweepSpec(base=base_params(), axes=omegas,
+                        grid=weak_grid(100)))   # warm-up: lazy imports and caches
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        rows = run_sweep(spec, threads=threads).rows
+        rows = run_sweep(spec).rows
         after = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert len(rows) == 3
     assert after - before <= 256 * 1024
+
+
+def test_a_closed_form_chunk_holds_its_block_and_little_more():
+    # One chunk of BUDGET samples, 32 points of 2048, whose rows include the
+    # critically damped Omega = 0.  Its complex (2, points, time) block holds
+    # Z, then C2 and the metric rows, 32 B a sample; the chunk peaked at 38 B
+    # a sample in tracemalloc, and at 62 when it also formed C1 and a
+    # separate (3, points, time) metric array.
+    n = 2048
+    omegas = (("omega_drive", tuple(np.linspace(0.0, 2.0, BUDGET // n))),)
+    spec = SweepSpec(base=base_params(), axes=omegas, grid=weak_grid(n))
+    run_sweep(spec)                      # warm-up: lazy imports and caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run_sweep(spec)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * BUDGET, peak / BUDGET
 
 
 def test_a_sweep_is_its_table():
@@ -669,7 +701,8 @@ def test_a_sweep_is_its_table():
 
 def _arrays(result):
     traj, series = result
-    return [traj.c1, traj.c2, series.energy, series.power, series.ergotropy]
+    amplitudes = [] if traj is None else [traj.c1, traj.c2]
+    return amplitudes + [series.energy, series.power, series.ergotropy]
 
 
 def _share_memory(first, second):
@@ -692,8 +725,9 @@ def test_evaluations_outside_a_sweep_get_fresh_arrays(tmp_path, monkeypatch):
 
     spec = SweepSpec(base=base_params(), axes=(), grid=weak_grid(2000))
     points = apply_point(spec.base, {"omega_drive": np.array([0.5, 1.0])})
-    assert not _share_memory(evaluate(spec, prepare(spec, points)),
-                             evaluate(spec, prepare(spec, points)))
+    for amplitudes in (True, False):
+        assert not _share_memory(evaluate(spec, prepare(spec, points), amplitudes),
+                                 evaluate(spec, prepare(spec, points), amplitudes))
 
 
 def _fields(batch, prefix=""):
@@ -740,26 +774,28 @@ def test_a_slice_of_a_prepared_batch_is_its_points_prepared(engine, index):
 def test_a_slice_of_one_point_is_that_point(engine, monkeypatch):
     # An axis-less sweep (qbattery maxima) is one chunk of one point: its
     # slice shares every field of the point, whose closed-form constants
-    # are 0-d, and both engines give it (time,) arrays.
+    # are 0-d, and both engines give it (time,) arrays; the sweep takes its
+    # metric rows alone.
     spec = SweepSpec(base=base_params(), axes=(), grid=weak_grid(200), engine=engine)
     batch = prepare(spec, spec.base)
     chunk = model.take(batch, slice(0, 1))
     assert all(part is whole for (_, part), (_, whole) in zip(_fields(chunk), _fields(batch)))
     if engine == "closed_form":
         assert all(np.ndim(value) == 0 for value in vars(batch.closed).values())
-    traj, series = evaluate(spec, chunk)
+    traj, series = evaluate(spec, chunk, amplitudes=True)
     assert traj.c1.shape == traj.c2.shape == series.energy.shape == (200,)
 
     shapes = []
 
     def recording(spec, batch):
         traj, series = evaluate(spec, batch)
-        shapes.append((traj.c1.shape, traj.c2.shape, series.energy.shape))
+        shapes.append((traj, series.energy.shape, series.power.shape,
+                       series.ergotropy.shape))
         return traj, series
 
     monkeypatch.setattr(sweep, "evaluate", recording)
     run_sweep(spec)
-    assert shapes == [((200,),) * 3]
+    assert shapes == [(None, (200,), (200,), (200,))]
 
 
 def _per_cell_csv(header, columns) -> str:
