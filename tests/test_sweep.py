@@ -382,7 +382,8 @@ def test_a_failing_chunk_is_searched_by_halving(monkeypatch):
     assert len(calls) <= 2 * (count.bit_length() - 1) + 1
 
 
-def test_preparation_failure_names_the_first_failing_row_over_all_checks():
+@pytest.mark.parametrize("threads", [1, 2])
+def test_preparation_failure_names_the_first_failing_row_over_all_checks(threads):
     # r1 = 2 fails the sweep-wide preparation first, at row 6 of twelve;
     # preparing rows 0 to 5 then fails on omega_drive = -1 at row 4, which
     # fails no earlier check.  Rows 0 to 3 run in two 2-point chunks, and
@@ -391,7 +392,7 @@ def test_preparation_failure_names_the_first_failing_row_over_all_checks():
                      axes=(("r1", (0.5, 2.0)),
                            ("omega_drive", (0.5, 1.0, 1.5, 2.0, -1.0, 3.0))))
     with pytest.raises(SweepPointError) as err:
-        run_sweep(spec)
+        run_sweep(spec, threads=threads)
     point = {"r1": 0.5, "omega_drive": -1.0}
     with pytest.raises(SweepPointError) as single:
         run_sweep(SweepSpec(base=base_params(), grid=spec.grid,
@@ -408,9 +409,11 @@ def _four_per_chunk_spec(n):
                              grid=weak_grid(BUDGET // 4))
 
 
-def test_sweep_workers_evaluate_each_chunk_once(monkeypatch):
-    # Every chunk runs once, in row order, on the calling thread, and every
-    # row of the table holds its own point.
+@pytest.mark.parametrize("threads", [1, 2, 3, 8])
+def test_sweep_workers_evaluate_each_chunk_once(monkeypatch, threads):
+    # Whatever the ignored thread count, every chunk runs once, in row
+    # order, on the calling thread, and every row of the table holds its
+    # own point.
     calls = []
     real_fill = sweep._fill
 
@@ -420,7 +423,7 @@ def test_sweep_workers_evaluate_each_chunk_once(monkeypatch):
 
     monkeypatch.setattr(sweep, "_fill", recording)
     omegas, spec = _four_per_chunk_spec(10)   # chunks of 4, 4 and 2 points
-    result = run_sweep(spec)
+    result = run_sweep(spec, threads=threads)
     assert calls == [(threading.get_ident(), omegas[k]) for k in (0, 4, 8)]
     assert result.table[:, 0].tolist() == list(omegas)
     assert [row.point["omega_drive"] for row in result.rows] == list(omegas)
@@ -530,7 +533,7 @@ for _ in range(5):
 print(json.dumps(faults))
 """
 
-# A 32-chunk sweep on 2000 samples.
+# A 32-chunk sweep on 2000 samples, given the probe's argument as threads.
 SWEEP_RUN = """
 from qbattery import SweepSpec, SystemParams, TimeGrid, run_sweep
 from qbattery.sweep import BUDGET
@@ -540,7 +543,7 @@ spec = SweepSpec(base=SystemParams(), axes=(("omega_drive", omegas),),
                  grid=TimeGrid.uniform(10.0, 2000))
 
 def run():
-    run_sweep(spec)
+    run_sweep(spec, threads=int(sys.argv[1]))
 """
 
 # The bath oracle at the weak certification point: 4000 modes, 2000 samples.
@@ -570,18 +573,21 @@ def _repeat_faults(setup: str, *args: str) -> list[int]:
 
 
 @glibc_only
-def test_repeated_sweep_reuses_its_chunk_memory():
+@pytest.mark.parametrize("threads", [1, 2])
+def test_repeated_sweep_reuses_its_chunk_memory(threads):
     # A chunk of 32 points holds a 2 MB (points x time) block, freed when it
     # ends, and every chunk reuses memory faulted in before: 0 faults per
-    # repeat.  With the allocator policy of dynamics disabled (ctypes.CDLL
-    # failing, as in test_import_survives_a_missing_c_library) the repeats
-    # read the same, since glibc's dynamic mmap threshold rises to a chunk's
-    # block size at its first free; only the warm-up sweep faulted more
-    # (about 1,000 against 520 faults).  So this test checks the reuse, and
+    # repeat at 1 and 2 threads.  With the allocator policy of dynamics
+    # disabled (ctypes.CDLL failing, as in
+    # test_import_survives_a_missing_c_library) the repeats read the same,
+    # since glibc's dynamic mmap threshold rises to a chunk's block size at
+    # its first free; only the warm-up sweep faulted more (about 1,000
+    # against 520 faults).  So this test checks the reuse, and
     # test_repeated_propagate_reuses_its_memory tells the policy apart.  A
-    # sweep starts no thread, so every repeat runs in the calling thread's
-    # glibc arena; the median leaves out one outlying repeat.
-    faults = _repeat_faults(SWEEP_RUN)
+    # sweep starts no thread at any `threads`, so every repeat runs in the
+    # calling thread's glibc arena; the median leaves out one outlying
+    # repeat.
+    faults = _repeat_faults(SWEEP_RUN, str(threads))
     assert sorted(faults)[2] < 64, faults
 
 
@@ -632,18 +638,19 @@ def _env_with_src():
     return dict(os.environ, PYTHONPATH=path)
 
 
-def test_sweep_keeps_no_workspace_after_it_returns():
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_keeps_no_workspace_after_it_returns(threads):
     # On a grid longer than BUDGET a chunk is one point and its block is
     # 4 MB, larger than any chunk of a small warm-up sweep, so a buffer kept
     # after either sweep shows as traced memory.
     omegas = (("omega_drive", (0.5, 1.0, 1.5)),)
     spec = SweepSpec(base=base_params(), axes=omegas, grid=weak_grid(2 * BUDGET + 1))
-    run_sweep(SweepSpec(base=base_params(), axes=omegas,
-                        grid=weak_grid(100)))   # warm-up: lazy imports and caches
+    run_sweep(SweepSpec(base=base_params(), axes=omegas, grid=weak_grid(100)),
+              threads=threads)           # warm-up: lazy imports and caches
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        rows = run_sweep(spec).rows
+        rows = run_sweep(spec, threads=threads).rows
         after = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
