@@ -168,14 +168,15 @@ def survival_amplitude(kernel: KernelParams | ClosedForm, t, out: np.ndarray | N
     so the evaluation never overflows.  Near the critically damped point
     F -> 0 (|F| t < 1e-6, or |F| < 1e-10 |M|) the series limit
         Z = e^{-Mt/2} (1 + Mt/2 + (Ft)^2/8 (1 + Mt/6))
-    is used instead, evaluated only on the samples that need it; it gives
-    Z(0) = 1 exactly.
+    is used instead: over the whole row where |F| < 1e-10 |M|, by
+    broadcasting, and elsewhere only on the samples that need it, by
+    gathers.  It gives Z(0) = 1 exactly.
 
     t is a scalar or array of times >= 0, or a TimeGrid.  On a TimeGrid the
     two exponentials are filled together over the uniform samples by
     doubling, which agrees with the direct np.exp form to about 1e-14, and
     the series is looked for only on the prefix of samples below the
-    largest 1e-6/|F|.  kernel is a KernelParams or any record with M and F
+    largest 1e-6/|F| of the other rows.  kernel is a KernelParams or any record with M and F
     (a ClosedForm), which may be arrays with a leading points axis; the
     result then has shape M.shape + t.shape.  On a TimeGrid, out may be a
     complex array of shape (2,) + that shape: Z is written into out[0], and
@@ -191,7 +192,8 @@ def survival_amplitude(kernel: KernelParams | ClosedForm, t, out: np.ndarray | N
         degenerate = np.abs(F) < 1e-10 * np.abs(M)
         F_safe = np.where(degenerate, 1.0, F)
         ratio = M / F_safe
-        limit = 1e-6 / np.abs(F_safe)
+        # A degenerate row takes the series throughout, by broadcasting.
+        limit = np.where(degenerate, 0.0, 1e-6 / np.abs(F_safe))
         # The scales and rates of ep and em, each pair along a leading axis.
         scale, rate = terms = np.empty((2, 2) + M.shape, complex)
         np.add(1.0, ratio, out=scale[0, ...])
@@ -205,24 +207,27 @@ def survival_amplitude(kernel: KernelParams | ClosedForm, t, out: np.ndarray | N
                 out = np.empty((2,) + M.shape[:-1] + t.shape, complex)
             ep, em = _exp_on_grid(scale, rate, t, out)
             out = np.add(ep, em, out=ep)
-            # t is ascending, so the series samples of every row lie below
-            # the largest limit; a degenerate row takes the series throughout.
-            end = np.searchsorted(t, np.where(degenerate, np.inf, limit).max())
-            t, Z = t[:end], out[..., :end]
+            # t is ascending, so the series samples of every other row lie
+            # below the largest limit.
+            end = np.searchsorted(t, limit.max())
+            prefix, Z = t[:end], out[..., :end]
         else:
             ep, em = (s * np.exp(r * t) for s, r in zip(scale, rate))
             out = Z = np.asarray(ep + em)
-        series = np.less(t, limit)
-        series |= degenerate
-        # One row per kernel, one column per sample: views of Z and series,
-        # whose leading axes are those of a C-contiguous array.
-        rows, cols = np.nonzero(series.reshape(M.size, -1))
-        if rows.size:
-            Z = Z.reshape(M.size, -1)
-            M, F, t = M.reshape(-1)[rows], F.reshape(-1)[rows], t.reshape(-1)[cols]
-            Z[rows, cols] = np.exp(-M * t / 2.0) * (1.0 + M * t / 2.0
-                                                   + (F * t) ** 2 / 8.0 * (1.0 + M * t / 6.0))
+            prefix = t
+        # One row per kernel, one column per sample: out and Z reshape to
+        # views, as their leading axes are those of a C-contiguous array.
+        M, F, rows = M.reshape(-1), F.reshape(-1), degenerate.reshape(-1)
+        if rows.any():
+            out.reshape(M.size, -1)[rows] = _series(M[rows, None], F[rows, None], t.reshape(-1))
+        rows, cols = np.nonzero(np.less(prefix, limit).reshape(M.size, -1))
+        Z.reshape(M.size, -1)[rows, cols] = _series(M[rows], F[rows], prefix.reshape(-1)[cols])
     return complex(out) if out.ndim == 0 else out
+
+
+def _series(M, F, t):
+    """The critically damped limit of Z, elementwise (survival_amplitude)."""
+    return np.exp(-M * t / 2.0) * (1.0 + M * t / 2.0 + (F * t) ** 2 / 8.0 * (1.0 + M * t / 6.0))
 
 
 def _exp_on_grid(scale: np.ndarray, rate: np.ndarray, t: np.ndarray,
@@ -410,14 +415,18 @@ def equal_frequency_trajectory(params, frame, grid: TimeGrid) -> AmplitudeTrajec
 # As in survival_amplitude, AmplitudeTrajectory rejects overflowed samples, so
 # numpy need not warn anywhere in the engine.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def general_trajectory(params, frame, grid: TimeGrid) -> AmplitudeTrajectory:
+def general_trajectory(params, frame, grid: TimeGrid,
+                       with_c1: bool = True) -> AmplitudeTrajectory:
     """Exact pseudomode amplitudes, valid for unequal detunings.
 
     In the battery's rotating frame, y = (C_A, C_B, b) e^{i chi_B t} obeys
     y' = A y with the constant generator below, so C_B = y_B needs no
     rotation back, and on the uniform grid y_k = P^k y_0 with P = e^{A dt}
     (_expm).  Doubling (y[m:2m] = P^m y[:m]) fills the grid with about
-    log2(n_points) 3x3 products, and C_A = y_A e^{i (chi_A - chi_B) t}.
+    log2(n_points) 3x3 products, and, with_c1, C_A = y_A e^{i (chi_A -
+    chi_B) t}.  Without it c1 is None and c2 is y_B in c2.base, the complex
+    (3, points, time) block y, whose first row and b's are then free.  A
+    point whose rotation overflows fails either way.
 
     params and frame are one point, or a batch whose fields are (points,)
     arrays; a batch gives amplitudes shaped (points, time).
@@ -433,13 +442,18 @@ def general_trajectory(params, frame, grid: TimeGrid) -> AmplitudeTrajectory:
     generator[:, 2, 0], generator[:, 2, 1] = w_A, w_B
     generator[:, 2, 2] = -(1.0 - 1j * (delta_L + chi_B))
     t = grid.samples
+    # The rotation's largest doubling step: C_A is non-finite exactly where
+    # this is, so a point fails the same with C1 formed or not.
+    if not np.all(np.isfinite((chi_A - chi_B) * t[2 ** ((len(t) - 1).bit_length() - 1)])):
+        raise IntegrationError(f"{ENGINE_PSEUDOMODE} engine gave non-finite amplitudes")
     step = _expm(generator * t[1])
     # Stored component-major, so C_A and C_B are contiguous (points, time) blocks.
     y = np.empty((3, len(w_A), grid.n_points), dtype=complex)
     y[0, :, 0], y[1, :, 0], y[2, :, 0] = c01, c02, 0.0
     _fill_by_doubling(y.transpose(1, 0, 2), _squarings(step), np.matmul)
     c1, c2, phase = y
-    # The pseudomode amplitude b is not returned, so its block holds the phase.
-    c1 *= _exp_on_grid(1.0, 1j * (chi_A - chi_B)[:, None], t, phase)
+    if with_c1:
+        # The pseudomode amplitude b is not returned, so its block holds the phase.
+        c1 *= _exp_on_grid(1.0, 1j * (chi_A - chi_B)[:, None], t, phase)
     c1, c2 = (c.reshape(shape + (-1,)) for c in (c1, c2))
-    return AmplitudeTrajectory(grid, c1, c2, ENGINE_PSEUDOMODE)
+    return AmplitudeTrajectory(grid, c1 if with_c1 else None, c2, ENGINE_PSEUDOMODE)

@@ -142,10 +142,10 @@ def compute_metrics(traj: AmplitudeTrajectory, chi_B, with_maxima: bool = True,
     (2|C2|^2 - 1) theta(|C2|^2 - 1/2) chi_B: the prefactor vanishes at the
     threshold, so the series is continuous there.  The three series are the
     rows of one (3,) + c2.shape array, made in the memory of out if given:
-    a C-contiguous complex block whose second half may be traj.c2, as
-    closed_form_trajectory leaves it without C1.  The energy and power rows
-    then fill the first half, and the ergotropy row overwrites the start of
-    C2 after C2's last read, so traj.c2 is spent.  IntegrationError if
+    a C-contiguous complex block whose second row may be traj.c2, as either
+    engine leaves it without C1.  The energy and power rows then fill the
+    first row, and the ergotropy row overwrites the start of C2 after C2's
+    last read, so traj.c2 is spent.  IntegrationError if
     |C2|^2 exceeds 1 by more than POPULATION_SLACK (checked first) or the
     power overflows.
     """

@@ -3,13 +3,13 @@
 A sweep is one table, a row per point in lexicographic axis order.  Its
 rows are evaluated in chunks of at most BUDGET time samples, in row order
 on the calling thread, each chunk as one (points x time) batch that writes
-its peaks into its rows.  A closed-form chunk forms only the battery's
-amplitude C2 and writes its metric rows into C2's own block.  A chunk's
-arrays are freed when it ends, and the next chunk reuses their memory (the
-allocator policy of dynamics halves the page faults of a process's first
-sweep only).  The chunk boundaries depend only on the grid, and CSV
-payloads are byte-reproducible (17-significant-digit floats, no
-timestamps).
+its peaks into its rows.  A chunk of either engine forms only the
+battery's amplitude C2 and writes its metric rows into C2's block.  A
+chunk's arrays are freed when it ends, and the next chunk reuses their
+memory (the allocator policy of dynamics halves the page faults of a
+process's first sweep only).  The chunk boundaries depend only on the
+grid, and CSV payloads are byte-reproducible (17-significant-digit floats,
+no timestamps).
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ MAXIMA_FIELDS = ("E_max", "t_E", "P_max", "t_P", "W_max", "t_W")
 
 # Time samples per chunk.  A closed-form chunk holds one complex (2, points,
 # time) block, 32 B a sample (38 at its tracemalloc peak): 32 points at 2000
-# samples hold 2.0 MB.  A pseudomode chunk, its (3, points, time) state and
-# the metric rows, peaks near 75 B a sample.
+# samples hold 2.0 MB.  A pseudomode chunk holds its (3, points, time) state,
+# 48 B a sample (51 at its tracemalloc peak).
 BUDGET = 2 ** 16
 
 # Largest Cartesian product of sweep axes: a sweep holds its table and,
@@ -165,15 +165,17 @@ def evaluate(spec: SweepSpec, batch: Batch,
     The base and axes of spec are not used.  This is the one path from
     parameters through the engines to the metrics, with their peaks, that
     sweeps, figures and single runs share; it alone picks a batch's engine.
-    Without amplitudes the trajectory is None, and the closed form forms
-    only C2 and writes the metric rows into its own block: 32 B a sample.
+    Without amplitudes the trajectory is None, and either engine forms
+    only C2 and writes the metric rows into its block: 32 B a sample for
+    the closed form, 48 for the pseudomode.
     """
     if batch.closed is not None:
         traj = closed_form_trajectory(batch.closed, spec.grid, with_c1=amplitudes)
     else:
         # Looked up on dynamics, so that a rebinding there (perfbench's
         # tracer, a test's call count) sees every chunk's call.
-        traj = dynamics.general_trajectory(batch.params, batch.frame, spec.grid)
+        traj = dynamics.general_trajectory(batch.params, batch.frame, spec.grid,
+                                           with_c1=amplitudes)
     block = traj.c2.base if traj.c1 is None else None
     return (traj if amplitudes else None), compute_metrics(traj, batch.frame.chi_B,
                                                            out=block)

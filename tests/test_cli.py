@@ -1,9 +1,11 @@
+import itertools
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 
 import qbattery
 import qbattery.cli as cli
+import qbattery.dynamics as dynamics
 import qbattery.model as model
 import qbattery.sweep as sweep
 from qbattery import (IntegrationError, SystemParams, dressed_frame,
@@ -341,18 +344,21 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
 
 
 def test_over_unit_battery_population_exits_3(tmp_path, monkeypatch, capsys):
-    real = sweep.closed_form_trajectory
+    real = sweep.closed_form_trajectory, dynamics.general_trajectory
 
-    def over_unit(closed, grid, with_c1=True):
-        # Written into C2's own memory: maxima's chunk, which forms no C1,
-        # writes its metric rows into C2's block, and its message reads C2.
-        traj = real(closed, grid, with_c1)
+    # Written into C2's own memory: maxima's chunk, which forms no C1,
+    # writes its metric rows into C2's block, and its message reads C2.
+    def over_unit(first, *args, real, with_c1=True):
+        traj = real(first, *args, with_c1=with_c1)
         traj.c2[...] = np.sqrt(1.0 + 1e-6)
         return traj
 
-    monkeypatch.setattr(sweep, "closed_form_trajectory", over_unit)
-    for command in ("timeseries", "maxima"):
-        assert main([command, "--out", str(tmp_path / command)]) == 3
+    monkeypatch.setattr(sweep, "closed_form_trajectory", partial(over_unit, real=real[0]))
+    monkeypatch.setattr(dynamics, "general_trajectory", partial(over_unit, real=real[1]))
+    for engine, command in itertools.product(("closed_form", "pseudomode"),
+                                             ("timeseries", "maxima")):
+        out = tmp_path / engine / command
+        assert main([command, "--engine", engine, "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert "numerical failure" in err and "exceeds 1" in err
         assert f"max |C2| = {np.sqrt(1.0 + 1e-6):.17g}" in err
@@ -452,6 +458,10 @@ def test_set_flag_rejects_malformed_pairs(tmp_path, capsys):
     # A diverged pseudomode, whose |C2| passes 1e154: its square overflows.
     (["maxima", "--engine", "pseudomode", "--set", "R=4.2026061035824015e+18"], 3,
      "battery population"),
+    # C_A's rotation e^{i (chi_A - chi_B) t} overflows on the default window:
+    # a failure whether or not C1 is formed.
+    (["maxima", "--engine", "pseudomode", "--set", "delta_A=1e308"], 3, "pseudomode engine"),
+    (["maxima", "--engine", "pseudomode", "--set", "delta_B=1e308"], 3, "pseudomode engine"),
 ])
 def test_bad_input_exits_with_code_and_writes_no_csv(tmp_path, capsys, argv, code,
                                                       fragment):

@@ -385,6 +385,44 @@ def test_engines_take_a_batch_of_points(engine, name):
         np.testing.assert_array_equal(batch.c2[k], single.c2)
 
 
+def test_pseudomode_without_c1_keeps_c2_in_its_state_block():
+    # A sweep's chunk forms no C1: c1 is None, and C2 keeps its bytes, as
+    # the middle row of the complex (3, points, time) state block.
+    points = [SystemParams(**kw) for kw in UNEQUAL_POINTS]
+    g = TimeGrid.uniform(5.0, 257)
+    for params, count in ((batch_of(points), 2), (points[1], 1)):
+        frame = dressed_frame(params)
+        full = general_trajectory(params, frame, g)
+        bare = general_trajectory(params, frame, g, with_c1=False)
+        assert bare.c1 is None and full.c1 is not None
+        assert bare.c2.shape == full.c2.shape and bare.c2.tobytes() == full.c2.tobytes()
+        assert bare.c2.base.shape == (3, count, 257)
+        assert np.shares_memory(bare.c2, bare.c2.base[1])
+
+
+def test_pseudomode_fails_where_the_rotation_of_c1_overflows_with_or_without_c1():
+    # e^{i (chi_A - chi_B) t} is non-finite where (chi_A - chi_B) t overflows
+    # at the largest step of its doubling fill, t[1024] of 2000 samples:
+    # from delta_A = 3.5e307 on, not at 2.9e307 (where the product is
+    # 1.49e308).  Such a point fails whether or not C1 is formed, alone or
+    # in a batch, and below it the two give the same outcome.
+    g = TimeGrid.uniform(10.0, 2000)
+
+    def fails(params, with_c1):
+        try:
+            general_trajectory(params, dressed_frame(params), g, with_c1=with_c1)
+        except IntegrationError as exc:
+            assert "pseudomode engine gave non-finite amplitudes" in str(exc)
+            return True
+        return False
+
+    for delta_A in (2.8e307, 2.9e307, 3.5e307, 1e308):
+        point = SystemParams(delta_A=delta_A)
+        for params in (point, batch_of([SystemParams(delta_A=1.0), point])):
+            outcomes = {fails(params, with_c1) for with_c1 in (True, False)}
+            assert (outcomes == {True}) if delta_A > 3e307 else (len(outcomes) == 1)
+
+
 # Edge points of both engines: the critically damped point Omega = Delta = 0
 # (F = 0, the series path of Z), a decoupled cavity, a negative detuning, r1
 # of 0 and of 1, and complex initial amplitudes.

@@ -658,24 +658,55 @@ def test_sweep_keeps_no_workspace_after_it_returns(threads):
     assert after - before <= 256 * 1024
 
 
-def test_a_closed_form_chunk_holds_its_block_and_little_more():
-    # One chunk of BUDGET samples, 32 points of 2048, whose rows include the
-    # critically damped Omega = 0.  Its complex (2, points, time) block holds
-    # Z, then C2 and the metric rows, 32 B a sample; the chunk peaked at 38 B
-    # a sample in tracemalloc, and at 62 when it also formed C1 and a
-    # separate (3, points, time) metric array.
-    n = 2048
-    omegas = (("omega_drive", tuple(np.linspace(0.0, 2.0, BUDGET // n))),)
-    spec = SweepSpec(base=base_params(), axes=omegas, grid=weak_grid(n))
-    run_sweep(spec)                      # warm-up: lazy imports and caches
+def _sweep_peak(spec: SweepSpec) -> int:
+    """The tracemalloc peak of a sweep, in bytes above what it started with,
+    after a warm-up sweep (lazy imports and caches)."""
+    run_sweep(spec)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         run_sweep(spec)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+def _budget_chunk(engine: str, **base) -> SweepSpec:
+    """One chunk of BUDGET samples: 32 points of 2048, Omega = 0 included."""
+    n = 2048
+    omegas = (("omega_drive", tuple(np.linspace(0.0, 2.0, BUDGET // n))),)
+    return SweepSpec(base=base_params(**base), axes=omegas, grid=weak_grid(n), engine=engine)
+
+
+def test_a_closed_form_chunk_holds_its_block_and_little_more():
+    # One chunk of BUDGET samples, whose rows include the critically damped
+    # Omega = 0.  Its complex (2, points, time) block holds Z, then C2 and
+    # the metric rows, 32 B a sample; the chunk peaked at 38 B a sample in
+    # tracemalloc, and at 62 when it also formed C1 and a separate
+    # (3, points, time) metric array.
+    peak = _sweep_peak(_budget_chunk("closed_form"))
     assert peak < 48 * BUDGET, peak / BUDGET
+
+
+def test_a_pseudomode_chunk_writes_its_metric_rows_into_its_state():
+    # The pseudomode chunk's complex (3, points, time) state, 48 B a sample,
+    # ends as C_A's row, C2 and the pseudomode amplitude's row.  Without C1
+    # the metric rows lie over C_A's row and the start of C2: the chunk
+    # peaked at 51 B a sample in tracemalloc, and at 75 when it rotated C_A
+    # and kept its metric rows beside the state.
+    peak = _sweep_peak(_budget_chunk("pseudomode", delta_A=1.0, delta_B=-0.5))
+    assert peak < 60 * BUDGET, peak / BUDGET
+
+
+def test_a_critically_damped_row_takes_its_series_without_gathers():
+    # One closed-form point at Omega = Delta = 0, R = 0.5 (F = 0) on 65536
+    # samples: survival_amplitude's series covers the whole row.  Broadcast
+    # over the row it peaked at 98 B a sample in tracemalloc; gathering M,
+    # F and t for each sample, at 155.
+    n = 2 ** 16
+    spec = SweepSpec(base=base_params(omega_drive=0.0, R=0.5), axes=(), grid=weak_grid(n))
+    peak = _sweep_peak(spec)
+    assert peak < 128 * n, peak / n
 
 
 def test_a_sweep_is_its_table():
