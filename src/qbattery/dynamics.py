@@ -176,11 +176,11 @@ def survival_amplitude(kernel: KernelParams | ClosedForm, t, out: np.ndarray | N
     two exponentials are filled together over the uniform samples by
     doubling, which agrees with the direct np.exp form to about 1e-14, and
     the series is looked for only on the prefix of samples below the
-    largest 1e-6/|F| of the other rows.  kernel is a KernelParams or any record with M and F
-    (a ClosedForm), which may be arrays with a leading points axis; the
-    result then has shape M.shape + t.shape.  On a TimeGrid, out may be a
-    complex array of shape (2,) + that shape: Z is written into out[0], and
-    out[1] is overwritten.
+    largest 1e-6/|F| of the other rows.  kernel is a KernelParams or any
+    record with M and F (a ClosedForm), which may be arrays with a leading
+    points axis; the result then has shape M.shape + t.shape.  On a
+    TimeGrid, out may be a complex array of shape (2,) + that shape: Z is
+    written into out[0], and out[1] is overwritten.
     """
     on_grid = isinstance(t, TimeGrid)
     t = t.samples if on_grid else np.asarray(t, dtype=float)
@@ -219,7 +219,8 @@ def survival_amplitude(kernel: KernelParams | ClosedForm, t, out: np.ndarray | N
         # views, as their leading axes are those of a C-contiguous array.
         M, F, rows = M.reshape(-1), F.reshape(-1), degenerate.reshape(-1)
         if rows.any():
-            out.reshape(M.size, -1)[rows] = _series(M[rows, None], F[rows, None], t.reshape(-1))
+            out.reshape(M.size, -1)[rows] = _series(M[rows, None], F[rows, None],
+                                                    t.reshape(-1))
         rows, cols = np.nonzero(np.less(prefix, limit).reshape(M.size, -1))
         Z.reshape(M.size, -1)[rows, cols] = _series(M[rows], F[rows], prefix.reshape(-1)[cols])
     return complex(out) if out.ndim == 0 else out
@@ -227,7 +228,8 @@ def survival_amplitude(kernel: KernelParams | ClosedForm, t, out: np.ndarray | N
 
 def _series(M, F, t):
     """The critically damped limit of Z, elementwise (survival_amplitude)."""
-    return np.exp(-M * t / 2.0) * (1.0 + M * t / 2.0 + (F * t) ** 2 / 8.0 * (1.0 + M * t / 6.0))
+    return np.exp(-M * t / 2.0) * (1.0 + M * t / 2.0
+                                   + (F * t) ** 2 / 8.0 * (1.0 + M * t / 6.0))
 
 
 def _exp_on_grid(scale: np.ndarray, rate: np.ndarray, t: np.ndarray,
