@@ -12,8 +12,9 @@ size (4000 modes, span 50) on the default windows and 2000-sample grids:
 
 Each point writes oracle_check.json and run.json to its own subdirectory of
 OUT_DIR (default: a temporary directory, removed afterwards) and prints one
-gap line per engine, then the bath's norm drift: the completeness defect of
-its eigenvectors as seen by the initial state.  It then estimates the error
+gap line per engine, then the bath's norm drift (the completeness defect of
+its eigenvectors as seen by the initial state) and the command's time in
+milliseconds.  It then estimates the error
 of the bath's truncation at +-span from a second bath with twice the span
 and twice the modes, built through the Python API: the truncation estimate
 max |ref(2 span) - ref(span)|, and each engine's gap to the Richardson
@@ -80,7 +81,7 @@ def certify(out_root: Path) -> int:
         if code in (0, 4):
             drift = json.loads((out / "oracle_check.json").read_text())["norm_drift"]
             print(f"{name}: norm drift (completeness defect) {drift:.1e}, "
-                  f"{time.monotonic() - start:.1f}s")
+                  f"{(time.monotonic() - start) * 1e3:.0f} ms")
             truncation(name, overrides)
     return max(codes)
 

@@ -168,9 +168,8 @@ def survival_amplitude(kernel: KernelParams | ClosedForm, t, out: np.ndarray | N
     so the evaluation never overflows.  Near the critically damped point
     F -> 0 (|F| t < 1e-6, or |F| < 1e-10 |M|) the series limit
         Z = e^{-Mt/2} (1 + Mt/2 + (Ft)^2/8 (1 + Mt/6))
-    is used instead: over the whole row where |F| < 1e-10 |M|, by
-    broadcasting, and elsewhere only on the samples that need it, by
-    gathers.  It gives Z(0) = 1 exactly.
+    is used instead: over the whole row where |F| < 1e-10 |M|, in place in
+    that row, and elsewhere only on the samples that need it, by gathers.  It gives Z(0) = 1 exactly.
 
     t is a scalar or array of times >= 0, or a TimeGrid.  On a TimeGrid the
     two exponentials are filled together over the uniform samples by
@@ -192,7 +191,7 @@ def survival_amplitude(kernel: KernelParams | ClosedForm, t, out: np.ndarray | N
         degenerate = np.abs(F) < 1e-10 * np.abs(M)
         F_safe = np.where(degenerate, 1.0, F)
         ratio = M / F_safe
-        # A degenerate row takes the series throughout, by broadcasting.
+        # A degenerate row takes the series throughout, in place.
         limit = np.where(degenerate, 0.0, 1e-6 / np.abs(F_safe))
         # The scales and rates of ep and em, each pair along a leading axis.
         scale, rate = terms = np.empty((2, 2) + M.shape, complex)
@@ -217,19 +216,40 @@ def survival_amplitude(kernel: KernelParams | ClosedForm, t, out: np.ndarray | N
             prefix = t
         # One row per kernel, one column per sample: out and Z reshape to
         # views, as their leading axes are those of a C-contiguous array.
+        # em, of out's shape, is free once summed.
         M, F, rows = M.reshape(-1), F.reshape(-1), degenerate.reshape(-1)
-        if rows.any():
-            out.reshape(M.size, -1)[rows] = _series(M[rows, None], F[rows, None],
-                                                    t.reshape(-1))
+        for row in np.flatnonzero(rows):
+            _series(M[row], F[row], t.reshape(-1), out=out.reshape(M.size, -1)[row],
+                    work=em.reshape(M.size, -1)[row])
         rows, cols = np.nonzero(np.less(prefix, limit).reshape(M.size, -1))
         Z.reshape(M.size, -1)[rows, cols] = _series(M[rows], F[rows], prefix.reshape(-1)[cols])
     return complex(out) if out.ndim == 0 else out
 
 
-def _series(M, F, t):
-    """The critically damped limit of Z, elementwise (survival_amplitude)."""
-    return np.exp(-M * t / 2.0) * (1.0 + M * t / 2.0
-                                   + (F * t) ** 2 / 8.0 * (1.0 + M * t / 6.0))
+def _series(M, F, t, out=None, work=None):
+    """The critically damped limit of Z, elementwise (survival_amplitude).
+
+    e^{-Mt/2} (1 + Mt/2 + (Ft)^2/8 (1 + Mt/6)), written into out with the
+    scratch array work, each of the result's shape (new arrays when None),
+    and one temporary.  Each operation and its operand order are those of
+    that expression, so the bits are too; no product is taken in place,
+    since numpy rounds a one-element product in place differently.
+    """
+    out = np.multiply(F, t, out=out)
+    square = np.square(out, out=work)
+    square /= 8.0
+    np.multiply(M, t, out=out)
+    out /= 6.0
+    out += 1.0
+    quadratic = np.multiply(square, out)
+    linear = np.multiply(M, t, out=square)
+    linear /= 2.0
+    linear += 1.0
+    linear += quadratic
+    decay = np.multiply(-M, t, out=quadratic)
+    decay /= 2.0
+    np.exp(decay, out=decay)
+    return np.multiply(decay, linear, out=out)
 
 
 def _exp_on_grid(scale: np.ndarray, rate: np.ndarray, t: np.ndarray,

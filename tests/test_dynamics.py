@@ -166,6 +166,19 @@ def test_series_limit_covers_each_rows_prefix_only():
         assert batched.c2[i].tobytes() == single.c2.tobytes()
 
 
+@pytest.mark.parametrize("t", [0.7, [0.7], [0.0, 0.7, 3.0]])
+def test_degenerate_series_keeps_its_bits_on_any_number_of_samples(t):
+    # A degenerate row (|F| < 1e-10 |M|) takes its series in place in the
+    # row.  numpy rounds a one-element complex product taken in place unlike
+    # one taken into another array, so one sample is checked as well.
+    rng = np.random.default_rng(29)
+    for _ in range(50):
+        M = complex(rng.uniform(0.1, 5.0), rng.uniform(-5.0, 5.0))
+        F = 1e-11 * M * complex(rng.normal(), rng.normal())
+        Z = np.atleast_1d(survival_amplitude(KernelParams(M=M, F=F), np.asarray(t)))
+        assert Z.tobytes() == _series_limit(M, F, np.atleast_1d(t)).tobytes()
+
+
 def test_kernel_params_squares_huge_rates_without_overflow():
     # Near 1e200 the plain squares of M and of the coupling W (1 + cos eta)
     # overflow; F is the same formula evaluated on the inputs over 1e200.

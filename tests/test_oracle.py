@@ -267,6 +267,51 @@ def test_phase_sum_matches_dense_sum_over_folded_and_far_energies():
     scale = np.abs(coef).sum()
     assert np.abs(oracle._phase_sum(energies, coef, s) - dense).max() <= 1e-13 * scale
 
+
+def test_far_field_series_is_cut_by_the_phase_sums_rounding_rule():
+    # Past the NEAR nearest poles the series ratio is at most
+    # r = 1 / (2 (NEAR + 1)), so the terms after the first k sum to at most
+    # r^k / (1 - r) of the far terms' absolute sum.  TERMS is the smallest k
+    # that puts this below an eighth of a rounding unit, _phase_sum's stop.
+    r = 1.0 / (2 * (oracle.NEAR + 1))
+    stop = 0.125 * np.finfo(float).eps
+    assert r ** oracle.TERMS / (1.0 - r) < stop
+    assert r ** (oracle.TERMS - 1) / (1.0 - r) >= stop
+
+
+@pytest.mark.parametrize("overrides", [{}, dict(R=10.0, delta_B=4.0)])
+def test_two_more_far_field_terms_move_no_amplitude(monkeypatch, overrides):
+    # Both certification points, on their full baths and default grids.
+    p = SystemParams(**overrides)
+    f = dressed_frame(p)
+    bath, grid = build_bath(f), default_grid(p)
+    cut = propagate(p, f, bath, grid)
+    monkeypatch.setattr(oracle, "TERMS", oracle.TERMS + 2)
+    longer = propagate(p, f, bath, grid)
+    for a, b in ((cut.c1, longer.c1), (cut.c2, longer.c2),
+                 (cut.total_norm, longer.total_norm)):
+        assert np.abs(a - b).max() <= 1e-15
+
+
+@pytest.mark.parametrize("h, weights", [
+    (0.05, lambda d: 3.0 * 0.05 / math.pi / (d * d + 1.0)),    # a Lorentzian comb
+    (0.3, lambda d: np.random.default_rng(5).uniform(0.0, 2.0, d.size)),
+])
+def test_far_field_matches_its_direct_sum(h, weights):
+    # F[j, o] = sum over |m| > NEAR of z2[o + m] / (m h)^(j + 1) on a
+    # 200-mode comb, against the FFT convolutions of _far_field; they agree
+    # to 7e-15 of each sum of absolute terms (measured).
+    n = 200
+    z2 = weights(-0.5 * n * h + (np.arange(n) + 0.5) * h)
+    far = oracle._far_field(z2, h)
+    assert far.shape == (oracle.TERMS, n)
+    m = np.arange(n) - np.arange(n)[:, None]  # m[o, k] = k - o
+    shift = np.where(np.abs(m) > oracle.NEAR, m * h, np.inf)
+    for j, row in enumerate(far):
+        terms = z2 / shift ** (j + 1)
+        scale = np.sum(np.abs(terms), axis=1)
+        assert np.all(np.abs(row - np.sum(terms, axis=1)) <= 1e-13 * scale), j
+
 ORACLE_CHECK = """
 import sys
 from qbattery.cli import main

@@ -700,13 +700,14 @@ def test_a_pseudomode_chunk_writes_its_metric_rows_into_its_state():
 
 def test_a_critically_damped_row_takes_its_series_without_gathers():
     # One closed-form point at Omega = Delta = 0, R = 0.5 (F = 0) on 65536
-    # samples: survival_amplitude's series covers the whole row.  Broadcast
-    # over the row it peaked at 98 B a sample in tracemalloc; gathering M,
-    # F and t for each sample, at 155.
+    # samples: survival_amplitude's series covers the whole row.  Evaluated
+    # in place in the row it peaked at 50 B a sample in tracemalloc; as one
+    # expression over the row, at 98; gathering M, F and t for each sample,
+    # at 155.
     n = 2 ** 16
     spec = SweepSpec(base=base_params(omega_drive=0.0, R=0.5), axes=(), grid=weak_grid(n))
     peak = _sweep_peak(spec)
-    assert peak < 128 * n, peak / n
+    assert peak < 64 * n, peak / n
 
 
 def test_a_sweep_is_its_table():
