@@ -169,7 +169,8 @@ def survival_amplitude(kernel: KernelParams | ClosedForm, t, out: np.ndarray | N
     F -> 0 (|F| t < 1e-6, or |F| < 1e-10 |M|) the series limit
         Z = e^{-Mt/2} (1 + Mt/2 + (Ft)^2/8 (1 + Mt/6))
     is used instead: over the whole row where |F| < 1e-10 |M|, in place in
-    that row, and elsewhere only on the samples that need it, by gathers.  It gives Z(0) = 1 exactly.
+    that row, and elsewhere only on the samples that need it, by gathers.
+    It gives Z(0) = 1 exactly.
 
     t is a scalar or array of times >= 0, or a TimeGrid.  On a TimeGrid the
     two exponentials are filled together over the uniform samples by

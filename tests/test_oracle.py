@@ -279,7 +279,8 @@ def test_far_field_series_is_cut_by_the_phase_sums_rounding_rule():
     assert r ** (oracle.TERMS - 1) / (1.0 - r) >= stop
 
 
-@pytest.mark.parametrize("overrides", [{}, dict(R=10.0, delta_B=4.0)])
+@pytest.mark.parametrize("overrides", [{}, dict(R=10.0, delta_B=4.0)],
+                         ids=["weak", "strong"])
 def test_two_more_far_field_terms_move_no_amplitude(monkeypatch, overrides):
     # Both certification points, on their full baths and default grids.
     p = SystemParams(**overrides)
@@ -294,9 +295,9 @@ def test_two_more_far_field_terms_move_no_amplitude(monkeypatch, overrides):
 
 
 @pytest.mark.parametrize("h, weights", [
-    (0.05, lambda d: 3.0 * 0.05 / math.pi / (d * d + 1.0)),    # a Lorentzian comb
+    (0.05, lambda d: 3.0 * 0.05 / math.pi / (d * d + 1.0)),
     (0.3, lambda d: np.random.default_rng(5).uniform(0.0, 2.0, d.size)),
-])
+], ids=["lorentzian", "random"])
 def test_far_field_matches_its_direct_sum(h, weights):
     # F[j, o] = sum over |m| > NEAR of z2[o + m] / (m h)^(j + 1) on a
     # 200-mode comb, against the FFT convolutions of _far_field; they agree
