@@ -33,6 +33,7 @@ import ctypes
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -49,6 +50,15 @@ MAX_N_POINTS = 2 ** 20
 ENGINE_CLOSED = "closed_form"
 ENGINE_PSEUDOMODE = "pseudomode"
 ENGINE_ORACLE = "oracle"
+
+
+# How far |C1|^2 + |C2|^2, or |C2|^2 alone, may exceed 1 before a trajectory
+# is rejected: validate admits initial states normalised to within 1e-12,
+# and rounding added at most 1.1e-15 over 750 random closed-form points at
+# magnitudes up to 1e16 and 4.4e-16 over 300 pseudomode points up to 1e4.
+# Wrong pseudomode runs pass it: norms of 1 + 2.6e-8 at magnitudes from 1e4
+# to 1e8, and a |C2|^2 of 9e128 at omega_drive = 3.16e17.
+POPULATION_SLACK = 1e-10
 
 
 class IntegrationError(RuntimeError):
@@ -132,125 +142,121 @@ class AmplitudeTrajectory:
         # hand the reduction to its threads, whose wake-up costs milliseconds.
         if not cmath.isfinite(np.sum(self.c2) + (0 if self.c1 is None else np.sum(self.c1))):
             raise IntegrationError(f"{self.engine_tag} engine gave non-finite amplitudes")
+        if self.c1 is not None:  # else compute_metrics checks |C2|^2 alone
+            norm = np.max(self.qubit_norm())
+            if norm > 1.0 + POPULATION_SLACK:
+                raise IntegrationError(f"{self.engine_tag} engine gave a qubit norm "
+                                       f"|C1|^2 + |C2|^2 of {norm:.17g}, above 1")
 
     def qubit_norm(self) -> np.ndarray:
-        return np.abs(self.c1) ** 2 + np.abs(self.c2) ** 2
+        with np.errstate(over="ignore"):  # a huge finite amplitude squares to inf
+            return np.abs(self.c1) ** 2 + np.abs(self.c2) ** 2
 
 
 @dataclass(frozen=True)
 class KernelParams:
     """Laplace-domain constants of the equal-frequency survival amplitude.
 
-    M = 1 - i(chi + delta_L); F = sqrt(M^2 - W^2 (1 + cos eta)^2).
-    Z(t) depends on F only through F^2, so either branch of the square root
-    gives the same amplitude.  M and F may be arrays along a points axis.
+    M = 1 - i(chi + delta_L); F = sqrt(M^2 - c^2), with the coupling
+    c = W (1 + cos eta).  Z(t) depends on F only through F^2, so either
+    branch of the square root gives the same amplitude.  c is optional:
+    without it c^2 is taken as M^2 - F^2, which loses c^2 where it is far
+    below |M|^2.  M, F and c may be arrays along a points axis.
     """
 
     M: complex
     F: complex
+    c: complex | None = None
 
 
 def kernel_params(params: SystemParams, frame: DressedFrame) -> KernelParams:
     """Kernel constants for equal detunings (chi_A = chi_B, cos2_A = cos2_B):
-    the M and F of closed_form."""
+    the M, F and c of closed_form."""
     closed = closed_form(params, frame)
-    return KernelParams(M=unbatched(closed.M), F=unbatched(closed.F))
+    return KernelParams(*(unbatched(x) for x in (closed.M, closed.F, closed.c)))
 
 
 def survival_amplitude(kernel: KernelParams | ClosedForm, t, out: np.ndarray | None = None):
     """Survival amplitude Z(t) of the super-radiant component.
 
-    Z(t) = e^{-Mt/2} (cosh(Ft/2) + (M/F) sinh(Ft/2)), evaluated with the
-    e^{-Mt/2} factor absorbed into the hyperbolic exponentials,
-        Z = (1 + M/F)/2 ep + (1 - M/F)/2 em,
-        ep = e^{(F-M)t/2},  em = e^{-(F+M)t/2},
-    whose exponents have non-positive real part for the principal branch,
-    so the evaluation never overflows.  Near the critically damped point
-    F -> 0 (|F| t < 1e-6, or |F| < 1e-10 |M|) the series limit
-        Z = e^{-Mt/2} (1 + Mt/2 + (Ft)^2/8 (1 + Mt/6))
-    is used instead: over the whole row where |F| < 1e-10 |M|, in place in
-    that row, and elsewhere only on the samples that need it, by gathers.
-    It gives Z(0) = 1 exactly.
+    Z(t) = e^{-Mt/2} (cosh(Ft/2) + (M/F) sinh(Ft/2)) = ep + ep h, with
+        ep = e^{lt},  h = -lt phi1(-Ft) = kappa (e^{-Ft} - 1),  kappa = l/F,
+    phi1(z) = (e^z - 1)/z and phi1(0) = 1.  The slow rate l = (F - M)/2 is
+    taken as -c (c/(F + M))/2 on the branch Re F >= 0, where F + M does
+    not cancel, so it keeps its digits where F rounds to M (a drive or
+    detuning far above the coupling).  h, a divided difference of the
+    exponential, keeps them at and near the critically damped point F = 0,
+    where the two exponentials ep and em = e^{(l-F)t} nearly cancel in
+    Z - ep.  F = 0 is not a special case, and Z(0) = 1 exactly.
 
-    t is a scalar or array of times >= 0, or a TimeGrid.  On a TimeGrid the
-    two exponentials are filled together over the uniform samples by
-    doubling, which agrees with the direct np.exp form to about 1e-14, and
-    the series is looked for only on the prefix of samples below the
-    largest 1e-6/|F| of the other rows.  kernel is a KernelParams or any
-    record with M and F (a ClosedForm), which may be arrays with a leading
-    points axis; the result then has shape M.shape + t.shape.  On a
-    TimeGrid, out may be a complex array of shape (2,) + that shape: Z is
-    written into out[0], and out[1] is overwritten.
+    t is a scalar or array of times >= 0, or a TimeGrid.  On a TimeGrid
+    the samples are filled by doubling, which agrees with the direct form
+    to about 1e-14: where |kappa| <= 1, as Z = (1 - kappa) ep + kappa em,
+    two geometric sequences whose scales are at most 2 and 1 in modulus;
+    elsewhere as ep and h, h by h(t + s) = e^{-Fs} h(t) + h(s).
+    kernel is a KernelParams or any record with M, F and c (a ClosedForm),
+    which may be arrays with a leading points axis; the result then has
+    shape M.shape + t.shape.  On a TimeGrid, out may be a complex array of
+    shape (2,) + that shape: Z is written into out[0], and out[1] is
+    overwritten.
     """
     on_grid = isinstance(t, TimeGrid)
     t = t.samples if on_grid else np.asarray(t, dtype=float)
-    M, F = (np.asarray(x, dtype=complex) for x in (kernel.M, kernel.F))
-    M, F = (x.reshape(x.shape + (1,) * t.ndim) for x in (M, F))
+    shape = np.shape(kernel.M) + t.shape
+    # One row per kernel and one column per sample, so that a point's
+    # arithmetic is that of every batch: numpy rounds products of scalars
+    # unlike those of arrays.
+    M, F, c = (None if x is None else np.asarray(x).reshape(-1, 1)
+               for x in (kernel.M, kernel.F, kernel.c))
     # Overflowing inputs (huge splittings or couplings) give non-finite
     # samples, which AmplitudeTrajectory rejects; numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        degenerate = np.abs(F) < 1e-10 * np.abs(M)
-        F_safe = np.where(degenerate, 1.0, F)
-        ratio = M / F_safe
-        # A degenerate row takes the series throughout, in place.
-        limit = np.where(degenerate, 0.0, 1e-6 / np.abs(F_safe))
-        # The scales and rates of ep and em, each pair along a leading axis.
-        scale, rate = terms = np.empty((2, 2) + M.shape, complex)
-        np.add(1.0, ratio, out=scale[0, ...])
-        np.subtract(1.0, ratio, out=scale[1, ...])
-        np.subtract(F_safe, M, out=rate[0, ...])
-        np.add(F_safe, M, out=rate[1, ...])
-        np.negative(rate[1, ...], out=rate[1, ...])
-        terms /= 2.0
-        if on_grid:
-            if out is None:
-                out = np.empty((2,) + M.shape[:-1] + t.shape, complex)
-            ep, em = _exp_on_grid(scale, rate, t, out)
-            out = np.add(ep, em, out=ep)
-            # t is ascending, so the series samples of every other row lie
-            # below the largest limit.
-            end = np.searchsorted(t, limit.max())
-            prefix, Z = t[:end], out[..., :end]
+        c = np.sqrt(M * M - F * F) if c is None else c
+        F = np.where(F.real < 0.0, -F, F)
+        rate = -c * (c / (F + M)) / 2.0
+        if not on_grid:
+            ep, h = _terms(rate, F, t.reshape(-1))
+            Z = np.add(ep, ep * h).reshape(shape)
+            return complex(Z) if Z.ndim == 0 else Z
+        if out is None:
+            out = np.empty((2,) + shape, complex)
+        # Each half starts from its scale: (1 - kappa, kappa), or (1, 0) for
+        # ep and h near F = 0; each doubling level's factors are e^{ls} and
+        # e^{(l-F)s}, or e^{-Fs} for h, which also adds h(s).
+        near = np.abs(rate) > np.abs(F)
+        kappa = np.where(near, 0.0, rate / F)
+        rows = out.reshape(2, -1, len(t))
+        rows[0, :, :1] = 1.0 - kappa
+        rows[1, :, :1] = kappa
+        steps = t[2 ** np.arange((len(t) - 1).bit_length())].reshape(-1, 1, 1)
+        ep_steps, h_steps = _terms(rate, F, steps)
+        second = np.exp(np.where(near, -F, -(F + M) / 2.0) * steps)
+        factors = np.stack((ep_steps, second), axis=1)
+        if near.any():
+            _fill_by_doubling(rows, zip(factors, h_steps), partial(_affine_step, near))
+            np.multiply(rows[1], rows[0], out=rows[1], where=near)
         else:
-            ep, em = (s * np.exp(r * t) for s, r in zip(scale, rate))
-            out = Z = np.asarray(ep + em)
-            prefix = t
-        # One row per kernel, one column per sample: out and Z reshape to
-        # views, as their leading axes are those of a C-contiguous array.
-        # em, of out's shape, is free once summed.
-        M, F, rows = M.reshape(-1), F.reshape(-1), degenerate.reshape(-1)
-        for row in np.flatnonzero(rows):
-            _series(M[row], F[row], t.reshape(-1), out=out.reshape(M.size, -1)[row],
-                    work=em.reshape(M.size, -1)[row])
-        rows, cols = np.nonzero(np.less(prefix, limit).reshape(M.size, -1))
-        Z.reshape(M.size, -1)[rows, cols] = _series(M[rows], F[rows], prefix.reshape(-1)[cols])
-    return complex(out) if out.ndim == 0 else out
+            _fill_by_doubling(rows, iter(factors), np.multiply)
+        np.add(rows[0], rows[1], out=rows[0])
+    return out[0]
 
 
-def _series(M, F, t, out=None, work=None):
-    """The critically damped limit of Z, elementwise (survival_amplitude).
+def _terms(rate: np.ndarray, F: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ep = e^{lt} and h = -lt phi1(-Ft) of survival_amplitude, with
+    phi1(z) = (e^z - 1)/z taken as 1 at z = 0 (inside its errstate)."""
+    lt = rate * t
+    z = -F * t
+    return np.exp(lt), -lt * np.where(z == 0.0, 1.0, np.expm1(z) / z)
 
-    e^{-Mt/2} (1 + Mt/2 + (Ft)^2/8 (1 + Mt/6)), written into out with the
-    scratch array work, each of the result's shape (new arrays when None),
-    and one temporary.  Each operation and its operand order are those of
-    that expression, so the bits are too; no product is taken in place,
-    since numpy rounds a one-element product in place differently.
-    """
-    out = np.multiply(F, t, out=out)
-    square = np.square(out, out=work)
-    square /= 8.0
-    np.multiply(M, t, out=out)
-    out /= 6.0
-    out += 1.0
-    quadratic = np.multiply(square, out)
-    linear = np.multiply(M, t, out=square)
-    linear /= 2.0
-    linear += 1.0
-    linear += quadratic
-    decay = np.multiply(-M, t, out=quadratic)
-    decay /= 2.0
-    np.exp(decay, out=decay)
-    return np.multiply(decay, linear, out=out)
+
+def _affine_step(near: np.ndarray, shift, y: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """survival_amplitude's doubling step: factors times (ep, h), plus the
+    offsets in the rows of h where near."""
+    factors, offsets = shift
+    out = np.multiply(factors, y, out=out)
+    np.add(out[1], offsets, out=out[1], where=near)
+    return out
 
 
 def _exp_on_grid(scale: np.ndarray, rate: np.ndarray, t: np.ndarray,
@@ -359,13 +365,14 @@ def _columns(*values) -> tuple[tuple[int, ...], list[np.ndarray]]:
 class ClosedForm:
     """The closed form's constants: (points,) arrays, or 0-d for one point.
 
-    M and F are the kernel's; the amplitudes are C_j(t) = a_j Z(t) + b_j.
-    A sweep builds them once for all its points, and each chunk takes its
-    slice with model.take.
+    M, F and the coupling c are the kernel's (KernelParams); the amplitudes
+    are C_j(t) = a_j Z(t) + b_j.  A sweep builds them once for all its
+    points, and each chunk takes its slice with model.take.
     """
 
     M: np.ndarray
     F: np.ndarray
+    c: np.ndarray
     a1: np.ndarray
     b1: np.ndarray
     a2: np.ndarray
@@ -402,15 +409,16 @@ def closed_form(params, frame) -> ClosedForm:
         F = s * np.sqrt(m * m - c * c)  # overflows to inf silently
     beta_plus = r1 * c01 + r2 * c02
     beta_minus = r2 * c01 - r1 * c02
-    return ClosedForm(*(x.reshape(shape) for x in (M, F, r1 * beta_plus, r2 * beta_minus,
-                                                    r2 * beta_plus, -(r1 * beta_minus))))
+    return ClosedForm(*(x.reshape(shape) for x in (M, F, coupling, r1 * beta_plus,
+                                                    r2 * beta_minus, r2 * beta_plus,
+                                                    -(r1 * beta_minus))))
 
 
 def closed_form_trajectory(closed: ClosedForm, grid: TimeGrid,
                            with_c1: bool = True) -> AmplitudeTrajectory:
     """Closed-form amplitudes, shaped M.shape + (time,), from the constants.
 
-    Z and the second exponential of survival_amplitude share one block,
+    Z and survival_amplitude's second half share one block,
     c2.base, whose second half then holds C2 and, with_c1, whose first
     holds C1 in place of Z.  Without it c1 is None and the first half is
     free; C2 is non-finite exactly where Z is, as a2 and b2 are finite.

@@ -17,16 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import AmplitudeTrajectory, IntegrationError, TimeGrid
-
-
-# How far the battery population |C2|^2 may exceed 1 before a trajectory is
-# rejected.  validate admits initial states normalised to within 1e-12, so
-# |C2|^2 may start that far above 1; rounding added at most 6.7e-16 over
-# 400 random points of either engine, and nothing over 400 more with the
-# battery nearly fully excited.  A diverged trajectory lies far above: the
-# pseudomode's at omega_drive = 3.16e17 reached 9e128 on one host.
-POPULATION_SLACK = 1e-10
+from .dynamics import POPULATION_SLACK, AmplitudeTrajectory, IntegrationError, TimeGrid
 
 
 class Extremum(NamedTuple):

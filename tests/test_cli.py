@@ -243,10 +243,14 @@ def test_oracle_check_fails_with_exit_4(tmp_path, monkeypatch, capsys):
     real_propagate = cli.propagate
 
     def skewed(params, frame, bath, grid):
+        # The amplitudes turned by 0.01 rad in the (C1, C2) plane: off by
+        # about 0.01, with the qubit norm kept, which an added 0.01 would
+        # push above 1, a numerical failure (exit 3).
         traj = real_propagate(params, frame, bath, grid)
-        return AmplitudeTrajectory(grid=traj.grid, c1=traj.c1,
-                                   c2=traj.c2 + 0.01, engine_tag=traj.engine_tag,
-                                   total_norm=traj.total_norm)
+        cos, sin = np.cos(0.01), np.sin(0.01)
+        return AmplitudeTrajectory(grid=traj.grid, c1=cos * traj.c1 - sin * traj.c2,
+                                   c2=sin * traj.c1 + cos * traj.c2,
+                                   engine_tag=traj.engine_tag, total_norm=traj.total_norm)
 
     monkeypatch.setattr(cli, "propagate", skewed)
     out = tmp_path / "check"
@@ -462,6 +466,11 @@ def test_set_flag_rejects_malformed_pairs(tmp_path, capsys):
     # a failure whether or not C1 is formed.
     (["maxima", "--engine", "pseudomode", "--set", "delta_A=1e308"], 3, "pseudomode engine"),
     (["maxima", "--engine", "pseudomode", "--set", "delta_B=1e308"], 3, "pseudomode engine"),
+    # The pseudomode loses digits at these magnitudes: its C1 reaches
+    # |C1|^2 = 5.5e5, with |C2|^2 below 1.
+    (["timeseries", "--engine", "pseudomode", "--set", "omega_drive=1.87e12",
+      "--set", "delta_L=2.17e13", "--set", "R=2.86e14", "--set", "delta_A=-1.77e15",
+      "--set", "delta_B=-9.52e15", "--set", "r1=0.181"], 3, "qubit norm"),
 ])
 def test_bad_input_exits_with_code_and_writes_no_csv(tmp_path, capsys, argv, code,
                                                       fragment):
@@ -568,8 +577,8 @@ def test_command_line_rejected_by_argparse_returns_2_and_help_returns_0(capsys):
 
 
 def test_huge_window_runs_without_floating_point_warnings(tmp_path):
-    # On a window to t = 1e301 the F -> 0 series of the survival amplitude
-    # must not be evaluated where unused.
+    # On a window to t = 1e301 the survival amplitude's doubling factors
+    # underflow and their phases lose every digit, silently.
     out = tmp_path / "o"
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -1,5 +1,7 @@
 import cmath
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from qbattery import (IntegrationError, KernelParams, SystemParams, TimeGrid,
                       compute_metrics, default_grid, dressed_frame,
                       equal_frequency_trajectory,
                       general_trajectory, kernel_params, survival_amplitude)
-from qbattery.dynamics import MAX_N_POINTS, AmplitudeTrajectory, _expm
+from qbattery.dynamics import MAX_N_POINTS, AmplitudeTrajectory, _expm, closed_form
 
 # Oracle-certified survival amplitude at t = 2/lambda for
 # (R=0.5, Omega=0.5, Delta=Delta_L=0, r1=1/sqrt2, alpha_T=1), obtained by
@@ -94,12 +96,14 @@ def test_critically_damped_point_is_exact_polynomial_decay():
 
 
 def test_series_branch_agrees_with_exact_form_at_crossover():
-    # place |F| t around the 1e-6 series threshold and compare both formulas
+    # Near critical damping (|F| = 1e-3 |M|), with |F| t from 1e-7 to 1e-2:
+    # Z = e^{lt} (1 - lt phi1(-Ft)) against the exact cosh/sinh form, which
+    # loses only about 1e-13 here, as M/F is 1e3.
     k = make_kernel(omega=0.0)
     M = k.M
     for F in (1e-3 + 0j, 1e-3 + 1e-3j):
         kf = KernelParams(M=M, F=F)
-        for t in (1e-4, 5e-4, 9.9e-4):  # series branch: |F| t < 1e-6
+        for t in (1e-4, 5e-4, 9.9e-4, 0.1, 1.0, 10.0):
             direct = cmath.exp(-M * t / 2) * (cmath.cosh(F * t / 2)
                                               + (M / F) * cmath.sinh(F * t / 2))
             assert abs(survival_amplitude(kf, t) - direct) < 1e-12
@@ -118,46 +122,47 @@ def test_survival_amplitude_on_a_grid_matches_direct_form(omega, delta, delta_L,
     np.testing.assert_allclose(Z, survival_amplitude(k, g.samples), rtol=0, atol=1e-14)
 
 
+def _batch(kernels, with_c=True):
+    """One KernelParams holding the kernels along a points axis."""
+    return KernelParams(*(np.array([getattr(k, name) for k in kernels])
+                          for name in ("M", "F", "c")[:3 if with_c else 2]))
+
+
 def test_survival_amplitude_takes_a_batch_of_kernels():
+    # Each row of a batch has the bits of its kernel alone, at given times and
+    # on a grid, with the coupling c given and with it taken from M^2 - F^2.
     kernels = [make_kernel(0.5), make_kernel(1.0, 2.0, 1.0, 10.0), make_kernel(0.0)]
-    batch = KernelParams(M=np.array([k.M for k in kernels]),
-                         F=np.array([k.F for k in kernels]))
     t = np.linspace(0.0, 5.0, 50)
     g = TimeGrid.uniform(5.0, 50)
-    assert survival_amplitude(batch, t).shape == survival_amplitude(batch, g).shape == (3, 50)
-    for row, k in zip(survival_amplitude(batch, t), kernels):
-        np.testing.assert_array_equal(row, survival_amplitude(k, t))
-
-
-def _series_limit(M, F, t):
-    """The F -> 0 limit of Z at samples t, on arrays as survival_amplitude
-    gathers them."""
-    M, F = np.full(t.size, M), np.full(t.size, F)
-    return np.exp(-M * t / 2.0) * (1.0 + M * t / 2.0
-                                   + (F * t) ** 2 / 8.0 * (1.0 + M * t / 6.0))
+    for with_c in (True, False):
+        batch = _batch(kernels, with_c)
+        assert survival_amplitude(batch, t).shape == survival_amplitude(batch, g).shape == (3, 50)
+        for k, row, grid_row in zip(kernels, survival_amplitude(batch, t),
+                                    survival_amplitude(batch, g)):
+            single = k if with_c else KernelParams(M=k.M, F=k.F)
+            assert row.tobytes() == survival_amplitude(single, t).tobytes()
+            assert grid_row.tobytes() == survival_amplitude(single, g).tobytes()
 
 
 def test_series_limit_covers_each_rows_prefix_only():
-    # Three kinds of row in one batch: a generic point, whose series covers
-    # only t = 0; a point just off critical damping, with 1e-6/|F| a few
-    # grid steps long; and the degenerate default point at omega_drive = 0,
-    # where the series covers the whole row.
+    # Three kinds of row in one batch: a generic point; a point just off
+    # critical damping (|F| = 1e-4), where e^{lt} and e^{(l-F)t} agree to
+    # 1e-4 and l/F is 5e3; and the critically damped default point at
+    # omega_drive = 0 (F = 0).  Each keeps the bits it has alone, whichever
+    # fill its |l/F| picks, and agrees with the direct form; the last is
+    # e^{-t/2} (1 + t/2).
     g = TimeGrid.uniform(10.0, 2001)
-    dt = g.samples[1]
-    near_R = 0.5 * math.sqrt(1.0 - (1e-6 / (3.5 * dt)) ** 2)   # |F| = 1e-6 / (3.5 dt)
-    points = [SystemParams(omega_drive=1.0), SystemParams(omega_drive=0.0, R=near_R),
+    points = [SystemParams(omega_drive=1.0),
+              SystemParams(omega_drive=0.0, R=0.5 * math.sqrt(1.0 - 1e-8)),
               SystemParams(omega_drive=0.0)]
     kernels = [make_kernel(omega=p.omega_drive, R=p.R) for p in points]
-    ends = [np.searchsorted(g.samples, 1e-6 / abs(k.F)) for k in kernels[:2]]
-    assert ends == [1, 4] and abs(kernels[2].F) < 1e-10 * abs(kernels[2].M)
-    ends.append(g.n_points)
-    batch = KernelParams(M=np.array([k.M for k in kernels]),
-                         F=np.array([k.F for k in kernels]))
-    Z = survival_amplitude(batch, g)
-    for row, k, end in zip(Z, kernels, ends):
-        single = survival_amplitude(k, g)
-        assert row.tobytes() == single.tobytes()
-        assert row[:end].tobytes() == _series_limit(k.M, k.F, g.samples[:end]).tobytes()
+    assert abs(abs(kernels[1].F) - 1e-4) < 1e-12 and kernels[2].F == 0.0
+    Z = survival_amplitude(_batch(kernels), g)
+    for row, k in zip(Z, kernels):
+        assert row.tobytes() == survival_amplitude(k, g).tobytes()
+        np.testing.assert_allclose(row, survival_amplitude(k, g.samples), rtol=0, atol=1e-14)
+    t = g.samples
+    np.testing.assert_allclose(Z[2], np.exp(-t / 2.0) * (1.0 + t / 2.0), rtol=0, atol=1e-14)
     # The whole closed form agrees: each row of the batch bit for bit.
     batched = equal_frequency_trajectory(batch_of(points), dressed_frame(batch_of(points)), g)
     for i, p in enumerate(points):
@@ -168,15 +173,20 @@ def test_series_limit_covers_each_rows_prefix_only():
 
 @pytest.mark.parametrize("t", [0.7, [0.7], [0.0, 0.7, 3.0]])
 def test_degenerate_series_keeps_its_bits_on_any_number_of_samples(t):
-    # A degenerate row (|F| < 1e-10 |M|) takes its series in place in the
-    # row.  numpy rounds a one-element complex product taken in place unlike
-    # one taken into another array, so one sample is checked as well.
+    # A nearly degenerate kernel (|F| = 1e-11 |M|) at t = 0.7 has the same
+    # bits alone, as one sample of a list, and among other samples, and is
+    # the critically damped e^{-Mt/2} (1 + Mt/2) up to rounding.
     rng = np.random.default_rng(29)
     for _ in range(50):
         M = complex(rng.uniform(0.1, 5.0), rng.uniform(-5.0, 5.0))
         F = 1e-11 * M * complex(rng.normal(), rng.normal())
-        Z = np.atleast_1d(survival_amplitude(KernelParams(M=M, F=F), np.asarray(t)))
-        assert Z.tobytes() == _series_limit(M, F, np.atleast_1d(t)).tobytes()
+        kernel = KernelParams(M=M, F=F)
+        s = np.atleast_1d(t)
+        Z = np.atleast_1d(survival_amplitude(kernel, t))
+        among = survival_amplitude(kernel, np.array([3.0, 0.7, 11.0]))
+        assert Z[s == 0.7].tobytes() == among[1:2].tobytes()
+        limit = np.exp(-M * s / 2.0) * (1.0 + M * s / 2.0)
+        np.testing.assert_allclose(Z, limit, rtol=1e-13, atol=1e-15)
 
 
 def test_kernel_params_squares_huge_rates_without_overflow():
@@ -212,6 +222,31 @@ def test_survival_amplitude_is_contractive(omega, delta, delta_L, R):
     t = np.linspace(0.0, 10.0, 400)
     z = survival_amplitude(k, t)
     assert np.all(np.abs(z) <= 1.0 + 1e-9)
+
+
+REFERENCE = json.loads((Path(__file__).parent / "data"
+                        / "reference_closed_form.json").read_text())
+
+
+@pytest.mark.parametrize("entry", REFERENCE, ids=[e["name"] for e in REFERENCE])
+def test_closed_form_matches_high_precision_reference(entry):
+    # |C2|^2 at t = 5 and 10 from scripts/reference_closed_form.py (mpmath,
+    # converged to 1e-20): drives far above the coupling, a dispersive
+    # cavity, critical damping and near it, and a detuned strong coupling.
+    point = dict(entry["point"], c01=complex(*entry["point"]["c01"]),
+                 c02=complex(*entry["point"]["c02"]))
+    p = SystemParams(**point)
+    f = dressed_frame(p)
+    g = TimeGrid.uniform(10.0, 2001)
+    at = [int(np.searchsorted(g.samples, t)) for t in entry["t"]]
+    assert g.samples[at].tolist() == entry["t"]
+    expected = np.array(entry["population"])
+    on_grid = np.abs(equal_frequency_trajectory(p, f, g).c2[at]) ** 2
+    np.testing.assert_allclose(on_grid, expected, rtol=1e-13, atol=0)
+    closed = closed_form(p, f)
+    Z = survival_amplitude(kernel_params(p, f), np.array(entry["t"]))
+    np.testing.assert_allclose(np.abs(closed.a2 * Z + closed.b2) ** 2, expected,
+                               rtol=1e-13, atol=0)
 
 
 # --- closed form -------------------------------------------------------------
@@ -506,6 +541,21 @@ def test_trajectory_rejects_non_finite_amplitudes(bad):
     with pytest.raises(IntegrationError, match="non-finite"):
         AmplitudeTrajectory(grid=g, c1=np.array([1.0, bad, 0.0]),
                             c2=np.zeros(3, complex), engine_tag="oracle")
+
+
+def test_over_unit_qubit_norm_is_refused():
+    # |C1|^2 + |C2|^2 may pass 1 by the 1e-12 that validate admits and by
+    # rounding, not by more than POPULATION_SLACK; the message gives the
+    # largest norm.  Without C1, compute_metrics checks |C2|^2 instead.
+    g = TimeGrid.uniform(1.0, 4)
+    c1 = np.full(4, math.sqrt(0.5), complex)
+    c2 = c1 * np.array([1.0, 1.0, 1.0, math.sqrt(1.0 + 2e-12)])
+    AmplitudeTrajectory(grid=g, c1=c1, c2=c2, engine_tag="pseudomode")
+    c2[2] = 1.0
+    with pytest.raises(IntegrationError, match=r"pseudomode engine gave a qubit norm "
+                                               r"\|C1\|\^2 \+ \|C2\|\^2 of 1\.5, above 1"):
+        AmplitudeTrajectory(grid=g, c1=c1, c2=c2, engine_tag="pseudomode")
+    AmplitudeTrajectory(grid=g, c1=None, c2=c2, engine_tag="pseudomode")
 
 
 # --- memory-kernel reference (naive O(n^2), test-only) -----------------------

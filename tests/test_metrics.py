@@ -47,19 +47,19 @@ def test_fully_charged_battery_stores_one_splitting():
 
 def test_over_unit_battery_population_raises():
     # |C2|^2 = 1 is a fully charged battery; beyond POPULATION_SLACK above
-    # it, the trajectory is wrong and the metrics are refused.
+    # it, the trajectory is wrong and the metrics are refused.  The
+    # trajectories carry no C1, as a sweep chunk's: one with C1 is refused
+    # when it is made (test_over_unit_qubit_norm_is_refused).
     g = TimeGrid.uniform(1.0, 5)
-    c2 = np.ones(5)
-    compute_metrics(synthetic_trajectory(g, c2), 4.0)
+    c2 = np.ones(5, complex)
+    compute_metrics(AmplitudeTrajectory(g, None, c2.copy(), "closed_form"), 4.0)
     c2[3] = math.sqrt(1.0 + 1e-6)
     with pytest.raises(IntegrationError, match="exceeds 1"):
-        compute_metrics(synthetic_trajectory(g, c2), 4.0)
+        compute_metrics(AmplitudeTrajectory(g, None, c2.copy(), "closed_form"), 4.0)
     # A diverged amplitude, whose square overflows: refused for its
     # population, not its power, and without a RuntimeWarning.
-    # synthetic_trajectory would square it, so its c1 is left at 0.
     c2[3] = 1e200
-    diverged = AmplitudeTrajectory(grid=g, c1=np.zeros(5, complex), c2=c2.astype(complex),
-                                   engine_tag="pseudomode")
+    diverged = AmplitudeTrajectory(grid=g, c1=None, c2=c2, engine_tag="pseudomode")
     with pytest.raises(IntegrationError, match="battery population"):
         compute_metrics(diverged, 4.0)
 

@@ -209,6 +209,18 @@ def test_engines_agree_on_equal_detuning_sweeps():
         assert abs(a.E_max - b.E_max) <= 1e-6
 
 
+
+def test_closed_form_peak_energy_follows_the_dispersive_asymptote():
+    # At the default point, with the drive far above the coupling, the
+    # battery's peak population is |l t|^2 / 4 = 0.0244140625 / omega_drive^2
+    # at t = 10, with l = -i / (32 omega_drive), and chi_B = 2 omega_drive:
+    # E_max omega_drive tends to 0.048828125 (2.5e-10 away at 1e4).
+    omegas = tuple(10.0 ** (k / 2) for k in range(8, 301))    # 1e4 to 1e150
+    result = run_sweep(SweepSpec(base=base_params(), axes=(("omega_drive", omegas),),
+                                 grid=default_grid(base_params())))
+    scaled = np.array([row.E_max for row in result.rows]) * np.array(omegas)
+    assert np.abs(scaled - 0.048828125).max() <= 1e-9
+
 # --- batched evaluation ------------------------------------------------------
 #
 # A sweep evaluates its points in chunks of (points x time) arrays.  The loop
@@ -280,7 +292,7 @@ def test_multi_chunk_sweep_matches_loop_reference(engine, axes, base_R):
     # The chunks take the metric rows alone; the amplitude path, which
     # forms C1 too and gets fresh metric rows, gives every row's bits.  The
     # closed form's rows include Omega = Delta = delta_L = 0 at R = 0.5,
-    # the critically damped point, on survival_amplitude's series branch.
+    # the critically damped point F = 0.
     names = [name for name, _ in axes]
     points = apply_point(base, dict(zip(names, result.table[:, :len(names)].T)))
     _, series = evaluate(spec, prepare(spec, points), amplitudes=True)
@@ -700,10 +712,10 @@ def test_a_pseudomode_chunk_writes_its_metric_rows_into_its_state():
 
 def test_a_critically_damped_row_takes_its_series_without_gathers():
     # One closed-form point at Omega = Delta = 0, R = 0.5 (F = 0) on 65536
-    # samples: survival_amplitude's series covers the whole row.  Evaluated
-    # in place in the row it peaked at 50 B a sample in tracemalloc; as one
-    # expression over the row, at 98; gathering M, F and t for each sample,
-    # at 155.
+    # samples: survival_amplitude fills the row by doubling in its block,
+    # with no temporary of the row's size, and it peaked at 32 B a sample in
+    # tracemalloc.  Each such temporary adds 16 B a sample; gathering M, F
+    # and t for each sample peaked at 155.
     n = 2 ** 16
     spec = SweepSpec(base=base_params(omega_drive=0.0, R=0.5), axes=(), grid=weak_grid(n))
     peak = _sweep_peak(spec)
